@@ -36,14 +36,15 @@ def _load_expanded(config_path: str, horizon_ns: int, seed):
     return workloadgen.expand_generated(data, seed, horizon_ns)
 
 
-def _write_outputs(result: engine.RunResult, out_dir: Path, fmt: str) -> None:
+def _write_trace(records, out_dir: Path, fmt: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    if fmt == "json":
-        with open(out_dir / "trace.json", "w") as fh:
-            write_json(result.records, fh)
-    else:
-        with open(out_dir / "trace.csv", "w") as fh:
-            write_csv(result.records, fh)
+    as_json = fmt == "json"
+    with open(out_dir / ("trace.json" if as_json else "trace.csv"), "w") as fh:
+        (write_json if as_json else write_csv)(records, fh)
+
+
+def _write_outputs(result: engine.RunResult, out_dir: Path, fmt: str) -> None:
+    _write_trace(result.records, out_dir, fmt)
     with open(out_dir / "metrics.json", "w") as fh:
         json.dump(result.metrics.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -51,16 +52,6 @@ def _write_outputs(result: engine.RunResult, out_dir: Path, fmt: str) -> None:
         fh.write("# time_ns vm_id state\n")
         for start, end, vm in run_intervals(result.records, result.horizon):
             fh.write(f"{start} {vm} 1\n{end} {vm} 0\n")
-
-
-def _write_partial_trace(records, out_dir: Path, fmt: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if fmt == "json":
-        with open(out_dir / "trace.json", "w") as fh:
-            write_json(records, fh)
-    else:
-        with open(out_dir / "trace.csv", "w") as fh:
-            write_csv(records, fh)
 
 
 def cmd_run(config_path: str, horizon_ns: int, out_dir: str, fmt: str = "csv", seed=None) -> int:
@@ -79,7 +70,7 @@ def cmd_run(config_path: str, horizon_ns: int, out_dir: str, fmt: str = "csv", s
     except engine.SimulationAborted as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         try:
-            _write_partial_trace(exc.records, out, fmt)
+            _write_trace(exc.records, out, fmt)
         except OSError as io_exc:
             print(f"io error: {io_exc}", file=sys.stderr)
             return EXIT_IO
@@ -149,7 +140,7 @@ def cmd_sweep(
             try:
                 result = engine.run(spec, horizon_ns)
             except engine.SimulationAborted as exc:
-                _write_partial_trace(exc.records, run_dir, fmt)
+                _write_trace(exc.records, run_dir, fmt)
                 rows.append((value, "", "", "", f"contract violation: {exc}".replace(",", ";")))
                 continue
             _write_outputs(result, run_dir, fmt)

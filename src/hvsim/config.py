@@ -110,6 +110,8 @@ def _parse_segment(seg, where: str) -> Segment:
         return Segment("compute", duration_ns=_parse_int(value, f"{where}.compute"))
     if key == "hyp_call":
         payload = "" if value is None else str(value)
+        if "\n" in payload or "\r" in payload:  # a trace record is one line
+            raise ConfigError(f"{where}.hyp_call: payload may not contain a line break")
         return Segment("hyp_call", payload=payload)
     if key == "wfi":
         if value is not True:

@@ -52,6 +52,8 @@ _KLASS = {
     EV_COMPUTE_END: 2,
 }
 
+_new = tuple.__new__  # builds a TraceRecord without the NamedTuple's Python-level __new__
+
 _GUEST = "guest"
 _HV = "hv"
 _IDLE = "idle"
@@ -143,9 +145,10 @@ class Engine(SchedulerServices):
         return self._now
 
     def trace(self, kind: str, actor="hv", cost_field="", cost_ns=0, detail="") -> None:
-        self.records.append(
-            TraceRecord(self._now, str(actor), kind, cost_field, cost_ns, detail)
-        )
+        if type(actor) is not str:
+            actor = str(actor)
+        record = (self._now, actor, kind, cost_field, cost_ns, detail)
+        self.records.append(_new(TraceRecord, record))
 
     def charge(self, kind: str, cost_field: str, detail="", actor="hv") -> None:
         cost = getattr(self.cost, cost_field)
@@ -434,7 +437,8 @@ class Engine(SchedulerServices):
         ctx = self._guest[cur.id]
         if d and not ctx.parked and ctx.remaining is not None and ctx.segment().kind == "compute":
             ctx.remaining -= d
-            assert ctx.remaining >= 0
+            if ctx.remaining < 0:
+                raise ContractViolation(f"vm {cur.id} ran past the end of its compute segment")
         self._run_start = self._now
 
     def _suspend(self) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Protocol
 
 from .model import ContractViolation, RunState, Time, VcpuRecord
 
@@ -73,26 +73,17 @@ class TimerHandle:
     fired: bool = False
 
 
-class SchedulerServices:
+class SchedulerServices(Protocol):
     """What a scheduler implementation may call back into.
 
     The engine provides the concrete object; tests may stub it.
     """
 
-    def now(self) -> Time:
-        raise NotImplementedError
-
-    def set_flag(self) -> None:
-        raise NotImplementedError
-
-    def register_timer(self, at: Time, action: str = ACTION_SET_FLAG) -> TimerHandle:
-        raise NotImplementedError
-
-    def cancel_timer(self, handle: TimerHandle) -> None:
-        raise NotImplementedError
-
-    def report_deadline_miss(self, vm_id: int, deadline: Time) -> None:
-        raise NotImplementedError
+    def now(self) -> Time: ...
+    def set_flag(self) -> None: ...
+    def register_timer(self, at: Time, action: str = ACTION_SET_FLAG) -> TimerHandle: ...
+    def cancel_timer(self, handle: TimerHandle) -> None: ...
+    def report_deadline_miss(self, vm_id: int, deadline: Time) -> None: ...
 
 
 class Framework:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .framework import SchedulerServices, SchedulerTable, TimerHandle
-from .model import ConfigError, SystemSpec, Time, VcpuRecord
+from .model import ConfigError, ContractViolation, SystemSpec, Time, VcpuRecord
 
 DEFAULT_RR_QUANTUM_NS = 10_000_000  # config "quantum_ns" overrides
 
@@ -146,7 +146,8 @@ class EdfScheduler(SchedulerTable):
         st = self._states[vm_id]
         used = self._vcpus[vm_id].total_consumed - st.mark
         st.remaining = self._params[vm_id].budget - used
-        assert st.remaining >= 0, f"vm {vm_id} ran past its budget"
+        if st.remaining < 0:
+            raise ContractViolation(f"vm {vm_id} ran past its budget")
 
     def _replenish(self, vm_id: int) -> None:
         st = self._states[vm_id]

@@ -14,6 +14,8 @@ from typing import Iterable, NamedTuple
 from .model import Time
 
 CSV_HEADER = "time_ns,actor,kind,cost_field,cost_ns,detail"
+_FIELDS = CSV_HEADER.split(",")
+_CSV_FORMAT = "%s,%s,%s,%s,%s,%s"  # a record's fields in CSV_HEADER order
 
 
 class TraceRecord(NamedTuple):
@@ -25,20 +27,10 @@ class TraceRecord(NamedTuple):
     detail: str
 
     def to_csv(self) -> str:
-        return f"{self.time},{self.actor},{self.kind},{self.cost_field},{self.cost_ns},{self.detail}"
+        return _CSV_FORMAT % self
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "time_ns": self.time,
-                "actor": self.actor,
-                "kind": self.kind,
-                "cost_field": self.cost_field,
-                "cost_ns": self.cost_ns,
-                "detail": self.detail,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(dict(zip(_FIELDS, self)), sort_keys=True)
 
 
 def record_from_csv(line: str) -> TraceRecord:
@@ -48,8 +40,8 @@ def record_from_csv(line: str) -> TraceRecord:
 
 def write_csv(records: Iterable[TraceRecord], fh) -> None:
     fh.write(CSV_HEADER + "\n")
-    for r in records:
-        fh.write(r.to_csv() + "\n")
+    line = _CSV_FORMAT + "\n"
+    fh.writelines(line % r for r in records)
 
 
 def read_csv(fh) -> list[TraceRecord]:
@@ -60,8 +52,7 @@ def read_csv(fh) -> list[TraceRecord]:
 
 
 def write_json(records: Iterable[TraceRecord], fh) -> None:
-    for r in records:
-        fh.write(r.to_json() + "\n")
+    fh.writelines(r.to_json() + "\n" for r in records)
 
 
 def compare_traces(a: list[TraceRecord], b: list[TraceRecord]):
@@ -145,63 +136,89 @@ def run_intervals(records: list[TraceRecord], horizon: Time) -> list[tuple[Time,
     open_vm: int | None = None
     open_at = 0
     for r in records:
-        if r.kind == "vm_start":
+        kind = r.kind  # most records are neither kind: skip them unpacked
+        if kind == "vm_start":
             open_vm, open_at = int(r.actor), r.time
-        elif r.kind == "vm_pause" and open_vm is not None:
-            s, e = min(open_at, horizon), min(r.time, horizon)
+        elif kind == "vm_pause" and open_vm is not None:
+            time = r.time
+            s = open_at if open_at < horizon else horizon
+            e = time if time < horizon else horizon
             if e > s:
                 spans.append((s, e, open_vm))
             open_vm = None
-    if open_vm is not None:
-        s = min(open_at, horizon)
-        if horizon > s:
-            spans.append((s, horizon, open_vm))
+    if open_vm is not None and open_at < horizon:
+        spans.append((open_at, horizon, open_vm))
     return spans
 
 
+def _switch_in(detail: str) -> int | None:
+    """The VM a dispatch record puts on the CPU, or None if it switches none in."""
+    to = detail_field(detail, "to")
+    if to in (None, "-") or to == detail_field(detail, "from"):
+        return None
+    return int(to)
+
+
 def metrics_from_trace(
-    records: list[TraceRecord], horizon: Time, vm_ids: Iterable[int]
+    records: Iterable[TraceRecord], horizon: Time, vm_ids: Iterable[int]
 ) -> MetricsReport:
-    report = MetricsReport(horizon=horizon, per_vm={vm: VmMetrics() for vm in vm_ids})
+    """Fold the trace into metrics in one pass over its records; a trace read
+    back with `read_csv` folds to the same report as the run's own records."""
+    per_vm = {vm: VmMetrics() for vm in vm_ids}
+    report = MetricsReport(horizon=horizon, per_vm=per_vm)
     busy: list[tuple[Time, Time]] = []
-
-    for start, end, vm in run_intervals(records, horizon):
-        report.per_vm[vm].cpu_time += end - start
-        busy.append((start, end))
-
-    for r in records:
-        if r.cost_ns:
-            start, end = min(r.time, horizon), min(r.time + r.cost_ns, horizon)
-            if end > start:
-                report.hypervisor_overhead_time += end - start
-                busy.append((start, end))
-        if r.kind == "dispatch":
-            to = detail_field(r.detail, "to")
-            frm = detail_field(r.detail, "from")
-            if to not in (None, "-") and to != frm:
-                report.per_vm[int(to)].switch_in_count += 1
-        elif r.kind == "deadline_miss":
-            report.per_vm[int(detail_field(r.detail, "vm"))].deadline_misses += 1
-        elif r.kind == "guest_ack":
-            report.per_vm[int(r.actor)].irqs_received += 1
-        elif r.kind == "ivc_notify":
+    add_busy = busy.append
+    switch_in: dict[str, int | None] = {}  # memo of _switch_in by detail string
+    overhead = 0
+    open_vm: int | None = None
+    open_at = 0
+    for time, actor, kind, _, cost, detail in records:
+        if cost:
+            s = time if time < horizon else horizon
+            e = time + cost
+            if e > horizon:
+                e = horizon
+            if e > s:
+                overhead += e - s
+                add_busy((s, e))
+        if kind == "vm_start":
+            open_vm, open_at = int(actor), time
+        elif kind == "vm_pause":
+            if open_vm is not None:
+                s = open_at if open_at < horizon else horizon
+                e = time if time < horizon else horizon
+                if e > s:
+                    per_vm[open_vm].cpu_time += e - s
+                    add_busy((s, e))
+                open_vm = None
+        elif kind == "dispatch":
+            try:
+                vm = switch_in[detail]
+            except KeyError:
+                vm = switch_in[detail] = _switch_in(detail)
+            if vm is not None:
+                per_vm[vm].switch_in_count += 1
+        elif kind == "deadline_miss":
+            per_vm[int(detail_field(detail, "vm"))].deadline_misses += 1
+        elif kind == "guest_ack":
+            per_vm[int(actor)].irqs_received += 1
+        elif kind == "ivc_notify":
             report.ivc_transfers += 1
+    if open_vm is not None and open_at < horizon:
+        per_vm[open_vm].cpu_time += horizon - open_at
+        add_busy((open_at, horizon))
+    report.hypervisor_overhead_time = overhead
 
     # Idle is measured as the horizon minus the union of busy spans, so any
     # accidental double-booking of time shows up as a conservation failure.
     busy.sort()
     covered = 0
-    cur_s: Time | None = None
-    cur_e = 0
+    cur_s, cur_e = busy[0] if busy else (0, 0)
     for s, e in busy:
-        if cur_s is None:
-            cur_s, cur_e = s, e
-        elif s > cur_e:
+        if s > cur_e:
             covered += cur_e - cur_s
             cur_s, cur_e = s, e
-        else:
-            cur_e = max(cur_e, e)
-    if cur_s is not None:
-        covered += cur_e - cur_s
-    report.idle_time = horizon - covered
+        elif e > cur_e:
+            cur_e = e
+    report.idle_time = horizon - covered - (cur_e - cur_s)
     return report

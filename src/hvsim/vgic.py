@@ -20,7 +20,6 @@ from .model import VmId
 N_INTERRUPTS = 128
 SGI_COUNT = 16  # ids 0..15 reserved on this uniprocessor model, never pending
 SPURIOUS_IRQ = 1023
-IDLE_PRIORITY = 0x100  # below any 8-bit priority
 DEFAULT_LR_COUNT = 4
 
 # Distributor register map (offsets from the distributor window base).
@@ -69,7 +68,6 @@ class VirtualCpuInterface:
 
     def __init__(self, lr_count: int = DEFAULT_LR_COUNT):
         self.lrs = [Lr() for _ in range(lr_count)]
-        self.running_priority = IDLE_PRIORITY
         self.ack_count = 0
         self.eoi_count = 0
 
@@ -119,7 +117,6 @@ class VirtualCpuInterface:
             return SPURIOUS_IRQ
         best.state = LrState.ACTIVE
         self.ack_count += 1
-        self._refresh_running_priority()
         return best.virq
 
     def eoi(self, virq: int) -> tuple[bool, int | None]:
@@ -134,12 +131,7 @@ class VirtualCpuInterface:
         hw = lr.hw_link
         lr.clear()
         self.eoi_count += 1
-        self._refresh_running_priority()
         return True, hw
-
-    def _refresh_running_priority(self) -> None:
-        actives = [lr.priority for lr in self.lrs if lr.state is LrState.ACTIVE]
-        self.running_priority = min(actives) if actives else IDLE_PRIORITY
 
 
 @dataclass

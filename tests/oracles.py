@@ -1,12 +1,17 @@
 """Independent reference models.
 
 These deliberately do not share code with the package: the EDF oracle is a
-1-microsecond tick simulation, and the interrupt-controller oracle keeps one
-tiny state machine per interrupt id.  Both are compared against the engine
-elsewhere; keep them dumb.
+1-microsecond tick simulation, the interrupt-controller oracle keeps one
+tiny state machine per interrupt id, and the metrics oracle is the original
+two-pass fold over a trace (it shares only the report containers).  All are
+compared against the package elsewhere; keep them dumb.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
+
+from hvsim.trace import MetricsReport, TraceRecord, VmMetrics
 
 
 # ---------------------------------------------------------------------------
@@ -245,3 +250,85 @@ class OracleGic:
                 hw = i if m.hw else None
                 out.append((i, m.lr_priority, m.lr, hw))
         return frozenset(out)
+
+
+# ---------------------------------------------------------------------------
+# Two-pass metrics fold over a trace
+# ---------------------------------------------------------------------------
+
+Time = int
+
+
+def detail_field(detail: str, key: str) -> str | None:
+    for part in detail.split(";"):
+        if part.startswith(key + "="):
+            return part[len(key) + 1 :]
+    return None
+
+
+def run_intervals(records: list[TraceRecord], horizon: Time) -> list[tuple[Time, Time, int]]:
+    """(start, end, vm) spans during which a VM held the CPU, clamped to horizon."""
+    spans = []
+    open_vm: int | None = None
+    open_at = 0
+    for r in records:
+        if r.kind == "vm_start":
+            open_vm, open_at = int(r.actor), r.time
+        elif r.kind == "vm_pause" and open_vm is not None:
+            s, e = min(open_at, horizon), min(r.time, horizon)
+            if e > s:
+                spans.append((s, e, open_vm))
+            open_vm = None
+    if open_vm is not None:
+        s = min(open_at, horizon)
+        if horizon > s:
+            spans.append((s, horizon, open_vm))
+    return spans
+
+
+def metrics_from_trace(
+    records: list[TraceRecord], horizon: Time, vm_ids: Iterable[int]
+) -> MetricsReport:
+    report = MetricsReport(horizon=horizon, per_vm={vm: VmMetrics() for vm in vm_ids})
+    busy: list[tuple[Time, Time]] = []
+
+    for start, end, vm in run_intervals(records, horizon):
+        report.per_vm[vm].cpu_time += end - start
+        busy.append((start, end))
+
+    for r in records:
+        if r.cost_ns:
+            start, end = min(r.time, horizon), min(r.time + r.cost_ns, horizon)
+            if end > start:
+                report.hypervisor_overhead_time += end - start
+                busy.append((start, end))
+        if r.kind == "dispatch":
+            to = detail_field(r.detail, "to")
+            frm = detail_field(r.detail, "from")
+            if to not in (None, "-") and to != frm:
+                report.per_vm[int(to)].switch_in_count += 1
+        elif r.kind == "deadline_miss":
+            report.per_vm[int(detail_field(r.detail, "vm"))].deadline_misses += 1
+        elif r.kind == "guest_ack":
+            report.per_vm[int(r.actor)].irqs_received += 1
+        elif r.kind == "ivc_notify":
+            report.ivc_transfers += 1
+
+    # Idle is measured as the horizon minus the union of busy spans, so any
+    # accidental double-booking of time shows up as a conservation failure.
+    busy.sort()
+    covered = 0
+    cur_s: Time | None = None
+    cur_e = 0
+    for s, e in busy:
+        if cur_s is None:
+            cur_s, cur_e = s, e
+        elif s > cur_e:
+            covered += cur_e - cur_s
+            cur_s, cur_e = s, e
+        else:
+            cur_e = max(cur_e, e)
+    if cur_s is not None:
+        covered += cur_e - cur_s
+    report.idle_time = horizon - covered
+    return report

@@ -1,9 +1,14 @@
 import json
+from collections import Counter
 from pathlib import Path
 
+import pytest
+
+import hvsim.cli
+import hvsim.engine
 from hvsim.cli import cmd_run, cmd_sweep, main
 from hvsim.schedulers import SCHEDULERS, FixedPriorityScheduler, register
-from hvsim.trace import metrics_from_trace, read_csv
+from hvsim.trace import TraceRecord, metrics_from_trace, read_csv
 from hvsim.workloadgen import ZERO_COST, busy_workload, edf_manifest
 
 from conftest import fp_manifest
@@ -68,6 +73,53 @@ class TestCmdRun:
             del SCHEDULERS["cli_bad_sleeper"]
         text = (out / "trace.csv").read_text()
         assert "contract_violation" in text
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_contract_violation_partial_trace_reads_back(self, tmp_path, fmt):
+        m = fp_manifest(
+            [1],
+            [[{"compute": MS}, {"mmio": {"ipa": "0x90000000", "op": "read"}}]],
+            5 * MS,
+            faults={"stage2": "halt"},
+        )
+        cfg = write_manifest(tmp_path, m)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--horizon-ns", str(5 * MS), "--out", str(out),
+                     "--format", fmt]) == 3
+        assert sorted(p.name for p in out.iterdir()) == [f"trace.{fmt}"]
+        with open(out / f"trace.{fmt}") as fh:
+            if fmt == "csv":
+                records = read_csv(fh)
+            else:
+                records = [
+                    TraceRecord(d["time_ns"], d["actor"], d["kind"], d["cost_field"],
+                                d["cost_ns"], d["detail"])
+                    for d in map(json.loads, fh)
+                ]
+        assert [r.kind for r in records[-2:]] == ["stage2_fault", "contract_violation"]
+        assert records[-1].time == MS
+
+    def test_benchmark_layer_hooks_each_called_once(self, tmp_path, monkeypatch):
+        """The layer hooks of perfbench patch these module globals; a run
+        must reach each exactly once through them."""
+        calls = Counter()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(hvsim.engine, "metrics_from_trace")
+        count(hvsim.cli, "write_csv")
+        count(hvsim.cli, "run_intervals")
+        cfg = write_manifest(tmp_path, fp_manifest([1], [[{"compute": MS}]], 5 * MS))
+        assert main(["--config", cfg, "--horizon-ns", str(5 * MS),
+                     "--out", str(tmp_path / "o")]) == 0
+        assert calls == {"metrics_from_trace": 1, "write_csv": 1, "run_intervals": 1}
 
     def test_metrics_recomputable_from_trace(self, tmp_path):
         cfg = write_manifest(tmp_path, small_edf_manifest())

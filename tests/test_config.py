@@ -159,6 +159,14 @@ def test_loop_workload_needs_compute():
         load_manifest(m)
 
 
+@pytest.mark.parametrize("payload", ["a\nb,c", "a\rb"])
+def test_hyp_call_payload_with_line_break_rejected(payload):
+    m = two_vm_manifest()
+    m["vms"][0]["workload"] = [{"hyp_call": payload}, {"compute": 1_000}]
+    with pytest.raises(ConfigError, match="line break"):
+        load_manifest(m)
+
+
 # -- cost-model consistency ----------------------------------------------------
 
 

@@ -1,7 +1,11 @@
 import random
 
+import pytest
+
 from hvsim import load_manifest
 from hvsim.engine import Engine
+from hvsim.model import ContractViolation, VcpuRecord
+from hvsim.schedulers import EdfScheduler
 from hvsim.trace import detail_field, run_intervals
 from hvsim.workloadgen import (
     ZERO_COST,
@@ -166,3 +170,15 @@ class TestSleepInteraction:
         # periods missed while asleep are forgiven, not misses
         assert res.metrics.per_vm[0].deadline_misses == 0
         assert_conserved(res)
+
+
+def test_budget_overrun_raises_contract_violation(fake_host):
+    """The budget invariant is a checked contract, so it holds under python -O."""
+    sched = EdfScheduler(fake_host)
+    vcpu = VcpuRecord(id=0, sched_param={"period_ns": 10 * MS, "budget_ns": 3 * MS})
+    sched.init()
+    sched.allocate(vcpu)
+    sched.enque(vcpu)
+    vcpu.total_consumed = 3 * MS + 1
+    with pytest.raises(ContractViolation, match="vm 0 ran past its budget"):
+        sched.block(vcpu)
