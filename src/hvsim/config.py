@@ -68,6 +68,12 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) ->
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list, got {type(value).__name__}")
+    return value
+
+
 def parse_addr(value, where: str) -> int:
     if isinstance(value, bool):
         raise ConfigError(f"{where}: expected integer, got {value!r}")
@@ -174,7 +180,7 @@ def _parse_vm(raw, index: int, sched_params: dict) -> VmSpec:
         raise ConfigError(f"{where}.id: ids must be dense from 0 in order, got {vm_id}")
 
     regions = []
-    for j, reg in enumerate(raw["regions"]):
+    for j, reg in enumerate(_list(raw["regions"], f"{where}.regions")):
         rw = f"{where}.regions[{j}]"
         _check_keys(reg, _REGION_KEYS, _REGION_KEYS, rw)
         try:
@@ -189,21 +195,22 @@ def _parse_vm(raw, index: int, sched_params: dict) -> VmSpec:
         except ConfigError as exc:
             raise ConfigError(f"{rw}: {exc}") from None
 
+    raw_irqs = _list(raw["irqs"], f"{where}.irqs")
     irqs = frozenset(
-        _parse_int(i, f"{where}.irqs", lo=SGI_COUNT, hi=N_INTERRUPTS) for i in raw["irqs"]
+        _parse_int(i, f"{where}.irqs", lo=SGI_COUNT, hi=N_INTERRUPTS) for i in raw_irqs
     )
-    if len(irqs) != len(raw["irqs"]):
+    if len(irqs) != len(raw_irqs):
         raise ConfigError(f"{where}.irqs: duplicate interrupt ids")
     virqs = frozenset(
         _parse_int(v, f"{where}.virqs", lo=SGI_COUNT, hi=N_INTERRUPTS)
-        for v in raw.get("virqs", [])
+        for v in _list(raw.get("virqs", []), f"{where}.virqs")
     )
     if virqs & irqs:
         raise ConfigError(f"{where}: virqs {sorted(virqs & irqs)} collide with assigned irqs")
 
     shared = []
     seen_pages = set()
-    for j, ref in enumerate(raw.get("shared_pages", [])):
+    for j, ref in enumerate(_list(raw.get("shared_pages", []), f"{where}.shared_pages")):
         rw = f"{where}.shared_pages[{j}]"
         _check_keys(ref, {"page", "ipa", "perms"}, {"page", "ipa", "perms"}, rw)
         page_id = _parse_int(ref["page"], f"{rw}.page")
@@ -353,6 +360,8 @@ def load_manifest(data: dict) -> SystemSpec:
         raise ConfigError("scheduler: expected an object with a 'name'")
     sched = dict(sched_raw)
     name = sched.pop("name")
+    if not isinstance(name, str):
+        raise ConfigError(f"scheduler.name: expected a string, got {name!r}")
     params_raw = sched.pop("sched_param", {})
     if not isinstance(params_raw, dict):
         raise ConfigError("scheduler.sched_param: expected an object keyed by VM id")
@@ -363,15 +372,13 @@ def load_manifest(data: dict) -> SystemSpec:
         except (TypeError, ValueError):
             raise ConfigError(f"scheduler.sched_param: bad VM id key {key!r}") from None
 
-    if not isinstance(data["vms"], list):
-        raise ConfigError("vms: expected a list")
-    vms = tuple(_parse_vm(raw, i, sched_params) for i, raw in enumerate(data["vms"]))
+    vms = tuple(_parse_vm(raw, i, sched_params) for i, raw in enumerate(_list(data["vms"], "vms")))
     for vm_id in sched_params:
         if not 0 <= vm_id < len(vms):
             raise ConfigError(f"scheduler.sched_param: no such VM {vm_id}")
 
     shared = []
-    for j, raw in enumerate(data.get("shared_pages", [])):
+    for j, raw in enumerate(_list(data.get("shared_pages", []), "shared_pages")):
         where = f"shared_pages[{j}]"
         _check_keys(raw, {"id", "pa"}, {"id", "pa"}, where)
         shared.append(
@@ -379,12 +386,13 @@ def load_manifest(data: dict) -> SystemSpec:
         )
 
     channels = []
-    for j, raw in enumerate(data.get("channels", [])):
+    for j, raw in enumerate(_list(data.get("channels", []), "channels")):
         where = f"channels[{j}]"
         _check_keys(raw, {"id", "endpoints", "pages", "virqs", "variant"},
                     {"id", "endpoints", "pages", "virqs"}, where)
         endpoints = raw["endpoints"]
         virqs = raw["virqs"]
+        pages = _list(raw["pages"], f"{where}.pages")
         if not (isinstance(endpoints, list) and len(endpoints) == 2):
             raise ConfigError(f"{where}.endpoints: expected [vm, vm]")
         if not (isinstance(virqs, list) and len(virqs) == 2):
@@ -396,7 +404,7 @@ def load_manifest(data: dict) -> SystemSpec:
                     _parse_int(endpoints[0], f"{where}.endpoints[0]"),
                     _parse_int(endpoints[1], f"{where}.endpoints[1]"),
                 ),
-                pages=tuple(_parse_int(p, f"{where}.pages") for p in raw["pages"]),
+                pages=tuple(_parse_int(p, f"{where}.pages") for p in pages),
                 virqs=(
                     _parse_int(virqs[0], f"{where}.virqs[0]"),
                     _parse_int(virqs[1], f"{where}.virqs[1]"),
@@ -406,7 +414,7 @@ def load_manifest(data: dict) -> SystemSpec:
         )
 
     phys_irqs = []
-    for j, raw in enumerate(data.get("phys_irqs", [])):
+    for j, raw in enumerate(_list(data.get("phys_irqs", []), "phys_irqs")):
         where = f"phys_irqs[{j}]"
         _check_keys(raw, {"at_ns", "irq"}, {"at_ns", "irq"}, where)
         phys_irqs.append(

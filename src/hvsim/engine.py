@@ -5,9 +5,19 @@ events, or a hypervisor cost window is charged.  Every hyp-mode entry (hyp
 call, wfi trap, trapped MMIO, physical interrupt, timer, gated channel op)
 charges its cost-model field and ends at a dispatch checkpoint.
 
-Simultaneous events are ordered guest traps first, then interrupt-class
-events, then compute completions, then insertion order; the ordering is
-test-pinned.  Runs are pure functions of (SystemSpec, horizon).
+Only events that can be reordered wait in the heap: timer expiries, scripted
+interrupt arrivals and compute ends, keyed (time, class, insertion order),
+with interrupts before compute ends at the same instant.  Three rules decide
+the rest, all test-pinned:
+
+- A trap the running guest reached (hyp call, wfi, mmio, channel op) runs
+  next, outside the heap, unless an earlier-stamped event is overdue because
+  a cost window ran past it; overdue events run first, in heap order.
+- Scripted arrivals keep manifest order among themselves at the same instant.
+- At the same instant, arrivals come before timers set after boot; timers set
+  in the scheduler's init or allocate come before arrivals.
+
+Runs are pure functions of (SystemSpec, horizon).
 """
 
 from __future__ import annotations
@@ -35,22 +45,11 @@ from .vgic import DIST_MMIO_BASE, SPURIOUS_IRQ, Vgic
 EV_COMPUTE_END = "compute_end"
 EV_PHYS_IRQ = "phys_irq"
 EV_TIMER_FIRE = "timer_fire"
-EV_HYP_CALL = "hyp_call"
-EV_MMIO = "mmio"
-EV_WFI = "wfi"
-EV_IVC = "ivc"
 
-# Same-timestamp ordering: a trap the guest already reached comes first, an
-# interrupt preempts the end of a compute span.
-_KLASS = {
-    EV_HYP_CALL: 0,
-    EV_MMIO: 0,
-    EV_WFI: 0,
-    EV_IVC: 0,
-    EV_PHYS_IRQ: 1,
-    EV_TIMER_FIRE: 1,
-    EV_COMPUTE_END: 2,
-}
+# Heap entries are (at, klass, seq, kind, vm, gen, data); at the same instant
+# an interrupt preempts the end of a compute span.
+_IRQ = 1
+_END = 2
 
 _new = tuple.__new__  # builds a TraceRecord without the NamedTuple's Python-level __new__
 
@@ -72,15 +71,6 @@ class RunResult:
     records: list[TraceRecord]
     metrics: MetricsReport
     horizon: Time
-
-
-@dataclass(slots=True)
-class _Event:
-    at: Time
-    kind: str
-    vm: int | None = None  # guest-originated events carry owner + generation
-    gen: int = 0
-    data: object = None
 
 
 class _GuestCtx:
@@ -133,8 +123,10 @@ class Engine(SchedulerServices):
         plugin = get_plugin(spec.scheduler_name)
         self.fw = Framework(self, plugin.factory(spec, self), self.vcpus)
 
-        self._queue: list[tuple[Time, int, int, _Event]] = []
+        self._queue: list[tuple] = []
         self._seq = 0
+        self._arrivals = iter(())  # scripted arrivals not yet on the heap
+        self._trap = None  # (handler, vcpu, ctx) of the trap the guest reached
         self._timer_ids = 0
         self._mode = _IDLE
         self._run_start: Time = 0
@@ -164,7 +156,8 @@ class Engine(SchedulerServices):
         self._timer_ids += 1
         handle = TimerHandle(self._timer_ids, at, action)
         self.trace("timer_set", detail=f"id={handle.handle_id};at={at}")
-        self._push(_Event(at, EV_TIMER_FIRE, data=handle))
+        self._seq += 1
+        heapq.heappush(self._queue, (at, _IRQ, self._seq, EV_TIMER_FIRE, None, 0, handle))
         return handle
 
     def cancel_timer(self, handle: TimerHandle) -> None:
@@ -195,49 +188,56 @@ class Engine(SchedulerServices):
         if self.spec.gic_boot_init:
             for v in self.vcpus:
                 self.vgic.boot_enable(v.id)
-        for ev in self.spec.phys_irqs:
-            self._push(_Event(ev.at, EV_PHYS_IRQ, data=ev.irq))
+        # Arrivals are numbered here, in manifest order, so that at one instant
+        # they follow timers set in init/allocate and precede later timers;
+        # only the earliest waits on the heap.
+        irqs, seq = self.spec.phys_irqs, self._seq
+        self._arrivals = iter(sorted(
+            (ev.at, _IRQ, seq + i, EV_PHYS_IRQ, None, 0, ev.irq) for i, ev in enumerate(irqs, 1)
+        ))
+        self._seq += len(irqs)
+        self._next_arrival()
         self.fw.set_reschedule_flag()
         self.fw.dispatch_checkpoint(fw_mod.END_OF_HYP_CALL)
         self._resume()
 
     def _loop(self) -> None:
         q = self._queue
-        while q:
-            _, _, _, ev = heapq.heappop(q)
-            if ev.kind == EV_TIMER_FIRE and ev.data.cancelled:
+        guest = self._guest
+        horizon = self.horizon
+        while True:
+            trap = self._trap  # runs next unless a cost window ran past the heap head
+            if trap is not None and (not q or q[0][0] >= self._now):
+                if self._now >= horizon:
+                    return
+                self._trap = None
+                handler, vcpu, ctx = trap
+                handler(self, vcpu, ctx)
                 continue
-            if ev.vm is not None and ev.gen != self._guest[ev.vm].gen:
+            if not q:
+                return
+            at, _, _, kind, vm, gen, data = heapq.heappop(q)
+            if kind == EV_TIMER_FIRE:
+                if data.cancelled:
+                    continue
+            elif vm is not None and gen != guest[vm].gen:
                 continue  # superseded by a preemption
-            t = ev.at if ev.at > self._now else self._now
-            if t >= self.horizon:
-                break
-            self._now = t
-            self._handle(ev)
-
-    def _handle(self, ev: _Event) -> None:
-        kind = ev.kind
-        if kind == EV_COMPUTE_END:
-            vcpu = self.vcpus[ev.vm]
-            ctx = self._guest[ev.vm]
-            self._fold_running()  # segment boundary: re-base the running span
-            ctx.remaining = 0
-            ctx.advance()
-            self._continue_guest(vcpu, ctx)
-        elif kind == EV_PHYS_IRQ:
-            self._do_phys_irq(ev.data)
-        elif kind == EV_TIMER_FIRE:
-            self._do_timers(ev.data)
-        elif kind == EV_HYP_CALL:
-            self._do_hyp_call(self.vcpus[ev.vm], self._guest[ev.vm])
-        elif kind == EV_WFI:
-            self._do_wfi(self.vcpus[ev.vm], self._guest[ev.vm])
-        elif kind == EV_MMIO:
-            self._do_mmio(self.vcpus[ev.vm], self._guest[ev.vm])
-        elif kind == EV_IVC:
-            self._do_ivc(self.vcpus[ev.vm], self._guest[ev.vm])
-        else:  # pragma: no cover
-            raise AssertionError(f"unknown event kind {kind}")
+            if at < self._now:
+                at = self._now
+            if at >= horizon:
+                return
+            self._now = at
+            if kind == EV_COMPUTE_END:
+                ctx = guest[vm]
+                self._fold_running()  # segment boundary: re-base the running span
+                ctx.remaining = 0
+                ctx.advance()
+                self._continue_guest(self.vcpus[vm], ctx)
+            elif kind == EV_PHYS_IRQ:
+                self._next_arrival()
+                self._do_phys_irq(data)
+            else:
+                self._do_timers(data)
 
     # -- event handlers -------------------------------------------------------
 
@@ -259,13 +259,14 @@ class Engine(SchedulerServices):
         # Expiries at the same instant share one interrupt and one checkpoint.
         batch = [first]
         at = first.fire_at
-        while self._queue:
-            _, _, _, head = self._queue[0]
-            if head.kind != EV_TIMER_FIRE or head.at != at:
+        q = self._queue
+        while q:
+            head = q[0]
+            if head[3] != EV_TIMER_FIRE or head[0] != at:
                 break
-            heapq.heappop(self._queue)
-            if not head.data.cancelled:
-                batch.append(head.data)
+            heapq.heappop(q)
+            if not head[6].cancelled:
+                batch.append(head[6])
         self._suspend()
         ids = "+".join(str(h.handle_id) for h in batch)
         self.charge("timer_fire", "interrupt_entry_exit", detail=f"ids={ids}")
@@ -282,17 +283,13 @@ class Engine(SchedulerServices):
         if seg.payload:
             detail += f";payload={seg.payload}"
         self.charge("hyp_call", "hyp_call", detail=detail)
-        ctx.advance()
-        self.fw.dispatch_checkpoint(fw_mod.END_OF_HYP_CALL)
-        self._resume()
+        self._end_trap(ctx)
 
     def _do_wfi(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
         self._suspend()
         self.charge("wfi_trap", "hyp_call", detail=f"vm={vcpu.id}")
-        ctx.advance()
         self.fw.on_vm_sleep(vcpu)
-        self.fw.dispatch_checkpoint(fw_mod.END_OF_HYP_CALL)
-        self._resume()
+        self._end_trap(ctx)
 
     def _do_mmio(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
         seg = ctx.segment()
@@ -334,9 +331,7 @@ class Engine(SchedulerServices):
                 raise ContractViolation(
                     f"halt on stage-2 fault: vm {vcpu.id} ipa {seg.ipa:#x} ({tr.reason})"
                 )
-        ctx.advance()
-        self.fw.dispatch_checkpoint(fw_mod.END_OF_HYP_CALL)
-        self._resume()
+        self._end_trap(ctx)
 
     def _do_ivc(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
         seg = ctx.segment()
@@ -358,9 +353,7 @@ class Engine(SchedulerServices):
                 detail=f"virq={virq};target={peer};outcome={outcome}",
             )
             self._wake_if_sleeping(peer)
-            ctx.advance()
-            self.fw.dispatch_checkpoint(fw_mod.END_OF_HYP_CALL)
-            self._resume()
+            self._end_trap(ctx)
             return
 
         if not ch.gated:
@@ -410,6 +403,10 @@ class Engine(SchedulerServices):
                     detail=f"channel={ch.spec.id};vm={vcpu.id};pages={len(ch.spec.pages)}",
                 )
                 ch.held_by = None
+        self._end_trap(ctx)
+
+    def _end_trap(self, ctx: _GuestCtx) -> None:
+        """Leave hyp mode after a guest trap: next segment, checkpoint, resume."""
         ctx.advance()
         self.fw.dispatch_checkpoint(fw_mod.END_OF_HYP_CALL)
         self._resume()
@@ -448,8 +445,8 @@ class Engine(SchedulerServices):
             return
         cur = self.fw.current
         self._fold_running()
-        ctx = self._guest[cur.id]
-        ctx.gen += 1  # whatever event the guest had queued is now stale
+        self._guest[cur.id].gen += 1  # a queued compute end is now stale
+        self._trap = None
         self.trace("vm_pause", actor=cur.id)
         self._mode = _HV
 
@@ -478,15 +475,11 @@ class Engine(SchedulerServices):
         if seg.kind == "compute":
             if ctx.remaining is None:
                 ctx.remaining = seg.duration_ns
-            self._push(_Event(self._now + ctx.remaining, EV_COMPUTE_END, vcpu.id, ctx.gen))
-        elif seg.kind == "hyp_call":
-            self._push(_Event(self._now, EV_HYP_CALL, vcpu.id, ctx.gen))
-        elif seg.kind == "wfi":
-            self._push(_Event(self._now, EV_WFI, vcpu.id, ctx.gen))
-        elif seg.kind == "mmio":
-            self._push(_Event(self._now, EV_MMIO, vcpu.id, ctx.gen))
-        else:  # ivc_*
-            self._push(_Event(self._now, EV_IVC, vcpu.id, ctx.gen))
+            self._seq += 1
+            at = self._now + ctx.remaining
+            heapq.heappush(self._queue, (at, _END, self._seq, EV_COMPUTE_END, vcpu.id, ctx.gen, None))
+        else:
+            self._trap = (_TRAPS[seg.kind], vcpu, ctx)
 
     def _deliver_pending(self, vcpu: VcpuRecord) -> None:
         """A running guest takes its pending virtual interrupts: ACK then EOI,
@@ -504,9 +497,10 @@ class Engine(SchedulerServices):
         if vcpu.run_state is RunState.SLEEPING:
             self.fw.on_vm_wakeup(vcpu)
 
-    def _push(self, ev: _Event) -> None:
-        self._seq += 1
-        heapq.heappush(self._queue, (ev.at, _KLASS[ev.kind], self._seq, ev))
+    def _next_arrival(self) -> None:
+        ev = next(self._arrivals, None)
+        if ev is not None:
+            heapq.heappush(self._queue, ev)
 
     def _final_fold(self) -> None:
         if self._mode != _GUEST:
@@ -518,6 +512,17 @@ class Engine(SchedulerServices):
         cur.activation_consumed += d
         cur.total_consumed += d
         self.records.append(TraceRecord(self.horizon, str(cur.id), "vm_pause", "", 0, ""))
+
+
+# Guest traps by segment kind.
+_TRAPS = {
+    "hyp_call": Engine._do_hyp_call,
+    "wfi": Engine._do_wfi,
+    "mmio": Engine._do_mmio,
+    "ivc_notify": Engine._do_ivc,
+    "ivc_acquire": Engine._do_ivc,
+    "ivc_release": Engine._do_ivc,
+}
 
 
 def run(spec: SystemSpec, horizon: Time) -> RunResult:

@@ -209,12 +209,6 @@ class Framework:
 
     # -- timers -------------------------------------------------------------
 
-    def register_timer_event(self, at: Time, action: str = ACTION_SET_FLAG) -> TimerHandle:
-        self._require_init()
-        if at < self.host.now():
-            raise ValueError(f"timer at {at} is in the past (now={self.host.now()})")
-        return self.host.register_timer(at, action)
-
     def run_timer_action(self, handle: TimerHandle) -> None:
         if handle.action == ACTION_SET_FLAG:
             self.set_reschedule_flag()

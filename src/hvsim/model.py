@@ -124,17 +124,6 @@ class MemRegion:
         return self.ipa_base <= ipa < self.ipa_end
 
 
-SEGMENT_KINDS = (
-    "compute",
-    "hyp_call",
-    "mmio",
-    "wfi",
-    "ivc_notify",
-    "ivc_acquire",
-    "ivc_release",
-)
-
-
 @dataclass(frozen=True)
 class Segment:
     """One step of a deterministic guest workload script."""

@@ -61,7 +61,6 @@ class FakeHost:
     def __init__(self):
         self.t = 0
         self.records = []  # (kind, actor, cost_field, cost_ns, detail)
-        self.timers = []
         self._ids = 0
 
     def now(self):
@@ -78,7 +77,6 @@ class FakeHost:
     def register_timer(self, at, action=ACTION_SET_FLAG):
         self._ids += 1
         handle = TimerHandle(self._ids, at, action)
-        self.timers.append(handle)
         return handle
 
     def cancel_timer(self, handle):

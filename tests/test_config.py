@@ -1,3 +1,6 @@
+import json
+import re
+
 import pytest
 
 from hvsim import (
@@ -9,6 +12,7 @@ from hvsim import (
     load_manifest,
     validate_cost_model,
 )
+from hvsim.cli import main
 from hvsim.workloadgen import ZERO_COST, busy_workload, make_manifest, make_vm
 
 
@@ -165,6 +169,35 @@ def test_hyp_call_payload_with_line_break_rejected(payload):
     m["vms"][0]["workload"] = [{"hyp_call": payload}, {"compute": 1_000}]
     with pytest.raises(ConfigError, match="line break"):
         load_manifest(m)
+
+
+# Containers of the wrong JSON type, each once raised TypeError from the loader.
+WRONG_CONTAINERS = {
+    "phys_irqs": lambda m: m.update(phys_irqs=5),
+    "scheduler.name": lambda m: m["scheduler"].update(name={}),
+    "vms[0].irqs": lambda m: m["vms"][0].update(irqs=True),
+    "vms[1].regions": lambda m: m["vms"][1].update(regions=None),
+    "channels": lambda m: m.update(channels=3),
+}
+
+
+@pytest.mark.parametrize("where", WRONG_CONTAINERS)
+def test_container_of_wrong_type_rejected(where):
+    m = two_vm_manifest()
+    WRONG_CONTAINERS[where](m)
+    with pytest.raises(ConfigError, match=re.escape(where)):
+        load_manifest(m)
+
+
+@pytest.mark.parametrize("where", WRONG_CONTAINERS)
+def test_container_of_wrong_type_cli_exits_2(where, tmp_path, capsys):
+    m = two_vm_manifest()
+    WRONG_CONTAINERS[where](m)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(m))
+    assert main(["--config", str(cfg), "--horizon-ns", "1000000", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert where in err and "Traceback" not in err
 
 
 # -- cost-model consistency ----------------------------------------------------

@@ -1,6 +1,10 @@
+import heapq
+from types import SimpleNamespace
+
 import pytest
 
-from hvsim import SimulationAborted, compare_traces
+import hvsim.engine
+from hvsim import SimulationAborted, compare_traces, load_manifest
 from hvsim.schedulers import FixedPriorityScheduler, register, SCHEDULERS
 from hvsim.trace import run_intervals
 from hvsim.workloadgen import ZERO_COST, busy_workload, make_manifest
@@ -266,3 +270,46 @@ class TestMetricsBasics:
         res = run_manifest(m, MS)
         assert res.metrics.idle_time == MS
         assert_conserved(res)
+
+
+class TestBenchmarkHooks:
+    def test_heapq_stand_in_and_wrapped_trace_see_the_run(self, monkeypatch):
+        """The benchmark swaps hvsim.engine.heapq for a stand-in that has only
+        heappush and heappop, and wraps one engine's trace; a run must go
+        through both."""
+        pushes, pops = [], []
+
+        def heappush(heap, item):
+            pushes.append(item)
+            heapq.heappush(heap, item)
+
+        def heappop(heap):
+            pops.append(heapq.heappop(heap))
+            return pops[-1]
+
+        monkeypatch.setattr(hvsim.engine, "heapq", SimpleNamespace(heappush=heappush, heappop=heappop))
+        trapping = {"loop": True, "segments": [
+            {"compute": 200_000}, {"hyp_call": None}, {"compute": 100_000}, {"wfi": True},
+        ]}
+        m = rr_manifest(
+            2, quantum_ns=MS // 2, horizon=5 * MS, cost_model=None,
+            workloads=[trapping, busy_workload(5 * MS)],
+            phys_irqs=[{"at_ns": t, "irq": 32 + t % 2} for t in range(150_001, 5 * MS, 300_001)],
+        )
+        engine = hvsim.engine.Engine(load_manifest(m), 5 * MS)
+        seen = []
+        plain = engine.trace
+
+        def trace(*args, **kwargs):
+            plain(*args, **kwargs)
+            seen.append(engine.records[-1])
+
+        engine.trace = trace
+        res = engine.run()
+        assert_conserved(res)
+        assert pushes and pops
+        assert {id(item) for item in pops} <= {id(item) for item in pushes}  # no push bypassed it
+        kinds = {r.kind for r in res.records}
+        assert {"phys_irq", "timer_fire", "hyp_call", "wfi_trap"} <= kinds
+        assert res.records[-1].kind == "vm_pause" and res.records[-1].time == 5 * MS
+        assert seen == res.records[:-1]  # all but _final_fold's closing vm_pause

@@ -1,0 +1,198 @@
+"""Pinned event order.
+
+Each manifest here puts events on the same instant, or makes one overdue,
+in a way the engine's ordering rules decide.  The SHA-256 of each trace's
+CSV serialization is pinned, so any change to the order of simultaneous
+events fails here even when all the coarser checks still pass.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+
+import pytest
+
+from hvsim.schedulers import SCHEDULERS, FixedPriorityScheduler, register
+from hvsim.trace import write_csv
+from hvsim.workloadgen import ZERO_COST, busy_workload, make_manifest, make_vm
+
+from conftest import assert_conserved, fp_manifest, records_of, rr_manifest, run_manifest
+
+MS = 1_000_000
+US = 1_000
+
+
+def trace_sha256(result) -> str:
+    buf = io.StringIO()
+    write_csv(result.records, buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def unsorted_same_ns_irqs():
+    """Arrivals listed out of time order, two of them at the same ns."""
+    wl = {"loop": True, "segments": [{"compute": 300 * US}, {"wfi": True}]}
+    m = fp_manifest(
+        [1, 2], [wl, wl], horizon=5 * MS, cost_model=None,
+        phys_irqs=[
+            {"at_ns": 3 * MS, "irq": 33},
+            {"at_ns": 1 * MS, "irq": 32},
+            {"at_ns": 3 * MS, "irq": 32},
+            {"at_ns": 2 * MS, "irq": 33},
+            {"at_ns": 1 * MS, "irq": 33},
+            {"at_ns": 500 * US, "irq": 40},
+        ],
+    )
+    return m, 5 * MS
+
+
+def irq_with_quantum_and_compute_end():
+    """Zero cost: the RR quantum timer, a compute end and an IRQ share 1 ms."""
+    wl = {"loop": True, "segments": [{"compute": MS}, {"hyp_call": None}]}
+    m = rr_manifest(
+        2, quantum_ns=MS, horizon=6 * MS, workloads=[wl, wl],
+        phys_irqs=[{"at_ns": t * MS, "irq": 32 + t % 2} for t in range(1, 6)],
+    )
+    return m, 6 * MS
+
+
+def irq_overdue_after_hyp_call():
+    """Default costs: each IRQ lands inside a hyp_call's cost window and is
+    overdue when the next trap segment is reached."""
+    boot = 25_840  # the boot world switch
+    wl = [
+        {"compute": 100 * US}, {"hyp_call": "a"}, {"hyp_call": "b"},
+        {"compute": 100 * US}, {"hyp_call": None},
+        {"mmio": {"ipa": "0x1C81104", "op": "write", "value": 3}},
+        {"compute": 100 * US}, {"hyp_call": None}, {"wfi": True}, {"compute": 50 * US},
+    ]
+    m = fp_manifest(
+        [1, 2], [wl, busy_workload(2 * MS)], horizon=2 * MS, cost_model=None,
+        phys_irqs=[
+            {"at_ns": boot + 100 * US + 1_000, "irq": 32},
+            {"at_ns": boot + 100 * US + 3_000, "irq": 33},
+            {"at_ns": 700 * US, "irq": 32},
+        ],
+    )
+    return m, 2 * MS
+
+
+def trap_at_horizon():
+    """Default costs: the second hyp_call is reached exactly at the horizon."""
+    m = fp_manifest(
+        [1], [[{"compute": MS}, {"hyp_call": None}, {"hyp_call": None}]],
+        horizon=MS, cost_model=None,
+    )
+    return m, 25_840 + MS + 6_580
+
+
+def pass_through_chain_into_trap():
+    """A pass-through mmio and free-access channel ops run without a trap and
+    chain straight into a hyp_call, an ivc_notify and a wfi."""
+    region = {"ipa": "0x40000000", "pa": "0x40000000", "len": "0x4000", "perms": "rw"}
+    script = {"loop": True, "segments": [
+        {"compute": 40 * US},
+        {"mmio": {"ipa": "0x40000010", "op": "write", "value": 7}},
+        {"ivc_acquire": 0},
+        {"mmio": {"ipa": "0x60000000", "op": "read"}},
+        {"ivc_release": 0},
+        {"hyp_call": None},
+        {"ivc_notify": 0},
+        {"wfi": True},
+    ]}
+    vms = [
+        make_vm(0, script, regions=[region], virqs=[100],
+                shared_pages=[{"page": 0, "ipa": "0x60000000", "perms": "rw"}]),
+        make_vm(1, {"loop": True, "segments": [{"compute": 30 * US}, {"wfi": True}]},
+                regions=[dict(region, pa="0x41000000")], virqs=[101],
+                shared_pages=[{"page": 0, "ipa": "0x61000000", "perms": "rw"}]),
+    ]
+    m = make_manifest(
+        vms, {"name": "fp", "sched_param": {"0": {"priority": 0}, "1": {"priority": 1}}},
+        shared_pages=[{"id": 0, "pa": "0x70000000"}],
+        channels=[{"id": 0, "endpoints": [0, 1], "pages": [0], "virqs": [100, 101],
+                   "variant": "free_access"}],
+        phys_irqs=[{"at_ns": t, "irq": 32 + (t // 1000) % 2} for t in range(61_000, 2 * MS, 97_000)],
+    )
+    return m, 2 * MS
+
+
+class _BootTimers(FixedPriorityScheduler):
+    """Sets timers for 1 ms in init and allocate, before the scripted
+    arrivals exist, and one more in its first schedule, after them."""
+
+    def init(self):
+        super().init()
+        self.services.register_timer(MS)
+        self.armed = False
+
+    def allocate(self, vcpu):
+        self.services.register_timer(MS)
+        return super().allocate(vcpu)
+
+    def schedule(self):
+        if not self.armed:
+            self.armed = True
+            self.services.register_timer(MS)
+        return super().schedule()
+
+
+def boot_timers_and_irqs_same_ns():
+    """Timers set at boot, IRQs and a timer set later all fall on 1 ms."""
+    m = fp_manifest(
+        [1, 2], [busy_workload(3 * MS), [{"compute": MS}, {"wfi": True}, {"compute": MS}]],
+        horizon=3 * MS, cost_model=ZERO_COST,
+        phys_irqs=[{"at_ns": MS, "irq": 33}, {"at_ns": MS, "irq": 32}],
+    )
+    m["scheduler"]["name"] = "boot_timers"
+    return m, 3 * MS
+
+
+PINNED = {
+    unsorted_same_ns_irqs:
+        "e0b478612c7062eabae29ff609085ad264795fb5319ec3b1988ea09c29e1edec",
+    irq_with_quantum_and_compute_end:
+        "2f3d311b54b44fbe831b50e01f2608724727f8d4042a9658e305d8cef242ae5c",
+    irq_overdue_after_hyp_call:
+        "b910f42cda966c688bb785fabccc4abed3f4255a12a6dfd1e40321aedd780d9d",
+    trap_at_horizon:
+        "a9af20351fb69c373392f63a3a09bc2d3de17a230b3a01e557309690bf843650",
+    pass_through_chain_into_trap:
+        "78e319d599c110aeb074cb8bcefe76d16cadf26768e2e0fc71ed4feb7d4699c7",
+    boot_timers_and_irqs_same_ns:
+        "fbe4026d65abbd46248c7fc8e2dd8dc368fc88a9d1a531d16f38d905bb2e2798",
+}
+
+
+@pytest.fixture
+def boot_timers_plugin():
+    register("boot_timers", lambda spec, svc: _BootTimers(svc), SCHEDULERS["fp"].validate)
+    yield
+    del SCHEDULERS["boot_timers"]
+
+
+@pytest.mark.parametrize("build", PINNED, ids=lambda f: f.__name__)
+def test_trace_pinned(build, boot_timers_plugin):
+    manifest, horizon = build()
+    res = run_manifest(manifest, horizon)
+    assert_conserved(res)
+    assert trace_sha256(res) == PINNED[build]
+
+
+def test_trap_at_horizon_is_not_run():
+    manifest, horizon = trap_at_horizon()
+    res = run_manifest(manifest, horizon)
+    assert len(records_of(res, "hyp_call")) == 1
+    assert res.records[-1].kind == "vm_start" and res.records[-1].time == horizon
+
+
+def test_5000_consecutive_hyp_calls():
+    """Back-to-back traps run in the event loop, never by recursion."""
+    n = 5_000
+    m = fp_manifest(
+        [1], [{"loop": True, "segments": [{"hyp_call": None}] * n + [{"compute": US}]}],
+        horizon=40 * MS, cost_model=None,
+    )
+    res = run_manifest(m, 40 * MS)
+    assert_conserved(res)
+    assert len(records_of(res, "hyp_call")) > n

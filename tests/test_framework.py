@@ -1,9 +1,13 @@
 import pytest
 
-from hvsim import ContractViolation, RunState, VcpuRecord
-from hvsim.framework import END_OF_HYP_CALL, END_OF_PHYSICAL_INTERRUPT, Framework
+from hvsim import ContractViolation, RunState, VcpuRecord, load_manifest
+from hvsim.engine import Engine
+from hvsim.framework import END_OF_HYP_CALL, END_OF_PHYSICAL_INTERRUPT, Framework, TimerHandle
+from hvsim.workloadgen import ZERO_COST, make_manifest
 
 from conftest import FakeHost, RecordingTable
+
+MS = 1_000_000
 
 
 def make_framework(n_vms, plan=None):
@@ -234,23 +238,24 @@ class TestScheduleContracts:
 
 
 class TestTimers:
+    @staticmethod
+    def make_engine():
+        return Engine(load_manifest(make_manifest([], {"name": "fp"}, cost_model=ZERO_COST)), MS)
+
     def test_register_in_past_rejected(self):
-        host, _, _, fw = make_framework(0)
-        fw.initialize()
-        host.t = 100
+        engine = self.make_engine()
+        engine._now = 100
         with pytest.raises(ValueError, match="past"):
-            fw.register_timer_event(99)
+            engine.register_timer(99)
 
     def test_register_delegates_and_returns_handle(self):
-        host, _, _, fw = make_framework(0)
-        fw.initialize()
-        handle = fw.register_timer_event(42)
-        assert host.timers == [handle]
-        assert handle.fire_at == 42 and not handle.cancelled
+        engine = self.make_engine()
+        handle = engine.register_timer(42)
+        assert handle.fire_at == 42 and not handle.cancelled and not handle.fired
+        assert engine.records[-1][2:] == ("timer_set", "", 0, f"id={handle.handle_id};at=42")
 
     def test_timer_action_sets_flag(self):
-        host, _, _, fw = make_framework(0)
+        _, _, _, fw = make_framework(0)
         fw.initialize()
-        handle = fw.register_timer_event(42)
-        fw.run_timer_action(handle)
+        fw.run_timer_action(TimerHandle(1, 42))
         assert fw.flag
