@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import engine, workloadgen
-from .config import load_manifest
+from .config import load_manifest, parse_json
 from .model import ConfigError
 from .trace import run_intervals, write_csv, write_json
 
@@ -24,15 +24,7 @@ EXIT_IO = 4
 
 
 def _load_expanded(config_path: str, horizon_ns: int, seed):
-    text = Path(config_path).read_text()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"manifest is not valid JSON: line {exc.lineno} col {exc.colno}: {exc.msg}"
-        ) from None
-    if not isinstance(data, dict):
-        raise ConfigError("manifest top level must be an object")
+    data = parse_json(Path(config_path).read_text())
     return workloadgen.expand_generated(data, seed, horizon_ns)
 
 

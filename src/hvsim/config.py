@@ -99,6 +99,12 @@ def _parse_int(value, where: str, lo=0, hi=MAX_TIME) -> int:
     return value
 
 
+def _parse_bool(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: expected true or false, got {value!r}")
+    return value
+
+
 def _parse_perms(value, where: str) -> frozenset[str]:
     if not isinstance(value, str) or not value or set(value) - {"r", "w"}:
         raise ConfigError(f"{where}: perms must be a combination of 'r' and 'w', got {value!r}")
@@ -128,6 +134,8 @@ def _parse_segment(seg, where: str) -> Segment:
         op = value["op"]
         if op not in ("read", "write"):
             raise ConfigError(f"{where}.mmio.op: must be read or write, got {op!r}")
+        if op == "read" and "value" in value:
+            raise ConfigError(f"{where}.mmio.value: a read carries no value")
         return Segment(
             "mmio",
             ipa=parse_addr(value["ipa"], f"{where}.mmio.ipa"),
@@ -147,7 +155,7 @@ def _parse_workload(raw, where: str) -> Workload:
     loop = False
     if isinstance(raw, dict):
         _check_keys(raw, {"loop", "segments"}, {"segments"}, where)
-        loop = bool(raw.get("loop", False))
+        loop = _parse_bool(raw.get("loop", False), f"{where}.loop")
         raw = raw["segments"]
     if not isinstance(raw, list):
         raise ConfigError(f"{where}: expected a segment list")
@@ -368,9 +376,11 @@ def load_manifest(data: dict) -> SystemSpec:
     sched_params = {}
     for key, value in params_raw.items():
         try:
-            sched_params[int(key)] = value
+            if str(int(key)) != key:  # only the canonical spelling names a VM
+                raise ValueError
         except (TypeError, ValueError):
             raise ConfigError(f"scheduler.sched_param: bad VM id key {key!r}") from None
+        sched_params[int(key)] = value
 
     vms = tuple(_parse_vm(raw, i, sched_params) for i, raw in enumerate(_list(data["vms"], "vms")))
     for vm_id in sched_params:
@@ -444,23 +454,28 @@ def load_manifest(data: dict) -> SystemSpec:
         phys_irqs=tuple(phys_irqs),
         faults=faults,
         lr_count=_parse_int(data.get("lr_count", 4), "lr_count", lo=1, hi=64),
-        gic_boot_init=bool(data.get("gic_boot_init", True)),
+        gic_boot_init=_parse_bool(data.get("gic_boot_init", True), "gic_boot_init"),
     )
     _validate_layout(spec)
     _validate_channels(spec)
-    get_plugin(spec.scheduler_name).validate(spec)
+    get_plugin(spec.scheduler_name).parse(spec)
     return spec
 
 
-def load_config(text: str) -> SystemSpec:
-    """Parse and fully validate a JSON manifest."""
+def parse_json(text: str) -> dict:
+    """Decode a manifest's JSON text; the top level must be an object."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"manifest is not valid JSON: line {exc.lineno} col {exc.colno}: {exc.msg}") from None
     if not isinstance(data, dict):
         raise ConfigError("manifest top level must be an object")
-    return load_manifest(data)
+    return data
+
+
+def load_config(text: str) -> SystemSpec:
+    """Parse and fully validate a JSON manifest."""
+    return load_manifest(parse_json(text))
 
 
 # -- serialization -------------------------------------------------------------

@@ -26,7 +26,7 @@ import heapq
 from dataclasses import dataclass
 
 from . import framework as fw_mod
-from .framework import ACTION_SET_FLAG, Framework, SchedulerServices, TimerHandle
+from .framework import Framework, SchedulerServices, TimerHandle
 from .ivc import ChannelState, channel_states
 from .memmap import KIND_MMIO, KIND_PA, MemoryMap
 from .model import (
@@ -120,8 +120,8 @@ class Engine(SchedulerServices):
         )
         self.channels: dict[int, ChannelState] = channel_states(spec.channels)
 
-        plugin = get_plugin(spec.scheduler_name)
-        self.fw = Framework(self, plugin.factory(spec, self), self.vcpus)
+        table_cls = get_plugin(spec.scheduler_name)
+        self.fw = Framework(self, table_cls(self, table_cls.parse(spec)), self.vcpus)
 
         self._queue: list[tuple] = []
         self._seq = 0
@@ -150,11 +150,11 @@ class Engine(SchedulerServices):
     def set_flag(self) -> None:
         self.fw.set_reschedule_flag()
 
-    def register_timer(self, at: Time, action: str = ACTION_SET_FLAG) -> TimerHandle:
+    def register_timer(self, at: Time) -> TimerHandle:
         if at < self._now:
             raise ValueError(f"timer at {at} is in the past (now={self._now})")
         self._timer_ids += 1
-        handle = TimerHandle(self._timer_ids, at, action)
+        handle = TimerHandle(self._timer_ids, at)
         self.trace("timer_set", detail=f"id={handle.handle_id};at={at}")
         self._seq += 1
         heapq.heappush(self._queue, (at, _IRQ, self._seq, EV_TIMER_FIRE, None, 0, handle))
@@ -272,7 +272,7 @@ class Engine(SchedulerServices):
         self.charge("timer_fire", "interrupt_entry_exit", detail=f"ids={ids}")
         for handle in batch:
             handle.fired = True
-            self.fw.run_timer_action(handle)
+            self.fw.set_reschedule_flag()
         self.fw.dispatch_checkpoint(fw_mod.END_OF_PHYSICAL_INTERRUPT)
         self._resume()
 

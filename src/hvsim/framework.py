@@ -1,11 +1,16 @@
 """Pluggable VM-scheduling framework.
 
-Scheduling policy lives behind a seven-operation function table.  The
-dispatcher only ever acts at two checkpoints (end of a hyp call, end of
-physical interrupt handling) and only when the reschedule-request flag is
-set.  Table implementations own sched_param/sched_state and must not touch
-vCPU run states; the dispatcher snapshots run states around every schedule()
-call and aborts the run on a violation.
+Scheduling policy lives behind a seven-operation function table.  A plugin
+is one SchedulerTable subclass, added with schedulers.register(name, cls).
+Its static parse(spec) checks the scheduler options and every VM's
+sched_param and returns what the constructor needs; the engine builds the
+table as cls(services, cls.parse(spec)).  A timer set with the services'
+register_timer(at) sets the reschedule flag when it fires.  The dispatcher
+only ever acts at two checkpoints (end of a hyp call, end of physical
+interrupt handling) and only when the flag is set.  Table implementations
+own sched_param/sched_state and must not touch vCPU run states; the
+dispatcher snapshots run states around every schedule() call and aborts the
+run on a violation.
 """
 
 from __future__ import annotations
@@ -14,13 +19,11 @@ import abc
 from dataclasses import dataclass
 from typing import Iterable, Protocol
 
-from .model import ContractViolation, RunState, Time, VcpuRecord
+from .model import ContractViolation, RunState, SystemSpec, Time, VcpuRecord
 
 END_OF_HYP_CALL = "end_of_hyp_call"
 END_OF_PHYSICAL_INTERRUPT = "end_of_physical_interrupt"
 CHECKPOINT_KINDS = (END_OF_HYP_CALL, END_OF_PHYSICAL_INTERRUPT)
-
-ACTION_SET_FLAG = "set_flag"
 
 # A checkpoint re-evaluates the flag after applying each decision (table
 # operations may set it again); a scheduler that never converges is broken.
@@ -28,7 +31,14 @@ _MAX_CHECKPOINT_ROUNDS = 64
 
 
 class SchedulerTable(abc.ABC):
-    """The seven scheduling operations the hypervisor dispatches through."""
+    """One scheduler plugin: the seven operations the hypervisor dispatches
+    through, plus parse().  Built as cls(services, cls.parse(spec))."""
+
+    @staticmethod
+    def parse(spec: SystemSpec):
+        """Check the scheduler options and each VM's sched_param (ConfigError
+        if bad); return what the constructor needs.  Default: accept all."""
+        return None
 
     @abc.abstractmethod
     def init(self) -> None:
@@ -64,11 +74,11 @@ class SchedulerTable(abc.ABC):
 
 @dataclass
 class TimerHandle:
-    """A one-shot timer event; cancellable until it fires."""
+    """A one-shot timer; when it fires it sets the reschedule flag.
+    Cancellable until it fires."""
 
     handle_id: int
     fire_at: Time
-    action: str = ACTION_SET_FLAG
     cancelled: bool = False
     fired: bool = False
 
@@ -81,7 +91,7 @@ class SchedulerServices(Protocol):
 
     def now(self) -> Time: ...
     def set_flag(self) -> None: ...
-    def register_timer(self, at: Time, action: str = ACTION_SET_FLAG) -> TimerHandle: ...
+    def register_timer(self, at: Time) -> TimerHandle: ...
     def cancel_timer(self, handle: TimerHandle) -> None: ...
     def report_deadline_miss(self, vm_id: int, deadline: Time) -> None: ...
 
@@ -206,14 +216,6 @@ class Framework:
         self.host.trace("vm_wake", actor=vcpu.id)
         self.host.trace("cb_unblock", actor="hv", detail=f"vm={vcpu.id}")
         self.table.unblock(vcpu)
-
-    # -- timers -------------------------------------------------------------
-
-    def run_timer_action(self, handle: TimerHandle) -> None:
-        if handle.action == ACTION_SET_FLAG:
-            self.set_reschedule_flag()
-        else:
-            raise ContractViolation(f"unknown timer action {handle.action!r}")
 
     def _require_init(self) -> None:
         if not self._initialized:

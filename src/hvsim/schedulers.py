@@ -1,5 +1,6 @@
 """Scheduler-table implementations: EDF, fixed-priority, round-robin.
 
+Each class's parse() is the only check of its options and sched_params.
 All three keep their bookkeeping entirely in scheduler-private storage and
 track which vCPU they last handed to the dispatcher, so schedule() can keep
 returning the running vCPU while it remains the best choice.
@@ -9,12 +10,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 from .framework import SchedulerServices, SchedulerTable, TimerHandle
 from .model import ConfigError, ContractViolation, SystemSpec, Time, VcpuRecord
 
 DEFAULT_RR_QUANTUM_NS = 10_000_000  # config "quantum_ns" overrides
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -38,19 +42,6 @@ class EdfVmState:
     mark: Time  # vcpu.total_consumed at the last replenishment
 
 
-def parse_edf_param(raw, vm_id: int) -> EdfParam:
-    if not isinstance(raw, dict) or set(raw) != {"period_ns", "budget_ns"}:
-        raise ConfigError(
-            f"vm {vm_id}: edf sched_param must be {{'period_ns', 'budget_ns'}}, got {raw!r}"
-        )
-    period, budget = raw["period_ns"], raw["budget_ns"]
-    if not (isinstance(period, int) and isinstance(budget, int)):
-        raise ConfigError(f"vm {vm_id}: edf parameters must be integers")
-    if not 0 < budget <= period:
-        raise ConfigError(f"vm {vm_id}: need 0 < budget_ns <= period_ns, got {budget}/{period}")
-    return EdfParam(period=period, budget=budget)
-
-
 class EdfScheduler(SchedulerTable):
     """Earliest-deadline-first over periodic budgets.
 
@@ -62,15 +53,34 @@ class EdfScheduler(SchedulerTable):
     longer-deadline VM runs would be handled arbitrarily late.
     """
 
-    def __init__(self, services: SchedulerServices):
+    def __init__(self, services: SchedulerServices, params: dict[int, EdfParam]):
         self.services = services
         self._vcpus: dict[int, VcpuRecord] = {}
-        self._params: dict[int, EdfParam] = {}
+        self._params = params
         self._states: dict[int, EdfVmState] = {}
         self._executable: set[int] = set()
         self._waiting: set[int] = set()
         self._dispatched: int | None = None
         self._timers: list[TimerHandle] = []
+
+    @staticmethod
+    def parse(spec: SystemSpec) -> dict[int, EdfParam]:
+        params = {}
+        for vm in spec.vms:
+            raw = vm.sched_param
+            if not isinstance(raw, dict) or set(raw) != {"period_ns", "budget_ns"}:
+                raise ConfigError(
+                    f"vm {vm.id}: edf sched_param must be {{'period_ns', 'budget_ns'}}, got {raw!r}"
+                )
+            period, budget = raw["period_ns"], raw["budget_ns"]
+            if not (_is_int(period) and _is_int(budget)):
+                raise ConfigError(f"vm {vm.id}: edf parameters must be integers")
+            if not 0 < budget <= period:
+                raise ConfigError(f"vm {vm.id}: need 0 < budget_ns <= period_ns, got {budget}/{period}")
+            params[vm.id] = EdfParam(period=period, budget=budget)
+        if spec.scheduler_options:
+            raise ConfigError(f"edf takes no scheduler options, got {spec.scheduler_options!r}")
+        return params
 
     def init(self) -> None:
         self._executable.clear()
@@ -78,14 +88,13 @@ class EdfScheduler(SchedulerTable):
         self._dispatched = None
 
     def allocate(self, vcpu: VcpuRecord) -> EdfVmState:
-        param = parse_edf_param(vcpu.sched_param, vcpu.id)
+        param = self._params[vcpu.id]
         state = EdfVmState(
             deadline=self.services.now() + param.period,
             remaining=param.budget,
             mark=vcpu.total_consumed,
         )
         self._vcpus[vcpu.id] = vcpu
-        self._params[vcpu.id] = param
         self._states[vcpu.id] = state
         return state
 
@@ -197,12 +206,6 @@ class FpState:
     priority: int
 
 
-def parse_fp_param(raw, vm_id: int) -> int:
-    if not isinstance(raw, dict) or set(raw) != {"priority"} or not isinstance(raw["priority"], int):
-        raise ConfigError(f"vm {vm_id}: fp sched_param must be {{'priority': int}}, got {raw!r}")
-    return raw["priority"]
-
-
 class FixedPriorityScheduler(SchedulerTable):
     """Lowest priority value runs; ties go to the lower VM id.
 
@@ -210,22 +213,32 @@ class FixedPriorityScheduler(SchedulerTable):
     be running.
     """
 
-    def __init__(self, services: SchedulerServices):
+    def __init__(self, services: SchedulerServices, priorities: dict[int, int]):
         self.services = services
         self._vcpus: dict[int, VcpuRecord] = {}
-        self._prio: dict[int, int] = {}
+        self._prio = priorities
         self._ready: set[int] = set()
         self._dispatched: int | None = None
+
+    @staticmethod
+    def parse(spec: SystemSpec) -> dict[int, int]:
+        priorities = {}
+        for vm in spec.vms:
+            raw = vm.sched_param
+            if not isinstance(raw, dict) or set(raw) != {"priority"} or not _is_int(raw["priority"]):
+                raise ConfigError(f"vm {vm.id}: fp sched_param must be {{'priority': int}}, got {raw!r}")
+            priorities[vm.id] = raw["priority"]
+        if spec.scheduler_options:
+            raise ConfigError(f"fp takes no scheduler options, got {spec.scheduler_options!r}")
+        return priorities
 
     def init(self) -> None:
         self._ready.clear()
         self._dispatched = None
 
     def allocate(self, vcpu: VcpuRecord) -> FpState:
-        prio = parse_fp_param(vcpu.sched_param, vcpu.id)
         self._vcpus[vcpu.id] = vcpu
-        self._prio[vcpu.id] = prio
-        return FpState(priority=prio)
+        return FpState(priority=self._prio[vcpu.id])
 
     def enque(self, vcpu: VcpuRecord) -> None:
         self._ready.add(vcpu.id)
@@ -275,8 +288,6 @@ class RoundRobinScheduler(SchedulerTable):
     """Rotate through ready VMs, one quantum each."""
 
     def __init__(self, services: SchedulerServices, quantum: Time):
-        if quantum <= 0:
-            raise ConfigError(f"round-robin quantum must be > 0, got {quantum}")
         self.services = services
         self.quantum = quantum
         self._vcpus: dict[int, VcpuRecord] = {}
@@ -284,15 +295,25 @@ class RoundRobinScheduler(SchedulerTable):
         self._dispatched: int | None = None
         self._timer: TimerHandle | None = None
 
+    @staticmethod
+    def parse(spec: SystemSpec) -> Time:
+        opts = dict(spec.scheduler_options or {})
+        quantum = opts.pop("quantum_ns", DEFAULT_RR_QUANTUM_NS)
+        if opts:
+            raise ConfigError(f"unknown rr options {sorted(opts)}")
+        if not _is_int(quantum) or quantum <= 0:
+            raise ConfigError(f"quantum_ns must be a positive integer, got {quantum!r}")
+        for vm in spec.vms:
+            if vm.sched_param not in (None, {}):
+                raise ConfigError(f"vm {vm.id}: rr takes no per-VM sched_param")
+        return quantum
+
     def init(self) -> None:
         self._ring.clear()
         self._dispatched = None
 
     def allocate(self, vcpu: VcpuRecord) -> None:
-        if vcpu.sched_param not in (None, {}):
-            raise ConfigError(f"vm {vcpu.id}: rr takes no per-VM sched_param")
         self._vcpus[vcpu.id] = vcpu
-        return None
 
     def enque(self, vcpu: VcpuRecord) -> None:
         self._ring.append(vcpu.id)
@@ -328,55 +349,19 @@ class RoundRobinScheduler(SchedulerTable):
 # ---------------------------------------------------------------------------
 
 
-class SchedulerPlugin(NamedTuple):
-    factory: Callable[[SystemSpec, SchedulerServices], SchedulerTable]
-    validate: Callable[[SystemSpec], None]
-
-
-def _validate_edf(spec: SystemSpec) -> None:
-    for vm in spec.vms:
-        parse_edf_param(vm.sched_param, vm.id)
-    if spec.scheduler_options:
-        raise ConfigError(f"edf takes no scheduler options, got {spec.scheduler_options!r}")
-
-
-def _validate_fp(spec: SystemSpec) -> None:
-    for vm in spec.vms:
-        parse_fp_param(vm.sched_param, vm.id)
-    if spec.scheduler_options:
-        raise ConfigError(f"fp takes no scheduler options, got {spec.scheduler_options!r}")
-
-
-def _rr_quantum(spec: SystemSpec) -> Time:
-    opts = dict(spec.scheduler_options or {})
-    quantum = opts.pop("quantum_ns", DEFAULT_RR_QUANTUM_NS)
-    if opts:
-        raise ConfigError(f"unknown rr options {sorted(opts)}")
-    if not isinstance(quantum, int) or quantum <= 0:
-        raise ConfigError(f"quantum_ns must be a positive integer, got {quantum!r}")
-    return quantum
-
-
-def _validate_rr(spec: SystemSpec) -> None:
-    _rr_quantum(spec)
-    for vm in spec.vms:
-        if vm.sched_param not in (None, {}):
-            raise ConfigError(f"vm {vm.id}: rr takes no per-VM sched_param")
-
-
-SCHEDULERS: dict[str, SchedulerPlugin] = {
-    "edf": SchedulerPlugin(lambda spec, svc: EdfScheduler(svc), _validate_edf),
-    "fp": SchedulerPlugin(lambda spec, svc: FixedPriorityScheduler(svc), _validate_fp),
-    "rr": SchedulerPlugin(lambda spec, svc: RoundRobinScheduler(svc, _rr_quantum(spec)), _validate_rr),
+SCHEDULERS: dict[str, type[SchedulerTable]] = {
+    "edf": EdfScheduler,
+    "fp": FixedPriorityScheduler,
+    "rr": RoundRobinScheduler,
 }
 
 
-def register(name: str, factory, validate=lambda spec: None) -> None:
+def register(name: str, table_cls: type[SchedulerTable]) -> None:
     """Add a scheduler plugin (used by the config "scheduler" name field)."""
-    SCHEDULERS[name] = SchedulerPlugin(factory, validate)
+    SCHEDULERS[name] = table_cls
 
 
-def get_plugin(name: str) -> SchedulerPlugin:
+def get_plugin(name: str) -> type[SchedulerTable]:
     try:
         return SCHEDULERS[name]
     except KeyError:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from hvsim import load_manifest, run
-from hvsim.framework import ACTION_SET_FLAG, SchedulerTable, TimerHandle
+from hvsim.framework import SchedulerTable, TimerHandle
 from hvsim.trace import run_intervals
 from hvsim.workloadgen import ZERO_COST, busy_workload, make_manifest, make_vm
 
@@ -74,10 +74,9 @@ class FakeHost:
         self.records.append((kind, str(actor), cost_field, cost, detail))
         self.t += cost
 
-    def register_timer(self, at, action=ACTION_SET_FLAG):
+    def register_timer(self, at):
         self._ids += 1
-        handle = TimerHandle(self._ids, at, action)
-        return handle
+        return TimerHandle(self._ids, at)
 
     def cancel_timer(self, handle):
         handle.cancelled = True

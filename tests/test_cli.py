@@ -62,7 +62,7 @@ class TestCmdRun:
                         return v
                 return super().schedule()
 
-        register("cli_bad_sleeper", lambda spec, svc: BadSleeper(svc), SCHEDULERS["fp"].validate)
+        register("cli_bad_sleeper", BadSleeper)
         try:
             m = fp_manifest([1, 2], [[{"compute": MS}, {"wfi": True}], busy_workload(9 * MS)], 9 * MS)
             m["scheduler"]["name"] = "cli_bad_sleeper"

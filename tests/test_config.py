@@ -1,7 +1,10 @@
+import copy
 import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hvsim import (
     ConfigError,
@@ -198,6 +201,124 @@ def test_container_of_wrong_type_cli_exits_2(where, tmp_path, capsys):
     assert main(["--config", str(cfg), "--horizon-ns", "1000000", "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert where in err and "Traceback" not in err
+
+
+# Values that once loaded: bool() coerced the two flags, int() read any
+# spelling of a VM id, and a read kept a value the dump then dropped.
+LOOSE_VALUES = {
+    "gic_boot_init-string": lambda m: m.update(gic_boot_init="false"),
+    "gic_boot_init-int": lambda m: m.update(gic_boot_init=0),
+    "loop-string": lambda m: m["vms"][0].update(workload={"loop": "no", "segments": [{"compute": 5}]}),
+    "loop-null": lambda m: m["vms"][0].update(workload={"loop": None, "segments": [{"compute": 5}]}),
+    "sched_param-two-keys-one-vm": lambda m: m["scheduler"].update(
+        sched_param={"0": {"priority": 1}, "00": {"priority": 2}, "1": {"priority": 3}}),
+    "sched_param-padded-key": lambda m: m["scheduler"]["sched_param"].update({" 1 ": {"priority": 3}}),
+    "sched_param-signed-key": lambda m: m["scheduler"].update(
+        sched_param={"+0": {"priority": 1}, "1": {"priority": 3}}),
+    "sched_param-underscore-key": lambda m: m["scheduler"].update(
+        sched_param={"0": {"priority": 1}, "0_1": {"priority": 3}}),
+    "mmio-read-value": lambda m: m["vms"][0].update(
+        workload=[{"mmio": {"ipa": "0x40000000", "op": "read", "value": 5}}]),
+}
+LOOSE_MESSAGES = {
+    "gic_boot_init": "gic_boot_init: expected true or false",
+    "loop": "vms[0].workload.loop: expected true or false",
+    "sched_param": "scheduler.sched_param: bad VM id key",
+    "mmio": "vms[0].workload[0].mmio.value: a read carries no value",
+}
+
+
+@pytest.mark.parametrize("case", LOOSE_VALUES)
+def test_loose_value_rejected(case):
+    m = two_vm_manifest()
+    LOOSE_VALUES[case](m)
+    with pytest.raises(ConfigError, match=re.escape(LOOSE_MESSAGES[case.split("-")[0]])):
+        load_manifest(m)
+
+
+@pytest.mark.parametrize("case", LOOSE_VALUES)
+def test_loose_value_cli_exits_2(case, tmp_path, capsys):
+    m = two_vm_manifest()
+    LOOSE_VALUES[case](m)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(m))
+    assert main(["--config", str(cfg), "--horizon-ns", "1000000", "--out", str(tmp_path / "o")]) == 2
+    assert LOOSE_MESSAGES[case.split("-")[0]] in capsys.readouterr().err
+
+
+def test_flags_and_mmio_write_value_round_trip():
+    m = two_vm_manifest(gic_boot_init=False)
+    m["vms"][0]["workload"] = {
+        "loop": True,
+        "segments": [{"compute": 5}, {"mmio": {"ipa": "0x40000000", "op": "write", "value": 5}},
+                     {"mmio": {"ipa": "0x40000000", "op": "read"}}],
+    }
+    spec = load_manifest(m)
+    assert not spec.gic_boot_init and spec.vms[0].workload.loop
+    assert spec.vms[0].workload.segments[1].value == 5
+    assert load_config(dumps_config(spec)) == spec
+
+
+@pytest.mark.parametrize("text", ["{\n  broken\n}", "[1, 2]"])
+def test_cli_and_load_config_share_json_errors(text, tmp_path, capsys):
+    with pytest.raises(ConfigError) as err:
+        load_config(text)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    assert main(["--config", str(cfg), "--horizon-ns", "1000000", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"configuration error: {err.value}\n"
+
+
+# -- loader property: reject with ConfigError, or load a spec that round-trips --
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _property_manifests():
+    edf = {"name": "edf", "sched_param": {"0": {"period_ns": 2_000, "budget_ns": 1_000},
+                                          "1": {"period_ns": 4_000, "budget_ns": 1_000}}}
+    fp = {"name": "fp", "sched_param": {"0": {"priority": 1}, "1": {"priority": 2}}}
+    rr = {"name": "rr", "quantum_ns": 1_000}
+    for scheduler in (edf, fp, rr):
+        m = two_vm_manifest(scheduler=scheduler, gic_boot_init=True)
+        m["vms"][0]["workload"] = {"loop": True, "segments": [{"compute": 1_000}]}
+        yield m
+
+
+def _paths(node, prefix):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+MUTATION_SITES = [
+    (m, path)
+    for m in _property_manifests()
+    for path in [*list(_paths(m["scheduler"], ("scheduler",)))[1:],
+                 ("gic_boot_init",), ("vms", 0, "workload", "loop")]
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(site=st.sampled_from(MUTATION_SITES), value=JSON_VALUES)
+def test_any_value_is_rejected_or_round_trips(site, value):
+    base, path = site
+    m = copy.deepcopy(base)
+    node = m
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        spec = load_manifest(m)
+    except ConfigError:
+        return
+    assert load_config(dumps_config(spec)) == spec
 
 
 # -- cost-model consistency ----------------------------------------------------

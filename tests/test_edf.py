@@ -5,7 +5,7 @@ import pytest
 from hvsim import load_manifest
 from hvsim.engine import Engine
 from hvsim.model import ContractViolation, VcpuRecord
-from hvsim.schedulers import EdfScheduler
+from hvsim.schedulers import EdfParam, EdfScheduler
 from hvsim.trace import detail_field, run_intervals
 from hvsim.workloadgen import (
     ZERO_COST,
@@ -174,7 +174,7 @@ class TestSleepInteraction:
 
 def test_budget_overrun_raises_contract_violation(fake_host):
     """The budget invariant is a checked contract, so it holds under python -O."""
-    sched = EdfScheduler(fake_host)
+    sched = EdfScheduler(fake_host, {0: EdfParam(period=10 * MS, budget=3 * MS)})
     vcpu = VcpuRecord(id=0, sched_param={"period_ns": 10 * MS, "budget_ns": 3 * MS})
     sched.init()
     sched.allocate(vcpu)

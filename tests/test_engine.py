@@ -129,9 +129,7 @@ class TestEventOrdering:
 
     def test_two_timers_same_instant_single_interrupt_and_checkpoint(self):
         class TwinTimer(FixedPriorityScheduler):
-            def __init__(self, services):
-                super().__init__(services)
-                self.armed = False
+            armed = False
 
             def schedule(self):
                 if not self.armed:
@@ -140,7 +138,7 @@ class TestEventOrdering:
                     self.services.register_timer(self.services.now() + MS)
                 return super().schedule()
 
-        register("twin_timer", lambda spec, svc: TwinTimer(svc), SCHEDULERS["fp"].validate)
+        register("twin_timer", TwinTimer)
         try:
             m = fp_manifest([1], [busy_workload(10 * MS)], horizon=10 * MS)
             m["scheduler"]["name"] = "twin_timer"
@@ -156,9 +154,7 @@ class TestEventOrdering:
 
     def test_cancelled_timer_never_fires(self):
         class CancelTimer(FixedPriorityScheduler):
-            def __init__(self, services):
-                super().__init__(services)
-                self.armed = False
+            armed = False
 
             def schedule(self):
                 if not self.armed:
@@ -167,7 +163,7 @@ class TestEventOrdering:
                     self.services.cancel_timer(handle)
                 return super().schedule()
 
-        register("cancel_timer", lambda spec, svc: CancelTimer(svc), SCHEDULERS["fp"].validate)
+        register("cancel_timer", CancelTimer)
         try:
             m = fp_manifest([1], [busy_workload(10 * MS)], horizon=10 * MS)
             m["scheduler"]["name"] = "cancel_timer"
@@ -242,7 +238,7 @@ class TestContractViolationAbort:
                         return v
                 return super().schedule()
 
-        register("bad_sleeper", lambda spec, svc: ReturnsSleeper(svc), SCHEDULERS["fp"].validate)
+        register("bad_sleeper", ReturnsSleeper)
         try:
             m = fp_manifest(
                 [1, 2],

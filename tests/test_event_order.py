@@ -166,7 +166,7 @@ PINNED = {
 
 @pytest.fixture
 def boot_timers_plugin():
-    register("boot_timers", lambda spec, svc: _BootTimers(svc), SCHEDULERS["fp"].validate)
+    register("boot_timers", _BootTimers)
     yield
     del SCHEDULERS["boot_timers"]
 

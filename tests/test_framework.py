@@ -2,7 +2,7 @@ import pytest
 
 from hvsim import ContractViolation, RunState, VcpuRecord, load_manifest
 from hvsim.engine import Engine
-from hvsim.framework import END_OF_HYP_CALL, END_OF_PHYSICAL_INTERRUPT, Framework, TimerHandle
+from hvsim.framework import END_OF_HYP_CALL, END_OF_PHYSICAL_INTERRUPT, Framework
 from hvsim.workloadgen import ZERO_COST, make_manifest
 
 from conftest import FakeHost, RecordingTable
@@ -255,7 +255,11 @@ class TestTimers:
         assert engine.records[-1][2:] == ("timer_set", "", 0, f"id={handle.handle_id};at=42")
 
     def test_timer_action_sets_flag(self):
-        _, _, _, fw = make_framework(0)
-        fw.initialize()
-        fw.run_timer_action(TimerHandle(1, 42))
-        assert fw.flag
+        """Each fired timer sets the flag once, before the checkpoint that follows."""
+        engine = self.make_engine()
+        engine.register_timer(42)
+        engine.register_timer(42)
+        records = engine.run().records
+        i = next(i for i, r in enumerate(records) if r.kind == "timer_fire")
+        assert [r.kind for r in records[i + 1 : i + 4]] == ["flag_set", "flag_set", "checkpoint"]
+        assert records[i + 3].detail.endswith("flag=1")
