@@ -55,6 +55,7 @@ _TOP_KEYS = {
 }
 _VM_KEYS = {"id", "regions", "irqs", "virqs", "shared_pages", "workload"}
 _REGION_KEYS = {"ipa", "pa", "len", "perms"}
+_IRQ_KEYS = {"at_ns", "irq"}
 
 
 def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -119,9 +120,13 @@ def _parse_segment(seg, where: str) -> Segment:
         raise ConfigError(f"{where}: each segment is an object with exactly one key, got {seg!r}")
     (key, value), = seg.items()
     if key == "compute":
-        return Segment("compute", duration_ns=_parse_int(value, f"{where}.compute"))
+        if type(value) is not int or not 0 <= value < MAX_TIME:
+            value = _parse_int(value, f"{where}.compute")  # subclass, or raises
+        return Segment("compute", duration_ns=value)
     if key == "hyp_call":
-        payload = "" if value is None else str(value)
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"{where}.hyp_call: expected a string or null, got {value!r}")
+        payload = value or ""
         if "\n" in payload or "\r" in payload:  # a trace record is one line
             raise ConfigError(f"{where}.hyp_call: payload may not contain a line break")
         return Segment("hyp_call", payload=payload)
@@ -423,10 +428,17 @@ def load_manifest(data: dict) -> SystemSpec:
             )
         )
 
+    # The common case is settled by exact-type tests; anything else takes
+    # the general checks, which accept it or raise with the entry's path.
     phys_irqs = []
     for j, raw in enumerate(_list(data.get("phys_irqs", []), "phys_irqs")):
+        if type(raw) is dict and raw.keys() == _IRQ_KEYS:
+            at, irq = raw["at_ns"], raw["irq"]
+            if type(at) is int and type(irq) is int and 0 <= at < MAX_TIME and 0 <= irq < 1024:
+                phys_irqs.append(IrqEvent(at, irq))
+                continue
         where = f"phys_irqs[{j}]"
-        _check_keys(raw, {"at_ns", "irq"}, {"at_ns", "irq"}, where)
+        _check_keys(raw, _IRQ_KEYS, _IRQ_KEYS, where)
         phys_irqs.append(
             IrqEvent(_parse_int(raw["at_ns"], f"{where}.at_ns"), _parse_int(raw["irq"], f"{where}.irq", hi=1024))
         )

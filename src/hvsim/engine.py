@@ -172,13 +172,18 @@ class Engine(SchedulerServices):
     # -- run -----------------------------------------------------------------
 
     def run(self) -> RunResult:
+        """Run once.  The framework and its table point back at the engine;
+        dropping the framework at the end breaks that cycle, so reference
+        counting frees the trace as soon as the caller drops the result."""
         try:
             self._boot()
             self._loop()
+            self._final_fold()
         except ContractViolation as exc:
             self.trace("contract_violation", detail=str(exc).replace(",", ";"))
             raise SimulationAborted(str(exc), self.records) from exc
-        self._final_fold()
+        finally:
+            self.fw = None
         metrics = metrics_from_trace(self.records, self.horizon, [v.id for v in self.vcpus])
         return RunResult(self.records, metrics, self.horizon)
 

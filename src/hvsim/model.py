@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 Time = int  # virtual nanoseconds
 VmId = int
@@ -194,8 +194,7 @@ class ChannelSpec:
     variant: str = VARIANT_FREE
 
 
-@dataclass(frozen=True)
-class IrqEvent:
+class IrqEvent(NamedTuple):
     """Externally scripted physical interrupt arrival."""
 
     at: Time

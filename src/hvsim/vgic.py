@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .model import VmId
 
@@ -68,6 +69,7 @@ class VirtualCpuInterface:
 
     def __init__(self, lr_count: int = DEFAULT_LR_COUNT):
         self.lrs = [Lr() for _ in range(lr_count)]
+        self.n_pending = 0  # LRs in PENDING state; most ACKs find none
         self.ack_count = 0
         self.eoi_count = 0
 
@@ -82,9 +84,6 @@ class VirtualCpuInterface:
             if lr.state is LrState.INVALID:
                 return lr
         return None
-
-    def pending(self) -> list[Lr]:
-        return [lr for lr in self.lrs if lr.state is LrState.PENDING]
 
     def active_count(self) -> int:
         return sum(1 for lr in self.lrs if lr.state is LrState.ACTIVE)
@@ -104,18 +103,20 @@ class VirtualCpuInterface:
         slot.priority = priority
         slot.state = LrState.PENDING
         slot.hw_link = hw_link
+        self.n_pending += 1
         return "injected"
 
     def ack(self) -> int:
         """Take the highest-priority pending interrupt; 1023 when none."""
+        if not self.n_pending:
+            return SPURIOUS_IRQ
         best: Lr | None = None
         for lr in self.lrs:
             if lr.state is LrState.PENDING:
                 if best is None or (lr.priority, lr.virq) < (best.priority, best.virq):
                     best = lr
-        if best is None:
-            return SPURIOUS_IRQ
         best.state = LrState.ACTIVE
+        self.n_pending -= 1
         self.ack_count += 1
         return best.virq
 
@@ -143,8 +144,7 @@ class MmioEffect:
     injections: list[VmId] = field(default_factory=list)
 
 
-@dataclass
-class ArrivalEffect:
+class ArrivalEffect(NamedTuple):
     outcome: str  # "injected" | "pending" | "dropped"
     target: VmId | None = None
 
@@ -174,6 +174,7 @@ class Vgic:
             vm: frozenset(i for i, t in self.irq_targets.items() if t == vm) | self.declared_virqs[vm]
             for vm in declared_virqs
         }
+        self._visible_sorted = {vm: tuple(sorted(vis)) for vm, vis in self._visible.items()}
 
     def visible(self, vm: VmId) -> frozenset[int]:
         return self._visible[vm]
@@ -315,7 +316,7 @@ class Vgic:
         injected = []
         while True:
             cands = []
-            for irq in sorted(self._visible[vm]):
+            for irq in self._visible_sorted[vm]:
                 if not self.pending[irq]:
                     continue
                 if self.irq_targets.get(irq) == vm:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -155,6 +158,33 @@ class TestCmdRun:
         assert lines[0] == "# time_ns vm_id state"
         assert lines[1].split() == ["0", "0", "1"]
         assert lines[2].split() == ["3000000", "0", "0"]
+
+
+class TestOptimizedInterpreter:
+    """Contracts checked by raise, not assert, hold under python -O."""
+
+    def _run_O(self, cfg, out, horizon):
+        src = str(Path(hvsim.cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run(
+            [sys.executable, "-O", "-m", "hvsim", "--config", cfg, "--horizon-ns", str(horizon),
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_trace_bytes_equal_in_process_run(self, tmp_path):
+        cfg = write_manifest(tmp_path, small_edf_manifest())
+        assert main(["--config", cfg, "--horizon-ns", str(20 * MS), "--out", str(tmp_path / "a")]) == 0
+        proc = self._run_O(cfg, tmp_path / "b", 20 * MS)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "b" / "trace.csv").read_bytes() == (tmp_path / "a" / "trace.csv").read_bytes()
+
+    def test_contract_violation_exits_3(self, tmp_path):
+        m = fp_manifest([1], [[{"compute": MS}, {"mmio": {"ipa": "0x90000000", "op": "read"}}]], 5 * MS,
+                        faults={"stage2": "halt"})
+        proc = self._run_O(write_manifest(tmp_path, m), tmp_path / "o", 5 * MS)
+        assert proc.returncode == 3, proc.stderr
+        assert "contract_violation" in (tmp_path / "o" / "trace.csv").read_text()
 
 
 class TestGoldenTrace:

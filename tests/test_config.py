@@ -174,6 +174,77 @@ def test_hyp_call_payload_with_line_break_rejected(payload):
         load_manifest(m)
 
 
+def test_hyp_call_payload_string_or_null_loads():
+    m = two_vm_manifest()
+    m["vms"][0]["workload"] = [{"hyp_call": None}, {"hyp_call": ""}, {"hyp_call": "a,b"}]
+    spec = load_manifest(m)
+    assert [seg.payload for seg in spec.vms[0].workload.segments] == ["", "", "a,b"]
+
+
+# Exact loader messages for rejected phys_irqs entries and compute segments,
+# recorded before the accept path of these loops took exact-type shortcuts.
+GOOD_IRQ = {"at_ns": 1_000, "irq": 32}
+PHYS_IRQ_REJECTIONS = {
+    "entry-int": ([5], "phys_irqs[0]: expected an object, got int"),
+    "entry-list": ([[1000, 32]], "phys_irqs[0]: expected an object, got list"),
+    "entry-null": ([GOOD_IRQ, None], "phys_irqs[1]: expected an object, got NoneType"),
+    "unknown-key": ([{"at_ns": 1, "irq": 32, "prio": 0}], "phys_irqs[0]: unknown keys ['prio']"),
+    "unknown-and-missing": ([{"at": 1, "irq": 32}], "phys_irqs[0]: unknown keys ['at']"),
+    "missing-irq": ([{"at_ns": 1}], "phys_irqs[0]: missing keys ['irq']"),
+    "missing-both": ([{}], "phys_irqs[0]: missing keys ['at_ns', 'irq']"),
+    "at_ns-bool": ([{"at_ns": True, "irq": 32}], "phys_irqs[0].at_ns: expected integer, got True"),
+    "at_ns-float": ([{"at_ns": 1.0, "irq": 32}], "phys_irqs[0].at_ns: expected integer, got 1.0"),
+    "at_ns-string": ([{"at_ns": "5", "irq": 32}], "phys_irqs[0].at_ns: expected integer, got '5'"),
+    "at_ns-negative": ([{"at_ns": -1, "irq": 32}],
+                       "phys_irqs[0].at_ns: value -1 out of range [0, 4611686018427387904)"),
+    "at_ns-2^62": ([{"at_ns": 2**62, "irq": 32}], "phys_irqs[0].at_ns: value 4611686018427387904 "
+                                                  "out of range [0, 4611686018427387904)"),
+    "irq-bool": ([{"at_ns": 1, "irq": False}], "phys_irqs[0].irq: expected integer, got False"),
+    "irq-float": ([{"at_ns": 1, "irq": 32.0}], "phys_irqs[0].irq: expected integer, got 32.0"),
+    "irq-negative": ([{"at_ns": 1, "irq": -1}], "phys_irqs[0].irq: value -1 out of range [0, 1024)"),
+    "irq-1024": ([GOOD_IRQ, GOOD_IRQ, {"at_ns": 1, "irq": 1024}],
+                 "phys_irqs[2].irq: value 1024 out of range [0, 1024)"),
+    "both-bad": ([{"at_ns": -1, "irq": 1024}],
+                 "phys_irqs[0].at_ns: value -1 out of range [0, 4611686018427387904)"),
+}
+COMPUTE_REJECTIONS = {
+    "bool": (True, "vms[1].workload[1].compute: expected integer, got True"),
+    "float": (5.0, "vms[1].workload[1].compute: expected integer, got 5.0"),
+    "string": ("5", "vms[1].workload[1].compute: expected integer, got '5'"),
+    "null": (None, "vms[1].workload[1].compute: expected integer, got None"),
+    "list": ([5], "vms[1].workload[1].compute: expected integer, got [5]"),
+    "negative": (-1, "vms[1].workload[1].compute: value -1 out of range [0, 4611686018427387904)"),
+    "2^62": (2**62, "vms[1].workload[1].compute: value 4611686018427387904 "
+                    "out of range [0, 4611686018427387904)"),
+}
+
+
+@pytest.mark.parametrize("case", PHYS_IRQ_REJECTIONS)
+def test_phys_irqs_rejection_text(case):
+    entries, message = PHYS_IRQ_REJECTIONS[case]
+    with pytest.raises(ConfigError) as err:
+        load_manifest(two_vm_manifest(phys_irqs=entries))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("case", COMPUTE_REJECTIONS)
+def test_compute_rejection_text(case):
+    value, message = COMPUTE_REJECTIONS[case]
+    m = two_vm_manifest()
+    m["vms"][1]["workload"] = {"loop": False, "segments": [{"compute": 5}, {"compute": value}]}
+    with pytest.raises(ConfigError) as err:
+        load_manifest(m)
+    assert str(err.value) == message
+
+
+def test_phys_irqs_and_compute_bounds_load():
+    m = two_vm_manifest(phys_irqs=[{"at_ns": 0, "irq": 0}, {"at_ns": 2**62 - 1, "irq": 1023}])
+    m["vms"][1]["workload"] = [{"compute": 0}, {"compute": 2**62 - 1}]
+    spec = load_manifest(m)
+    assert spec.phys_irqs == ((0, 0), (2**62 - 1, 1023))
+    assert [seg.duration_ns for seg in spec.vms[1].workload.segments] == [0, 2**62 - 1]
+
+
 # Containers of the wrong JSON type, each once raised TypeError from the loader.
 WRONG_CONTAINERS = {
     "phys_irqs": lambda m: m.update(phys_irqs=5),
@@ -204,7 +275,8 @@ def test_container_of_wrong_type_cli_exits_2(where, tmp_path, capsys):
 
 
 # Values that once loaded: bool() coerced the two flags, int() read any
-# spelling of a VM id, and a read kept a value the dump then dropped.
+# spelling of a VM id, a read kept a value the dump then dropped, and str()
+# turned any JSON value into a hyp_call payload.
 LOOSE_VALUES = {
     "gic_boot_init-string": lambda m: m.update(gic_boot_init="false"),
     "gic_boot_init-int": lambda m: m.update(gic_boot_init=0),
@@ -219,12 +291,17 @@ LOOSE_VALUES = {
         sched_param={"0": {"priority": 1}, "0_1": {"priority": 3}}),
     "mmio-read-value": lambda m: m["vms"][0].update(
         workload=[{"mmio": {"ipa": "0x40000000", "op": "read", "value": 5}}]),
+    "hyp_call-list": lambda m: m["vms"][0].update(workload=[{"hyp_call": [1, 2]}]),
+    "hyp_call-true": lambda m: m["vms"][0].update(workload=[{"hyp_call": True}]),
+    "hyp_call-object": lambda m: m["vms"][0].update(workload=[{"hyp_call": {"a": 1}}]),
+    "hyp_call-number": lambda m: m["vms"][0].update(workload=[{"hyp_call": 1.5}]),
 }
 LOOSE_MESSAGES = {
     "gic_boot_init": "gic_boot_init: expected true or false",
     "loop": "vms[0].workload.loop: expected true or false",
     "sched_param": "scheduler.sched_param: bad VM id key",
     "mmio": "vms[0].workload[0].mmio.value: a read carries no value",
+    "hyp_call": "vms[0].workload[0].hyp_call: expected a string or null, got ",
 }
 
 
@@ -284,9 +361,19 @@ def _property_manifests():
                                           "1": {"period_ns": 4_000, "budget_ns": 1_000}}}
     fp = {"name": "fp", "sched_param": {"0": {"priority": 1}, "1": {"priority": 2}}}
     rr = {"name": "rr", "quantum_ns": 1_000}
+    channel = {"id": 0, "endpoints": [0, 1], "pages": [0], "virqs": [100, 101]}
     for scheduler in (edf, fp, rr):
-        m = two_vm_manifest(scheduler=scheduler, gic_boot_init=True)
-        m["vms"][0]["workload"] = {"loop": True, "segments": [{"compute": 1_000}]}
+        m = two_vm_manifest(scheduler=scheduler, gic_boot_init=True, phys_irqs=[{"at_ns": 500, "irq": 33}],
+                            shared_pages=[{"id": 0, "pa": "0x70000000"}], channels=[channel])
+        for vm, virq in zip(m["vms"], (100, 101)):
+            vm.update(virqs=[virq], shared_pages=[{"page": 0, "ipa": "0x60000000", "perms": "rw"}])
+        m["vms"][0]["workload"] = {"loop": True, "segments": [{"compute": 1_000}, {"hyp_call": "x"}]}
+        m["vms"][1]["workload"] = [
+            {"compute": 1_000}, {"hyp_call": None}, {"wfi": True},
+            {"mmio": {"ipa": "0x40000000", "op": "write", "value": 5}},
+            {"mmio": {"ipa": "0x40000000", "op": "read"}},
+            {"ivc_acquire": 0}, {"ivc_release": 0}, {"ivc_notify": 0},
+        ]
         yield m
 
 
@@ -297,11 +384,25 @@ def _paths(node, prefix):
         yield from _paths(child, prefix + (key,))
 
 
+def _node(m, path):
+    for key in path:
+        m = m[key]
+    return m
+
+
+def _segment_paths(m):
+    for prefix in (("vms", 0, "workload", "segments"), ("vms", 1, "workload")):
+        for i, seg in enumerate(_node(m, prefix)):
+            yield from _paths(seg, prefix + (i,))
+
+
 MUTATION_SITES = [
     (m, path)
     for m in _property_manifests()
     for path in [*list(_paths(m["scheduler"], ("scheduler",)))[1:],
-                 ("gic_boot_init",), ("vms", 0, "workload", "loop")]
+                 ("gic_boot_init",), ("vms", 0, "workload", "loop"),
+                 *_paths(m["phys_irqs"][0], ("phys_irqs", 0)),
+                 *_segment_paths(m)]
 ]
 
 
@@ -310,10 +411,7 @@ MUTATION_SITES = [
 def test_any_value_is_rejected_or_round_trips(site, value):
     base, path = site
     m = copy.deepcopy(base)
-    node = m
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    _node(m, path[:-1])[path[-1]] = value
     try:
         spec = load_manifest(m)
     except ConfigError:

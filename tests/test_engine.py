@@ -1,3 +1,4 @@
+import gc
 import heapq
 from types import SimpleNamespace
 
@@ -7,7 +8,7 @@ import hvsim.engine
 from hvsim import SimulationAborted, compare_traces, load_manifest
 from hvsim.schedulers import FixedPriorityScheduler, register, SCHEDULERS
 from hvsim.trace import run_intervals
-from hvsim.workloadgen import ZERO_COST, busy_workload, make_manifest
+from hvsim.workloadgen import ZERO_COST, busy_workload, edf_manifest, make_manifest
 
 from conftest import assert_conserved, fp_manifest, records_of, rr_manifest, run_manifest
 
@@ -266,6 +267,36 @@ class TestMetricsBasics:
         res = run_manifest(m, MS)
         assert res.metrics.idle_time == MS
         assert_conserved(res)
+
+
+def _trapping_rr_manifest():
+    trapping = {"loop": True, "segments": [
+        {"compute": 200_000}, {"hyp_call": None}, {"compute": 100_000}, {"wfi": True},
+        {"mmio": {"ipa": "0x01c81100", "op": "write", "value": 1}},
+    ]}
+    return rr_manifest(
+        2, quantum_ns=MS // 2, horizon=5 * MS, cost_model=None,
+        workloads=[trapping, busy_workload(5 * MS)],
+        phys_irqs=[{"at_ns": t, "irq": 32 + t % 2} for t in range(150_001, 5 * MS, 300_001)],
+    )
+
+
+@pytest.mark.parametrize("make", [
+    _trapping_rr_manifest,
+    lambda: edf_manifest([(MS, MS // 4), (2 * MS, MS // 2)], 5 * MS),
+])
+def test_finished_run_leaves_no_cyclic_garbage(make):
+    """Dropping a run's result frees its trace by reference counting alone."""
+    spec = load_manifest(make())
+    gc.collect()
+    gc.disable()
+    try:
+        res = hvsim.engine.Engine(spec, 5 * MS).run()
+        assert res.records
+        del res
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestBenchmarkHooks:

@@ -253,6 +253,10 @@ def random_op(rng, model, oracle):
     return ("eoi", ok_m, ok_o)
 
 
+def pending_lrs(gic, vm):
+    return sum(lr.state.value == "pending" for lr in gic.cpu_if[vm].lrs)
+
+
 def test_random_sequence_matches_oracle():
     rng = random.Random(20_240_817)
     for seq in range(200):
@@ -264,6 +268,8 @@ def test_random_sequence_matches_oracle():
                 oracle.boot_enable(vm)
         for step in range(200):
             out = random_op(rng, model, oracle)
+            for vm in (0, 1):  # the count that lets ACK skip the LR scan
+                assert model.cpu_if[vm].n_pending == pending_lrs(model, vm), (seq, step, out)
             if out[0] == "r":
                 assert out[1] == out[2], (seq, step, out)
             elif out[0] in ("ack", "eoi"):
