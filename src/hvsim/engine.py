@@ -5,14 +5,14 @@ events, or a hypervisor cost window is charged.  Every hyp-mode entry (hyp
 call, wfi trap, trapped MMIO, physical interrupt, timer, gated channel op)
 charges its cost-model field and ends at a dispatch checkpoint.
 
-Only events that can be reordered wait in the heap: timer expiries, scripted
-interrupt arrivals and compute ends, keyed (time, class, insertion order),
-with interrupts before compute ends at the same instant.  Three rules decide
-the rest, all test-pinned:
+The heap holds only timer expiries and scripted interrupt arrivals, keyed
+(time, insertion order).  The running guest's next step, a trap it reached
+or the end of its compute span, waits in one slot beside the heap: one CPU
+runs at most one guest.  These rules decide the order, all test-pinned:
 
-- A trap the running guest reached (hyp call, wfi, mmio, channel op) runs
-  next, outside the heap, unless an earlier-stamped event is overdue because
-  a cost window ran past it; overdue events run first, in heap order.
+- A trap the running guest reached (hyp call, wfi, mmio, channel op) wins a
+  same-instant tie with the heap head; a compute end loses it.  An event
+  overdue because a cost window ran past it runs first, in heap order.
 - Scripted arrivals keep manifest order among themselves at the same instant.
 - At the same instant, arrivals come before timers set after boot; timers set
   in the scheduler's init or allocate come before arrivals.
@@ -42,20 +42,11 @@ from .schedulers import get_plugin
 from .trace import MetricsReport, TraceRecord, metrics_from_trace
 from .vgic import DIST_MMIO_BASE, SPURIOUS_IRQ, Vgic
 
-EV_COMPUTE_END = "compute_end"
+# Heap entries are (at, seq, kind, data), of these kinds:
 EV_PHYS_IRQ = "phys_irq"
 EV_TIMER_FIRE = "timer_fire"
 
-# Heap entries are (at, klass, seq, kind, vm, gen, data); at the same instant
-# an interrupt preempts the end of a compute span.
-_IRQ = 1
-_END = 2
-
 _new = tuple.__new__  # builds a TraceRecord without the NamedTuple's Python-level __new__
-
-_GUEST = "guest"
-_HV = "hv"
-_IDLE = "idle"
 
 
 class SimulationAborted(RuntimeError):
@@ -76,13 +67,12 @@ class RunResult:
 class _GuestCtx:
     """Script cursor for one VM."""
 
-    __slots__ = ("workload", "idx", "remaining", "gen", "parked")
+    __slots__ = ("workload", "idx", "remaining", "parked")
 
     def __init__(self, workload):
         self.workload = workload
         self.idx = 0
         self.remaining: Time | None = None  # of the current compute segment
-        self.gen = 0
         self.parked = not workload.segments
 
     def segment(self):
@@ -126,9 +116,11 @@ class Engine(SchedulerServices):
         self._queue: list[tuple] = []
         self._seq = 0
         self._arrivals = iter(())  # scripted arrivals not yet on the heap
-        self._trap = None  # (handler, vcpu, ctx) of the trap the guest reached
+        # The running guest's next step, (at, until, handler, vcpu, ctx): it
+        # runs once the heap head is at or after until.
+        self._step = None
         self._timer_ids = 0
-        self._mode = _IDLE
+        self._running = False  # a guest holds the CPU
         self._run_start: Time = 0
 
     # -- host / scheduler services -----------------------------------------
@@ -157,7 +149,7 @@ class Engine(SchedulerServices):
         handle = TimerHandle(self._timer_ids, at)
         self.trace("timer_set", detail=f"id={handle.handle_id};at={at}")
         self._seq += 1
-        heapq.heappush(self._queue, (at, _IRQ, self._seq, EV_TIMER_FIRE, None, 0, handle))
+        heapq.heappush(self._queue, (at, self._seq, EV_TIMER_FIRE, handle))
         return handle
 
     def cancel_timer(self, handle: TimerHandle) -> None:
@@ -198,7 +190,7 @@ class Engine(SchedulerServices):
         # only the earliest waits on the heap.
         irqs, seq = self.spec.phys_irqs, self._seq
         self._arrivals = iter(sorted(
-            (ev.at, _IRQ, seq + i, EV_PHYS_IRQ, None, 0, ev.irq) for i, ev in enumerate(irqs, 1)
+            (ev.at, seq + i, EV_PHYS_IRQ, ev.irq) for i, ev in enumerate(irqs, 1)
         ))
         self._seq += len(irqs)
         self._next_arrival()
@@ -208,37 +200,28 @@ class Engine(SchedulerServices):
 
     def _loop(self) -> None:
         q = self._queue
-        guest = self._guest
         horizon = self.horizon
         while True:
-            trap = self._trap  # runs next unless a cost window ran past the heap head
-            if trap is not None and (not q or q[0][0] >= self._now):
-                if self._now >= horizon:
+            step = self._step
+            if step is not None and (not q or q[0][0] >= step[1]):
+                at, _, handler, vcpu, ctx = step
+                if at >= horizon:
                     return
-                self._trap = None
-                handler, vcpu, ctx = trap
+                self._step = None
+                self._now = at
                 handler(self, vcpu, ctx)
                 continue
             if not q:
                 return
-            at, _, _, kind, vm, gen, data = heapq.heappop(q)
-            if kind == EV_TIMER_FIRE:
-                if data.cancelled:
-                    continue
-            elif vm is not None and gen != guest[vm].gen:
-                continue  # superseded by a preemption
+            at, _, kind, data = heapq.heappop(q)
+            if kind == EV_TIMER_FIRE and data.cancelled:
+                continue
             if at < self._now:
                 at = self._now
             if at >= horizon:
                 return
             self._now = at
-            if kind == EV_COMPUTE_END:
-                ctx = guest[vm]
-                self._fold_running()  # segment boundary: re-base the running span
-                ctx.remaining = 0
-                ctx.advance()
-                self._continue_guest(self.vcpus[vm], ctx)
-            elif kind == EV_PHYS_IRQ:
+            if kind == EV_PHYS_IRQ:
                 self._next_arrival()
                 self._do_phys_irq(data)
             else:
@@ -267,11 +250,11 @@ class Engine(SchedulerServices):
         q = self._queue
         while q:
             head = q[0]
-            if head[3] != EV_TIMER_FIRE or head[0] != at:
+            if head[2] != EV_TIMER_FIRE or head[0] != at:
                 break
             heapq.heappop(q)
-            if not head[6].cancelled:
-                batch.append(head[6])
+            if not head[3].cancelled:
+                batch.append(head[3])
         self._suspend()
         ids = "+".join(str(h.handle_id) for h in batch)
         self.charge("timer_fire", "interrupt_entry_exit", detail=f"ids={ids}")
@@ -418,13 +401,19 @@ class Engine(SchedulerServices):
 
     # -- guest execution ------------------------------------------------------
 
+    def _end_compute(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
+        self._fold_running()  # segment boundary: re-base the running span
+        ctx.remaining = 0
+        ctx.advance()
+        self._continue_guest(vcpu, ctx)
+
     def _continue_guest(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
         """After a zero-cost step: keep running, or park if the script ended."""
         if ctx.parked:
             self._suspend()
             self._resume()
         else:
-            self._queue_guest_event(vcpu, ctx)
+            self._set_step(vcpu, ctx)
 
     def _fold_running(self) -> None:
         """Credit the running guest with CPU time up to now; re-base run_start.
@@ -434,7 +423,6 @@ class Engine(SchedulerServices):
         """
         cur = self.fw.current
         d = self._now - self._run_start
-        cur.activation_consumed += d
         cur.total_consumed += d
         ctx = self._guest[cur.id]
         if d and not ctx.parked and ctx.remaining is not None and ctx.segment().kind == "compute":
@@ -445,22 +433,19 @@ class Engine(SchedulerServices):
 
     def _suspend(self) -> None:
         """Halt the running guest at the current instant (hyp entry)."""
-        if self._mode != _GUEST:
-            self._mode = _HV
+        if not self._running:
             return
         cur = self.fw.current
         self._fold_running()
-        self._guest[cur.id].gen += 1  # a queued compute end is now stale
-        self._trap = None
+        self._step = None
         self.trace("vm_pause", actor=cur.id)
-        self._mode = _HV
+        self._running = False
 
     def _resume(self) -> None:
         """Hand the CPU to whoever is Running now; park empty scripts."""
         while True:
             cur = self.fw.current
             if cur is None:
-                self._mode = _IDLE
                 return
             self._deliver_pending(cur)
             ctx = self._guest[cur.id]
@@ -469,22 +454,22 @@ class Engine(SchedulerServices):
                 self.fw.on_vm_sleep(cur)
                 self.fw.dispatch_checkpoint(fw_mod.END_OF_HYP_CALL)
                 continue
-            self._mode = _GUEST
+            self._running = True
             self._run_start = self._now
             self.trace("vm_start", actor=cur.id)
-            self._queue_guest_event(cur, ctx)
+            self._set_step(cur, ctx)
             return
 
-    def _queue_guest_event(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
+    def _set_step(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
         seg = ctx.segment()
+        now = self._now
         if seg.kind == "compute":
             if ctx.remaining is None:
                 ctx.remaining = seg.duration_ns
-            self._seq += 1
-            at = self._now + ctx.remaining
-            heapq.heappush(self._queue, (at, _END, self._seq, EV_COMPUTE_END, vcpu.id, ctx.gen, None))
+            at = now + ctx.remaining
+            self._step = (at, at + 1, Engine._end_compute, vcpu, ctx)  # loses a tie at at
         else:
-            self._trap = (_TRAPS[seg.kind], vcpu, ctx)
+            self._step = (now, now, _TRAPS[seg.kind], vcpu, ctx)  # wins a tie at now
 
     def _deliver_pending(self, vcpu: VcpuRecord) -> None:
         """A running guest takes its pending virtual interrupts: ACK then EOI,
@@ -508,14 +493,10 @@ class Engine(SchedulerServices):
             heapq.heappush(self._queue, ev)
 
     def _final_fold(self) -> None:
-        if self._mode != _GUEST:
+        if not self._running or self._run_start >= self.horizon:
             return
         cur = self.fw.current
-        if self._run_start >= self.horizon:
-            return
-        d = self.horizon - self._run_start
-        cur.activation_consumed += d
-        cur.total_consumed += d
+        cur.total_consumed += self.horizon - self._run_start
         self.records.append(TraceRecord(self.horizon, str(cur.id), "vm_pause", "", 0, ""))
 
 

@@ -40,9 +40,9 @@ class SchedulerTable(abc.ABC):
         if bad); return what the constructor needs.  Default: accept all."""
         return None
 
-    @abc.abstractmethod
     def init(self) -> None:
-        """Called exactly once at boot, before any other operation."""
+        """Called exactly once at boot, before any other operation.
+        Default: nothing to do."""
 
     @abc.abstractmethod
     def schedule(self) -> VcpuRecord | None:
@@ -162,7 +162,6 @@ class Framework:
             else:
                 self.current = chosen
                 chosen.run_state = RunState.RUNNING
-                chosen.activation_consumed = 0
                 self.host.charge(
                     "dispatch", "world_switch", detail=self._switch_detail(old, chosen)
                 )

@@ -232,15 +232,13 @@ class VcpuRecord:
 
     sched_param is constant after allocation and sched_state is only ever
     touched inside scheduler-table operations; the dispatcher reads neither.
-    activation_consumed is CPU time since the VM last became Running,
-    total_consumed is cumulative since boot.
+    total_consumed is CPU time since boot.
     """
 
     id: VmId
     sched_param: Any
     run_state: RunState = RunState.READY
     sched_state: Any = None
-    activation_consumed: Time = 0
     total_consumed: Time = 0
 
     def __repr__(self) -> str:  # keep trace details short

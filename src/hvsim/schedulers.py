@@ -82,11 +82,6 @@ class EdfScheduler(SchedulerTable):
             raise ConfigError(f"edf takes no scheduler options, got {spec.scheduler_options!r}")
         return params
 
-    def init(self) -> None:
-        self._executable.clear()
-        self._waiting.clear()
-        self._dispatched = None
-
     def allocate(self, vcpu: VcpuRecord) -> EdfVmState:
         param = self._params[vcpu.id]
         state = EdfVmState(
@@ -201,11 +196,6 @@ class EdfScheduler(SchedulerTable):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FpState:
-    priority: int
-
-
 class FixedPriorityScheduler(SchedulerTable):
     """Lowest priority value runs; ties go to the lower VM id.
 
@@ -232,13 +222,8 @@ class FixedPriorityScheduler(SchedulerTable):
             raise ConfigError(f"fp takes no scheduler options, got {spec.scheduler_options!r}")
         return priorities
 
-    def init(self) -> None:
-        self._ready.clear()
-        self._dispatched = None
-
-    def allocate(self, vcpu: VcpuRecord) -> FpState:
+    def allocate(self, vcpu: VcpuRecord) -> None:
         self._vcpus[vcpu.id] = vcpu
-        return FpState(priority=self._prio[vcpu.id])
 
     def enque(self, vcpu: VcpuRecord) -> None:
         self._ready.add(vcpu.id)
@@ -307,10 +292,6 @@ class RoundRobinScheduler(SchedulerTable):
             if vm.sched_param not in (None, {}):
                 raise ConfigError(f"vm {vm.id}: rr takes no per-VM sched_param")
         return quantum
-
-    def init(self) -> None:
-        self._ring.clear()
-        self._dispatched = None
 
     def allocate(self, vcpu: VcpuRecord) -> None:
         self._vcpus[vcpu.id] = vcpu

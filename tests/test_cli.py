@@ -30,6 +30,36 @@ def small_edf_manifest():
     return edf_manifest([(10 * MS, 3 * MS), (20 * MS, 5 * MS)], 20 * MS)
 
 
+def generated_manifest(gen, **vm_fields):
+    """One fp VM whose workload is {"generate": gen}."""
+    m = fp_manifest([1], [None], 5 * MS)
+    m["vms"][0].update(workload={"generate": gen}, **vm_fields)
+    return m
+
+
+MIXED = {"kind": "mixed", "segments": 4}
+
+MALFORMED_EXPANSION = {
+    "vms-missing": {"scheduler": {"name": "fp"}},
+    "vms-int": dict(fp_manifest([1], [None], 5 * MS), vms=5),
+    "vms-entry-int": dict(fp_manifest([1], [None], 5 * MS), vms=[5]),
+    "generate-int": generated_manifest(3),
+    "busy-extra-key": generated_manifest({"kind": "busy", "bogus": 1}),
+    "mixed-extra-key": generated_manifest(dict(MIXED, bogus=1)),
+    "kind-missing": generated_manifest({"segments": 4}),
+    "kind-list": generated_manifest({"kind": ["busy"]}),
+    "segments-str": generated_manifest(dict(MIXED, segments="x")),
+    "segments-bool": generated_manifest(dict(MIXED, segments=True)),
+    "mean-zero": generated_manifest(dict(MIXED, mean_compute_ns=0)),
+    "mean-float": generated_manifest(dict(MIXED, mean_compute_ns=1000.5)),
+    "prob-str": generated_manifest(dict(MIXED, hyp_call_prob="p")),
+    "prob-bool": generated_manifest(dict(MIXED, hyp_call_prob=True)),
+    "prob-above-1": generated_manifest(dict(MIXED, hyp_call_prob=1.5)),
+    "prob-negative": generated_manifest(dict(MIXED, hyp_call_prob=-0.1)),
+    "id-str": generated_manifest({"kind": "busy"}, id="a"),
+}
+
+
 class TestCmdRun:
     def test_happy_path_writes_three_files(self, tmp_path):
         cfg = write_manifest(tmp_path, small_edf_manifest())
@@ -149,6 +179,18 @@ class TestCmdRun:
         assert cmd_run(cfg, 5 * MS, str(tmp_path / "o1")) == 2
         assert "--seed" in capsys.readouterr().err
         assert cmd_run(cfg, 5 * MS, str(tmp_path / "o2"), seed=1) == 0
+
+    @pytest.mark.parametrize("manifest", MALFORMED_EXPANSION.values(), ids=MALFORMED_EXPANSION)
+    def test_malformed_vms_or_generator_exits_2(self, tmp_path, capsys, manifest):
+        cfg = write_manifest(tmp_path, manifest)
+        assert cmd_run(cfg, 5 * MS, str(tmp_path / "o"), seed=1) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+
+    @pytest.mark.parametrize("prob", [0, 1, 0.5])
+    def test_mixed_generator_takes_its_three_keys(self, tmp_path, prob):
+        gen = {"kind": "mixed", "segments": 3, "mean_compute_ns": 1000, "hyp_call_prob": prob}
+        cfg = write_manifest(tmp_path, generated_manifest(gen))
+        assert cmd_run(cfg, 5 * MS, str(tmp_path / "o"), seed=1) == 0
 
     def test_timeline_dat_format(self, tmp_path):
         cfg = write_manifest(tmp_path, small_edf_manifest())

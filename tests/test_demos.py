@@ -1,0 +1,28 @@
+"""Each demo prints the same bytes as the stdout stored under data/demos/."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+EXPECTED = Path(__file__).parent / "data" / "demos"
+
+
+def test_every_demo_has_stored_stdout():
+    assert [d.stem for d in DEMOS] == sorted(p.stem for p in EXPECTED.glob("*.stdout"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_stdout_unchanged(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(demo)], env=env, cwd=ROOT, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (EXPECTED / f"{demo.stem}.stdout").read_bytes()

@@ -128,6 +128,16 @@ class TestEventOrdering:
         ks = kinds(res)
         assert ks.index("phys_irq") < ks.index("hyp_call")
 
+    def test_preempted_compute_end_does_not_fire_while_idle(self):
+        # The budget timer preempts the 5 ms span at 1 ms and EDF leaves the
+        # CPU idle; the span's end at 5 ms must not run.
+        m = edf_manifest([(10 * MS, MS)], 10 * MS)
+        m["vms"][0]["workload"] = [{"compute": 5 * MS}, {"wfi": True}]
+        res = run_manifest(m, 10 * MS)
+        assert_conserved(res)
+        assert res.metrics.per_vm[0].cpu_time == MS
+        assert res.records[-1].time == MS and not records_of(res, "wfi_trap")
+
     def test_two_timers_same_instant_single_interrupt_and_checkpoint(self):
         class TwinTimer(FixedPriorityScheduler):
             armed = False
@@ -336,6 +346,10 @@ class TestBenchmarkHooks:
         assert_conserved(res)
         assert pushes and pops
         assert {id(item) for item in pops} <= {id(item) for item in pushes}  # no push bypassed it
+        # Only timers and arrivals wait in the heap; the guest's next step has its own slot.
+        timer, arrival = hvsim.engine.EV_TIMER_FIRE, hvsim.engine.EV_PHYS_IRQ
+        assert all((timer in item) != (arrival in item) for item in pushes)
+        assert any(timer in item for item in pushes) and any(arrival in item for item in pushes)
         kinds = {r.kind for r in res.records}
         assert {"phys_irq", "timer_fire", "hyp_call", "wfi_trap"} <= kinds
         assert res.records[-1].kind == "vm_pause" and res.records[-1].time == 5 * MS

@@ -117,6 +117,31 @@ def pass_through_chain_into_trap():
     return m, 2 * MS
 
 
+def zero_compute_at_arrival_and_quantum():
+    """A hyp_call's cost window ends at 1 ms, where an arrival and the RR
+    quantum timer fall; the {"compute": 0} segment reached there ends after
+    both of them."""
+    wl = {"loop": True, "segments": [
+        {"compute": MS - US}, {"hyp_call": None}, {"compute": 0}, {"hyp_call": "z"},
+    ]}
+    m = rr_manifest(
+        2, quantum_ns=MS, horizon=3 * MS, cost_model=dict(ZERO_COST, hyp_call=US),
+        workloads=[wl, busy_workload(3 * MS)],
+        phys_irqs=[{"at_ns": MS, "irq": 33}],
+    )
+    return m, 3 * MS
+
+
+def compute_preempted_then_ends_at_horizon():
+    """Default costs: an arrival preempts a 2 ms compute span once, and the
+    rest of the span ends exactly at the horizon."""
+    m = fp_manifest(
+        [1], [[{"compute": 2 * MS}, {"hyp_call": None}]], horizon=2 * MS, cost_model=None,
+        phys_irqs=[{"at_ns": MS, "irq": 32}],
+    )
+    return m, 25_840 + 2 * MS + 7_480
+
+
 class _BootTimers(FixedPriorityScheduler):
     """Sets timers for 1 ms in init and allocate, before the scripted
     arrivals exist, and one more in its first schedule, after them."""
@@ -161,6 +186,10 @@ PINNED = {
         "78e319d599c110aeb074cb8bcefe76d16cadf26768e2e0fc71ed4feb7d4699c7",
     boot_timers_and_irqs_same_ns:
         "fbe4026d65abbd46248c7fc8e2dd8dc368fc88a9d1a531d16f38d905bb2e2798",
+    zero_compute_at_arrival_and_quantum:
+        "4f05d4fd6abc77fef4d79a0466d4a6123967b4ea2df2191b09b2cfaa73ee8a33",
+    compute_preempted_then_ends_at_horizon:
+        "68cd859ff32563edb02772c11a44a742749a13255e7a3d88c684eece402c344a",
 }
 
 
@@ -184,6 +213,16 @@ def test_trap_at_horizon_is_not_run():
     res = run_manifest(manifest, horizon)
     assert len(records_of(res, "hyp_call")) == 1
     assert res.records[-1].kind == "vm_start" and res.records[-1].time == horizon
+
+
+def test_compute_end_at_horizon_is_not_run():
+    manifest, horizon = compute_preempted_then_ends_at_horizon()
+    res = run_manifest(manifest, horizon)
+    assert len(records_of(res, "phys_irq")) == 1
+    assert not records_of(res, "hyp_call")
+    assert [r.kind for r in res.records[-2:]] == ["vm_start", "vm_pause"]
+    assert res.records[-1].time == horizon
+    assert res.metrics.per_vm[0].cpu_time == 2 * MS
 
 
 def test_5000_consecutive_hyp_calls():
