@@ -24,7 +24,11 @@ EXIT_IO = 4
 
 
 def _load_expanded(config_path: str, horizon_ns: int, seed):
-    data = parse_json(Path(config_path).read_text())
+    try:
+        text = Path(config_path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"manifest is not valid UTF-8: byte {exc.start}: {exc.reason}") from None
+    data = parse_json(text)
     return workloadgen.expand_generated(data, seed, horizon_ns)
 
 

@@ -23,9 +23,12 @@ import json
 from dataclasses import dataclass
 
 from .model import (
+    DEFAULT_LR_COUNT,
     MAX_TIME,
     MEASURED_LATENCIES,
     PAGE_SIZE,
+    VARIANT_FREE,
+    VARIANT_GATED,
     ChannelSpec,
     ConfigError,
     CostModel,
@@ -56,6 +59,7 @@ _TOP_KEYS = {
 _VM_KEYS = {"id", "regions", "irqs", "virqs", "shared_pages", "workload"}
 _REGION_KEYS = {"ipa", "pa", "len", "perms"}
 _IRQ_KEYS = {"at_ns", "irq"}
+_GIC_IDS = 1024  # a scripted arrival may name any of the 1024 GIC interrupt ids
 
 
 def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -330,7 +334,7 @@ def _validate_channels(spec: SystemSpec) -> None:
         a, b = ch.endpoints
         if a == b or not (0 <= a < n and 0 <= b < n):
             raise ConfigError(f"{where}: endpoints must be two distinct VM ids, got {a},{b}")
-        if ch.variant not in ("free_access", "hypcall_gated"):
+        if ch.variant not in (VARIANT_FREE, VARIANT_GATED):
             raise ConfigError(f"{where}: unknown variant {ch.variant!r}")
         if not ch.pages:
             raise ConfigError(f"{where}: a channel needs at least one page")
@@ -424,7 +428,7 @@ def load_manifest(data: dict) -> SystemSpec:
                     _parse_int(virqs[0], f"{where}.virqs[0]"),
                     _parse_int(virqs[1], f"{where}.virqs[1]"),
                 ),
-                variant=raw.get("variant", "free_access"),
+                variant=raw.get("variant", VARIANT_FREE),
             )
         )
 
@@ -434,13 +438,13 @@ def load_manifest(data: dict) -> SystemSpec:
     for j, raw in enumerate(_list(data.get("phys_irqs", []), "phys_irqs")):
         if type(raw) is dict and raw.keys() == _IRQ_KEYS:
             at, irq = raw["at_ns"], raw["irq"]
-            if type(at) is int and type(irq) is int and 0 <= at < MAX_TIME and 0 <= irq < 1024:
+            if type(at) is int and type(irq) is int and 0 <= at < MAX_TIME and 0 <= irq < _GIC_IDS:
                 phys_irqs.append(IrqEvent(at, irq))
                 continue
         where = f"phys_irqs[{j}]"
         _check_keys(raw, _IRQ_KEYS, _IRQ_KEYS, where)
         phys_irqs.append(
-            IrqEvent(_parse_int(raw["at_ns"], f"{where}.at_ns"), _parse_int(raw["irq"], f"{where}.irq", hi=1024))
+            IrqEvent(_parse_int(raw["at_ns"], f"{where}.at_ns"), _parse_int(raw["irq"], f"{where}.irq", hi=_GIC_IDS))
         )
 
     faults_raw = data.get("faults", {})
@@ -465,7 +469,7 @@ def load_manifest(data: dict) -> SystemSpec:
         channels=tuple(channels),
         phys_irqs=tuple(phys_irqs),
         faults=faults,
-        lr_count=_parse_int(data.get("lr_count", 4), "lr_count", lo=1, hi=64),
+        lr_count=_parse_int(data.get("lr_count", DEFAULT_LR_COUNT), "lr_count", lo=1, hi=64),
         gic_boot_init=_parse_bool(data.get("gic_boot_init", True), "gic_boot_init"),
     )
     _validate_layout(spec)

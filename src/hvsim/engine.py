@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from . import framework as fw_mod
 from .framework import Framework, SchedulerServices, TimerHandle
-from .ivc import ChannelState, channel_states
+from .ivc import ChannelState
 from .memmap import KIND_MMIO, KIND_PA, MemoryMap
 from .model import (
     ContractViolation,
@@ -108,7 +108,7 @@ class Engine(SchedulerServices):
             declared_virqs={vm.id: vm.virqs for vm in spec.vms},
             lr_count=spec.lr_count,
         )
-        self.channels: dict[int, ChannelState] = channel_states(spec.channels)
+        self.channels: dict[int, ChannelState] = {ch.id: ChannelState(ch) for ch in spec.channels}
 
         table_cls = get_plugin(spec.scheduler_name)
         self.fw = Framework(self, table_cls(self, table_cls.parse(spec)), self.vcpus)
@@ -351,46 +351,29 @@ class Engine(SchedulerServices):
             self._continue_guest(vcpu, ctx)
             return
 
+        # Acquire succeeds on a free gate, release only for the holder; either
+        # way a refused op still costs its hyp call.
         self._suspend()
-        if op == "ivc_acquire":
-            if ch.held_by is not None:
-                self.charge(
-                    "ivc_busy",
-                    "hyp_call",
-                    detail=f"channel={ch.spec.id};op=acquire;vm={vcpu.id};held_by={ch.held_by}",
-                )
-            else:
-                self.charge(
-                    "ivc_acquire", "hyp_call", detail=f"channel={ch.spec.id};vm={vcpu.id}"
-                )
-                for pid in ch.spec.pages:
-                    self.memmap.map_shared_page(vcpu.id, pid)
-                self.charge(
-                    "stage2_map",
-                    "tlb_flush",
-                    detail=f"channel={ch.spec.id};vm={vcpu.id};pages={len(ch.spec.pages)}",
-                )
-                ch.held_by = vcpu.id
-        else:  # ivc_release
-            if ch.held_by != vcpu.id:
-                holder = "-" if ch.held_by is None else str(ch.held_by)
-                self.charge(
-                    "ivc_busy",
-                    "hyp_call",
-                    detail=f"channel={ch.spec.id};op=release;vm={vcpu.id};held_by={holder}",
-                )
-            else:
-                self.charge(
-                    "ivc_release", "hyp_call", detail=f"channel={ch.spec.id};vm={vcpu.id}"
-                )
-                for pid in ch.spec.pages:
-                    self.memmap.unmap_shared_page(vcpu.id, pid)
-                self.charge(
-                    "stage2_unmap",
-                    "tlb_flush",
-                    detail=f"channel={ch.spec.id};vm={vcpu.id};pages={len(ch.spec.pages)}",
-                )
-                ch.held_by = None
+        acquire = op == "ivc_acquire"
+        where = f"channel={ch.spec.id};vm={vcpu.id}"
+        if ch.held_by != (None if acquire else vcpu.id):
+            holder = "-" if ch.held_by is None else ch.held_by
+            self.charge(
+                "ivc_busy",
+                "hyp_call",
+                detail=f"channel={ch.spec.id};op={op.removeprefix('ivc_')};vm={vcpu.id};held_by={holder}",
+            )
+        else:
+            self.charge(op, "hyp_call", detail=where)
+            remap = self.memmap.map_shared_page if acquire else self.memmap.unmap_shared_page
+            for pid in ch.spec.pages:
+                remap(vcpu.id, pid)
+            self.charge(
+                "stage2_map" if acquire else "stage2_unmap",
+                "tlb_flush",
+                detail=f"{where};pages={len(ch.spec.pages)}",
+            )
+            ch.held_by = vcpu.id if acquire else None
         self._end_trap(ctx)
 
     def _end_trap(self, ctx: _GuestCtx) -> None:

@@ -32,10 +32,6 @@ class ChannelState:
         return self.spec.virqs[0] if receiver == a else self.spec.virqs[1]
 
 
-def channel_states(channels) -> dict[int, ChannelState]:
-    return {ch.id: ChannelState(ch) for ch in channels}
-
-
 def free_transfer_cost(cm: CostModel) -> int:
     """Hypervisor cost of one free-access transfer: notify = hyp call + virq."""
     return cm.hyp_call + cm.virtual_interrupt

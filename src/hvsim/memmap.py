@@ -2,8 +2,11 @@
 
 Accesses inside an owned region pass through at zero hypervisor cost.  The
 distributor window routes to MMIO emulation.  Everything else is a stage-2
-fault.  Shared 4 KB pages can be mapped and remapped at runtime, which is how
-the gated inter-VM channel variant grants and revokes access.
+fault.  A shared 4 KB page maps only at the IPA and with the perms its VM
+declares; the gated inter-VM channel variant grants and revokes access by
+mapping and unmapping it at runtime.  load_manifest's layout checks keep
+every VM's regions, shared pages and the distributor window disjoint, so at
+most one mapping covers any IPA.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import vgic
-from .model import PAGE_SIZE, PERM_READ, SharedPageRef, SystemSpec, VmId
+from .model import PAGE_SIZE, PERM_READ, VARIANT_GATED, SystemSpec, VmId
 
 KIND_PA = "pa"
 KIND_MMIO = "mmio"
@@ -25,98 +28,48 @@ class Translation:
     reason: str = ""
 
 
-class AddressSpace:
-    """One VM's stage-2 view: static regions plus dynamic shared-page entries."""
-
-    def __init__(
-        self,
-        vm: VmId,
-        regions,
-        declared: dict[int, SharedPageRef],
-        page_pa: dict[int, int],
-    ):
-        self.vm = vm
-        self.regions = sorted(regions, key=lambda r: r.ipa_base)
-        self.declared = declared  # page_id -> SharedPageRef
-        self.page_pa = page_pa  # page_id -> physical frame
-        self.mapped: dict[int, tuple[int, frozenset[str]]] = {}  # page_id -> (ipa, perms)
-
-    def translate(self, ipa: int, access: str) -> Translation:
-        if vgic.DIST_MMIO_BASE <= ipa < vgic.DIST_MMIO_BASE + vgic.DIST_MMIO_SIZE:
-            return Translation(KIND_MMIO)
-        for region in self.regions:
-            if region.contains_ipa(ipa):
-                if access not in region.perms:
-                    return Translation(KIND_FAULT, reason="permission")
-                return Translation(KIND_PA, pa=region.pa_base + (ipa - region.ipa_base))
-        for page_id, (base, perms) in self.mapped.items():
-            if base <= ipa < base + PAGE_SIZE:
-                if access not in perms:
-                    return Translation(KIND_FAULT, reason="permission")
-                return Translation(KIND_PA, pa=self.page_pa[page_id] + (ipa - base))
-        return Translation(KIND_FAULT, reason="unmapped")
-
-    def map_shared(self, page_id: int, ipa: int | None = None, perms=None) -> None:
-        """Map (or remap) a declared shared page; the old mapping is dropped."""
-        ref = self.declared.get(page_id)
-        if ref is None:
-            raise ValueError(f"page {page_id} not declared for vm {self.vm}")
-        ipa = ref.ipa if ipa is None else ipa
-        perms = ref.perms if perms is None else perms
-        if ipa % PAGE_SIZE != 0:
-            raise ValueError(f"shared-page ipa {ipa:#x} not 4KB aligned")
-        self.mapped.pop(page_id, None)
-        if self._overlaps(ipa):
-            raise ValueError(f"shared-page ipa {ipa:#x} overlaps an existing mapping")
-        self.mapped[page_id] = (ipa, perms)
-
-    def unmap_shared(self, page_id: int) -> None:
-        self.mapped.pop(page_id, None)
-
-    def _overlaps(self, ipa: int) -> bool:
-        end = ipa + PAGE_SIZE
-        if vgic.DIST_MMIO_BASE < end and ipa < vgic.DIST_MMIO_BASE + vgic.DIST_MMIO_SIZE:
-            return True
-        for region in self.regions:
-            if region.ipa_base < end and ipa < region.ipa_end:
-                return True
-        for base, _ in self.mapped.values():
-            if base < end and ipa < base + PAGE_SIZE:
-                return True
-        return False
-
-
 class MemoryMap:
-    """All VMs' address spaces over one physical memory layout."""
+    """Every VM's stage-2 view over one physical memory layout."""
 
     def __init__(self, spec: SystemSpec):
         page_pa = {p.page_id: p.pa for p in spec.shared_pages}
         gated_pages = {
-            pid
-            for ch in spec.channels
-            if ch.variant != "free_access"
-            for pid in ch.pages
+            pid for ch in spec.channels if ch.variant == VARIANT_GATED for pid in ch.pages
         }
-        self.spaces: dict[VmId, AddressSpace] = {}
-        for vm in spec.vms:
-            space = AddressSpace(
-                vm.id,
-                vm.regions,
-                {ref.page_id: ref for ref in vm.shared_pages},
-                page_pa,
-            )
-            # Pages of gated channels stay unmapped until the gate is acquired;
-            # everything else is wired in from boot.
-            for ref in vm.shared_pages:
-                if ref.page_id not in gated_pages:
-                    space.map_shared(ref.page_id)
-            self.spaces[vm.id] = space
+        self.regions = {vm.id: sorted(vm.regions, key=lambda r: r.ipa_base) for vm in spec.vms}
+        # vm -> page_id -> (ipa, pa, perms): the shared pages each VM declares
+        self.shared = {
+            vm.id: {ref.page_id: (ref.ipa, page_pa[ref.page_id], ref.perms) for ref in vm.shared_pages}
+            for vm in spec.vms
+        }
+        # The pages mapped now.  Pages of gated channels stay unmapped until
+        # the gate is acquired; everything else is wired in from boot.
+        self.mapped = {
+            vm: {pid: page for pid, page in pages.items() if pid not in gated_pages}
+            for vm, pages in self.shared.items()
+        }
 
     def translate(self, vm: VmId, ipa: int, access: str = PERM_READ) -> Translation:
-        return self.spaces[vm].translate(ipa, access)
+        if vgic.DIST_MMIO_BASE <= ipa < vgic.DIST_MMIO_BASE + vgic.DIST_MMIO_SIZE:
+            return Translation(KIND_MMIO)
+        for region in self.regions[vm]:
+            if region.contains_ipa(ipa):
+                if access not in region.perms:
+                    return Translation(KIND_FAULT, reason="permission")
+                return Translation(KIND_PA, pa=region.pa_base + (ipa - region.ipa_base))
+        for base, pa, perms in self.mapped[vm].values():
+            if base <= ipa < base + PAGE_SIZE:
+                if access not in perms:
+                    return Translation(KIND_FAULT, reason="permission")
+                return Translation(KIND_PA, pa=pa + (ipa - base))
+        return Translation(KIND_FAULT, reason="unmapped")
 
-    def map_shared_page(self, vm: VmId, page_id: int, ipa: int | None = None, perms=None) -> None:
-        self.spaces[vm].map_shared(page_id, ipa, perms)
+    def map_shared_page(self, vm: VmId, page_id: int) -> None:
+        """Map a declared shared page at its declared IPA with its declared perms."""
+        page = self.shared[vm].get(page_id)
+        if page is None:
+            raise ValueError(f"page {page_id} not declared for vm {vm}")
+        self.mapped[vm][page_id] = page
 
     def unmap_shared_page(self, vm: VmId, page_id: int) -> None:
-        self.spaces[vm].unmap_shared(page_id)
+        self.mapped[vm].pop(page_id, None)

@@ -207,6 +207,9 @@ class FaultPolicy:
     dist_unmodeled: str = "fault"  # "fault" | "ignore"
 
 
+DEFAULT_LR_COUNT = 4  # list-register slots per VM when the manifest names none
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """Fully validated system configuration; VM count is fixed hereafter."""
@@ -219,11 +222,8 @@ class SystemSpec:
     channels: tuple[ChannelSpec, ...] = ()
     phys_irqs: tuple[IrqEvent, ...] = ()
     faults: FaultPolicy = FaultPolicy()
-    lr_count: int = 4
+    lr_count: int = DEFAULT_LR_COUNT
     gic_boot_init: bool = True
-
-    def vm(self, vm_id: VmId) -> VmSpec:
-        return self.vms[vm_id]
 
 
 @dataclass

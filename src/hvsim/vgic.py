@@ -16,12 +16,11 @@ import enum
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .model import VmId
+from .model import DEFAULT_LR_COUNT, VmId
 
 N_INTERRUPTS = 128
 SGI_COUNT = 16  # ids 0..15 reserved on this uniprocessor model, never pending
 SPURIOUS_IRQ = 1023
-DEFAULT_LR_COUNT = 4
 
 # Distributor register map (offsets from the distributor window base).
 GICD_CTLR = 0x000
@@ -243,7 +242,7 @@ class Vgic:
             if bits[irq] != set_bits:
                 bits[irq] = set_bits
                 changed = True
-        if changed and (bits is self.enabled or bits is self.pending) and set_bits:
+        if changed and set_bits:
             eff.injections = self._drain(vm)
         return eff
 
@@ -322,7 +321,7 @@ class Vgic:
                 if self.irq_targets.get(irq) == vm:
                     if self.ctlr[vm] and self.enabled[irq] and not self.active[irq]:
                         cands.append((self.priority[irq], irq, True))
-                elif irq in self.declared_virqs[vm]:
+                else:  # a declared virq
                     cands.append((self.priority[irq], irq, False))
             if not cands:
                 return injected

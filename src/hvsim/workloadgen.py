@@ -11,16 +11,10 @@ import random
 from fractions import Fraction
 
 from .config import _check_keys, _parse_int
+from . import model
 from .model import ConfigError, NS_PER_MS, NS_PER_US
 
-ZERO_COST = {
-    "hyp_call": 0,
-    "world_switch": 0,
-    "interrupt_entry_exit": 0,
-    "virtual_interrupt": 0,
-    "tlb_flush": 0,
-    "mmio_emulation": 0,
-}
+ZERO_COST = model.ZERO_COST.as_dict()
 
 # Periods are drawn from divisors of 40 ms so hyperperiods stay desk-sized
 # while mixing harmonic (1,2,4,8) and non-harmonic (4,5) relations.

@@ -309,6 +309,14 @@ class TestMain:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("sweep", [[], ["--sweep", "lr_count", "--values", "2"]], ids=["run", "sweep"])
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys, sweep):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(b"\xff\xfe{")
+        argv = ["--config", str(cfg), "--horizon-ns", "1000", "--out", str(tmp_path / "o")]
+        assert main(argv + sweep) == 2
+        assert capsys.readouterr().err == "configuration error: manifest is not valid UTF-8: byte 0: invalid start byte\n"
+
     def test_bad_horizon_rejected(self, tmp_path):
         cfg = write_manifest(tmp_path, small_edf_manifest())
         rc = main(["--config", cfg, "--horizon-ns", "0", "--out", str(tmp_path / "o")])

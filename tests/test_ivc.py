@@ -197,6 +197,49 @@ class TestGate:
         assert records_of(res, "ivc_busy") == []
 
 
+GATE_KINDS = ("ivc_acquire", "stage2_map", "ivc_release", "stage2_unmap", "ivc_busy")
+HOLD_AND_SLEEP = [{"ivc_acquire": 0}, {"wfi": True}]  # vm0 runs first and keeps the gate
+
+# (vm0 script, vm1 script) -> every gate record as (kind, cost_field, detail)
+GATE_DETAILS = {
+    "free-acquire": (
+        [{"ivc_acquire": 0}], [],
+        [("ivc_acquire", "hyp_call", "channel=0;vm=0"),
+         ("stage2_map", "tlb_flush", "channel=0;vm=0;pages=1")],
+    ),
+    "acquire-held-by-peer": (
+        HOLD_AND_SLEEP, [{"ivc_acquire": 0}],
+        [("ivc_acquire", "hyp_call", "channel=0;vm=0"),
+         ("stage2_map", "tlb_flush", "channel=0;vm=0;pages=1"),
+         ("ivc_busy", "hyp_call", "channel=0;op=acquire;vm=1;held_by=0")],
+    ),
+    "release-by-holder": (
+        [{"ivc_acquire": 0}, {"ivc_release": 0}], [],
+        [("ivc_acquire", "hyp_call", "channel=0;vm=0"),
+         ("stage2_map", "tlb_flush", "channel=0;vm=0;pages=1"),
+         ("ivc_release", "hyp_call", "channel=0;vm=0"),
+         ("stage2_unmap", "tlb_flush", "channel=0;vm=0;pages=1")],
+    ),
+    "release-never-held": (
+        [{"ivc_release": 0}], [],
+        [("ivc_busy", "hyp_call", "channel=0;op=release;vm=0;held_by=-")],
+    ),
+    "release-held-by-peer": (
+        HOLD_AND_SLEEP, [{"ivc_release": 0}],
+        [("ivc_acquire", "hyp_call", "channel=0;vm=0"),
+         ("stage2_map", "tlb_flush", "channel=0;vm=0;pages=1"),
+         ("ivc_busy", "hyp_call", "channel=0;op=release;vm=1;held_by=0")],
+    ),
+}
+
+
+@pytest.mark.parametrize("a_script,b_script,expected", GATE_DETAILS.values(), ids=GATE_DETAILS)
+def test_gate_record_text(a_script, b_script, expected):
+    res = run_manifest(ivc_manifest(a_script, b_script, variant="hypcall_gated", cost_model=COSTED), 10 * MS)
+    got = [(r.kind, r.cost_field, r.detail) for r in records_of(res, *GATE_KINDS)]
+    assert got == expected
+
+
 class TestCalibration:
     def test_default_tlb_flush_solves_ratio_ten(self):
         cm = CostModel()

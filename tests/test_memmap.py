@@ -5,6 +5,8 @@ from hvsim.memmap import KIND_FAULT, KIND_MMIO, KIND_PA, MemoryMap
 from hvsim.vgic import DIST_MMIO_BASE
 from hvsim.workloadgen import ZERO_COST, busy_workload, make_manifest
 
+from conftest import run_manifest
+
 
 def shared_manifest(variant="free_access"):
     return make_manifest(
@@ -84,12 +86,6 @@ def test_gated_channel_pages_unmapped_at_boot():
     assert mm.translate(0, 0x6000_0000, "w").kind == KIND_FAULT
 
 
-def test_remap_moves_the_page(memmap):
-    memmap.map_shared_page(0, 0, ipa=0x6200_0000)
-    assert memmap.translate(0, 0x6200_0000, "r").pa == 0x7000_0000
-    assert memmap.translate(0, 0x6000_0000, "r").kind == KIND_FAULT  # old gone
-
-
 def test_undeclared_page_rejected(memmap):
     with pytest.raises(ValueError, match="not declared"):
         memmap.map_shared_page(2, 0)
@@ -97,14 +93,40 @@ def test_undeclared_page_rejected(memmap):
         memmap.map_shared_page(0, 7)
 
 
-def test_misaligned_remap_rejected(memmap):
-    with pytest.raises(ValueError, match="aligned"):
-        memmap.map_shared_page(0, 0, ipa=0x6000_0100)
+def read_only_manifest(variant, script=None):
+    """vm0 declares the shared page read-only; vm1 keeps it read-write."""
+    m = shared_manifest(variant)
+    m["vms"][0]["shared_pages"][0]["perms"] = "r"
+    if script is not None:
+        m["vms"][0]["workload"] = script
+    return m
 
 
-def test_remap_onto_region_rejected(memmap):
-    with pytest.raises(ValueError, match="overlaps"):
-        memmap.map_shared_page(0, 0, ipa=0x4000_0000)
+@pytest.mark.parametrize("variant", ["free_access", "hypcall_gated"])
+def test_read_only_shared_page_translates_with_declared_perms(variant):
+    mm = MemoryMap(load_manifest(read_only_manifest(variant)))
+    if variant == "hypcall_gated":
+        mm.map_shared_page(0, 0)
+        mm.map_shared_page(1, 0)
+    tr = mm.translate(0, 0x6000_0010, "w")
+    assert tr.kind == KIND_FAULT and tr.reason == "permission"
+    tr = mm.translate(0, 0x6000_0010, "r")
+    assert tr.kind == KIND_PA and tr.pa == 0x7000_0010
+    assert mm.translate(1, 0x6100_0010, "w").pa == 0x7000_0010
+
+
+@pytest.mark.parametrize("variant", ["free_access", "hypcall_gated"])
+def test_read_only_shared_page_in_engine_trace(variant):
+    script = [{"mmio": {"ipa": "0x60000010", "op": "write", "value": 1}},
+              {"mmio": {"ipa": "0x60000010", "op": "read"}}]
+    if variant == "hypcall_gated":
+        script.insert(0, {"ivc_acquire": 0})
+    res = run_manifest(read_only_manifest(variant, script), 1_000_000)
+    got = [(r.kind, r.detail) for r in res.records if r.kind in ("stage2_fault", "mmio_pass")]
+    assert got == [
+        ("stage2_fault", "vm=0;ipa=0x60000010;access=w;reason=permission"),
+        ("mmio_pass", "ipa=0x60000010;pa=0x70000010;op=read"),
+    ]
 
 
 def test_third_vm_cannot_reach_the_shared_frame(memmap):
