@@ -7,7 +7,6 @@ violation (the partial trace is still written), 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import sys
 from pathlib import Path
@@ -23,13 +22,16 @@ EXIT_CONTRACT = 3
 EXIT_IO = 4
 
 
-def _load_expanded(config_path: str, horizon_ns: int, seed):
+def _read_manifest(config_path: str) -> str:
     try:
-        text = Path(config_path).read_text(encoding="utf-8")
+        return Path(config_path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"manifest is not valid UTF-8: byte {exc.start}: {exc.reason}") from None
-    data = parse_json(text)
-    return workloadgen.expand_generated(data, seed, horizon_ns)
+
+
+def _expand(text: str, horizon_ns: int, seed) -> dict:
+    """A fresh manifest decoded from text, with generated workloads expanded."""
+    return workloadgen.expand_generated(parse_json(text), seed, horizon_ns)
 
 
 def _write_trace(records, out_dir: Path, fmt: str) -> None:
@@ -53,8 +55,7 @@ def _write_outputs(result: engine.RunResult, out_dir: Path, fmt: str) -> None:
 def cmd_run(config_path: str, horizon_ns: int, out_dir: str, fmt: str = "csv", seed=None) -> int:
     out = Path(out_dir)
     try:
-        manifest = _load_expanded(config_path, horizon_ns, seed)
-        spec = load_manifest(manifest)
+        spec = load_manifest(_expand(_read_manifest(config_path), horizon_ns, seed))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -112,8 +113,8 @@ def cmd_sweep(
 ) -> int:
     out = Path(out_dir)
     try:
-        manifest = _load_expanded(config_path, horizon_ns, seed)
-        _resolve_parent(manifest, key)  # fail fast on a bad key
+        text = _read_manifest(config_path)
+        _resolve_parent(_expand(text, horizon_ns, seed), key)  # fail fast on a bad key
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -124,7 +125,7 @@ def cmd_sweep(
     rows = []
     try:
         for i, value in enumerate(values):
-            variant = copy.deepcopy(manifest)
+            variant = _expand(text, horizon_ns, seed)  # decoded anew, never copied recursively
             node, leaf = _resolve_parent(variant, key)
             node[leaf] = value
             run_dir = out / f"run_{i:03d}"

@@ -484,6 +484,8 @@ def parse_json(text: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"manifest is not valid JSON: line {exc.lineno} col {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ConfigError("manifest is nested too deeply to decode") from None
     if not isinstance(data, dict):
         raise ConfigError("manifest top level must be an object")
     return data

@@ -47,6 +47,7 @@ EV_PHYS_IRQ = "phys_irq"
 EV_TIMER_FIRE = "timer_fire"
 
 _new = tuple.__new__  # builds a TraceRecord without the NamedTuple's Python-level __new__
+_SLEEPING = RunState.SLEEPING  # Python 3.11 loads an enum member ~5x slower than a global
 
 
 class SimulationAborted(RuntimeError):
@@ -101,6 +102,7 @@ class Engine(SchedulerServices):
         self.records: list[TraceRecord] = []
 
         self.vcpus = [VcpuRecord(id=vm.id, sched_param=vm.sched_param) for vm in spec.vms]
+        self._actor = [str(v.id) for v in self.vcpus]  # trace actor by VM id
         self._guest = {vm.id: _GuestCtx(vm.workload) for vm in spec.vms}
         self.memmap = MemoryMap(spec)
         self.vgic = Vgic(
@@ -128,15 +130,12 @@ class Engine(SchedulerServices):
     def now(self) -> Time:
         return self._now
 
-    def trace(self, kind: str, actor="hv", cost_field="", cost_ns=0, detail="") -> None:
-        if type(actor) is not str:
-            actor = str(actor)
-        record = (self._now, actor, kind, cost_field, cost_ns, detail)
-        self.records.append(_new(TraceRecord, record))
+    def trace(self, kind: str, actor: str = "hv", cost_field="", cost_ns=0, detail="") -> None:
+        self.records.append(_new(TraceRecord, (self._now, actor, kind, cost_field, cost_ns, detail)))
 
-    def charge(self, kind: str, cost_field: str, detail="", actor="hv") -> None:
+    def charge(self, kind: str, cost_field: str, detail="", actor: str = "hv") -> None:
         cost = getattr(self.cost, cost_field)
-        self.trace(kind, actor=actor, cost_field=cost_field, cost_ns=cost, detail=detail)
+        self.trace(kind, actor, cost_field, cost, detail)
         self._now += cost
 
     def set_flag(self) -> None:
@@ -147,7 +146,7 @@ class Engine(SchedulerServices):
             raise ValueError(f"timer at {at} is in the past (now={self._now})")
         self._timer_ids += 1
         handle = TimerHandle(self._timer_ids, at)
-        self.trace("timer_set", detail=f"id={handle.handle_id};at={at}")
+        self.trace("timer_set", "hv", "", 0, f"id={handle.handle_id};at={at}")
         self._seq += 1
         heapq.heappush(self._queue, (at, self._seq, EV_TIMER_FIRE, handle))
         return handle
@@ -156,10 +155,10 @@ class Engine(SchedulerServices):
         if handle.fired or handle.cancelled:
             return
         handle.cancelled = True
-        self.trace("timer_cancel", detail=f"id={handle.handle_id}")
+        self.trace("timer_cancel", "hv", "", 0, f"id={handle.handle_id}")
 
     def report_deadline_miss(self, vm_id: int, deadline: Time) -> None:
-        self.trace("deadline_miss", detail=f"vm={vm_id};deadline={deadline}")
+        self.trace("deadline_miss", "hv", "", 0, f"vm={vm_id};deadline={deadline}")
 
     # -- run -----------------------------------------------------------------
 
@@ -231,13 +230,13 @@ class Engine(SchedulerServices):
 
     def _do_phys_irq(self, irq: int) -> None:
         self._suspend()
-        self.charge("phys_irq", "interrupt_entry_exit", detail=f"irq={irq}")
+        self.charge("phys_irq", "interrupt_entry_exit", f"irq={irq}")
         eff = self.vgic.phys_arrival(irq)
         if eff.outcome == "injected":
-            self.trace("virq_inject", detail=f"virq={irq};target={eff.target};hw=1")
+            self.trace("virq_inject", "hv", "", 0, f"virq={irq};target={eff.target};hw=1")
             self._wake_if_sleeping(eff.target)
         elif eff.outcome == "pending":
-            self.trace("irq_latched", detail=f"irq={irq};target={eff.target}")
+            self.trace("irq_latched", "hv", "", 0, f"irq={irq};target={eff.target}")
         else:
             self.trace("irq_dropped", detail=f"irq={irq};warning=unassigned")
         self.fw.dispatch_checkpoint(fw_mod.END_OF_PHYSICAL_INTERRUPT)
@@ -257,7 +256,7 @@ class Engine(SchedulerServices):
                 batch.append(head[3])
         self._suspend()
         ids = "+".join(str(h.handle_id) for h in batch)
-        self.charge("timer_fire", "interrupt_entry_exit", detail=f"ids={ids}")
+        self.charge("timer_fire", "interrupt_entry_exit", f"ids={ids}")
         for handle in batch:
             handle.fired = True
             self.fw.set_reschedule_flag()
@@ -270,12 +269,12 @@ class Engine(SchedulerServices):
         detail = f"vm={vcpu.id}"
         if seg.payload:
             detail += f";payload={seg.payload}"
-        self.charge("hyp_call", "hyp_call", detail=detail)
+        self.charge("hyp_call", "hyp_call", detail)
         self._end_trap(ctx)
 
     def _do_wfi(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
         self._suspend()
-        self.charge("wfi_trap", "hyp_call", detail=f"vm={vcpu.id}")
+        self.charge("wfi_trap", "hyp_call", f"vm={vcpu.id}")
         self.fw.on_vm_sleep(vcpu)
         self._end_trap(ctx)
 
@@ -286,9 +285,7 @@ class Engine(SchedulerServices):
         if tr.kind == KIND_PA:
             # Pass-through: no trap, no cost, the guest keeps running.
             self.trace(
-                "mmio_pass",
-                actor=vcpu.id,
-                detail=f"ipa={seg.ipa:#x};pa={tr.pa:#x};op={seg.op}",
+                "mmio_pass", self._actor[vcpu.id], "", 0, f"ipa={seg.ipa:#x};pa={tr.pa:#x};op={seg.op}"
             )
             ctx.advance()
             self._continue_guest(vcpu, ctx)
@@ -346,7 +343,7 @@ class Engine(SchedulerServices):
 
         if not ch.gated:
             # Free-access channels are always available: nothing to do, no trap.
-            self.trace(op, actor=vcpu.id, detail=f"channel={ch.spec.id};variant=free_access;noop=1")
+            self.trace(op, self._actor[vcpu.id], "", 0, f"channel={ch.spec.id};variant=free_access;noop=1")
             ctx.advance()
             self._continue_guest(vcpu, ctx)
             return
@@ -421,7 +418,7 @@ class Engine(SchedulerServices):
         cur = self.fw.current
         self._fold_running()
         self._step = None
-        self.trace("vm_pause", actor=cur.id)
+        self.trace("vm_pause", self._actor[cur.id])
         self._running = False
 
     def _resume(self) -> None:
@@ -433,13 +430,13 @@ class Engine(SchedulerServices):
             self._deliver_pending(cur)
             ctx = self._guest[cur.id]
             if ctx.parked:
-                self.trace("vm_park", actor=cur.id, detail="script done")
+                self.trace("vm_park", self._actor[cur.id], "", 0, "script done")
                 self.fw.on_vm_sleep(cur)
                 self.fw.dispatch_checkpoint(fw_mod.END_OF_HYP_CALL)
                 continue
             self._running = True
             self._run_start = self._now
-            self.trace("vm_start", actor=cur.id)
+            self.trace("vm_start", self._actor[cur.id])
             self._set_step(cur, ctx)
             return
 
@@ -457,17 +454,19 @@ class Engine(SchedulerServices):
     def _deliver_pending(self, vcpu: VcpuRecord) -> None:
         """A running guest takes its pending virtual interrupts: ACK then EOI,
         directly against the virtual CPU interface, at zero hypervisor cost."""
+        actor = self._actor[vcpu.id]
         while True:
             virq = self.vgic.guest_ack(vcpu.id)
             if virq == SPURIOUS_IRQ:
                 return
-            self.trace("guest_ack", actor=vcpu.id, detail=f"virq={virq}")
+            detail = f"virq={virq}"
+            self.trace("guest_ack", actor, "", 0, detail)
             self.vgic.guest_eoi(vcpu.id, virq)
-            self.trace("guest_eoi", actor=vcpu.id, detail=f"virq={virq}")
+            self.trace("guest_eoi", actor, "", 0, detail)
 
     def _wake_if_sleeping(self, vm_id: int) -> None:
         vcpu = self.vcpus[vm_id]
-        if vcpu.run_state is RunState.SLEEPING:
+        if vcpu.run_state is _SLEEPING:
             self.fw.on_vm_wakeup(vcpu)
 
     def _next_arrival(self) -> None:
@@ -480,7 +479,7 @@ class Engine(SchedulerServices):
             return
         cur = self.fw.current
         cur.total_consumed += self.horizon - self._run_start
-        self.records.append(TraceRecord(self.horizon, str(cur.id), "vm_pause", "", 0, ""))
+        self.records.append(TraceRecord(self.horizon, self._actor[cur.id], "vm_pause", "", 0, ""))
 
 
 # Guest traps by segment kind.

@@ -10,7 +10,8 @@ only ever acts at two checkpoints (end of a hyp call, end of physical
 interrupt handling) and only when the flag is set.  Table implementations
 own sched_param/sched_state and must not touch vCPU run states; the
 dispatcher snapshots run states around every schedule() call and aborts the
-run on a violation.
+run on a violation.  The trace details the dispatcher writes (vm=<id>,
+kind=...;flag=...) are built once per vCPU and checkpoint kind, not per call.
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ from .model import ContractViolation, RunState, SystemSpec, Time, VcpuRecord
 END_OF_HYP_CALL = "end_of_hyp_call"
 END_OF_PHYSICAL_INTERRUPT = "end_of_physical_interrupt"
 CHECKPOINT_KINDS = (END_OF_HYP_CALL, END_OF_PHYSICAL_INTERRUPT)
+# Checkpoint record details by kind, indexed by the flag.
+_CHECKPOINT_DETAILS = {k: (f"kind={k};flag=0", f"kind={k};flag=1") for k in CHECKPOINT_KINDS}
+
+# Python 3.11 loads an enum member through its class ~5x slower than a global.
+_RUNNING, _READY, _BLOCKED, _SLEEPING = RunState.RUNNING, RunState.READY, RunState.BLOCKED, RunState.SLEEPING
 
 # A checkpoint re-evaluates the flag after applying each decision (table
 # operations may set it again); a scheduler that never converges is broken.
@@ -100,13 +106,15 @@ class Framework:
     """Dispatcher state: the table, the vCPUs, the flag, the running vCPU."""
 
     def __init__(self, host, table: SchedulerTable, vcpus: Iterable[VcpuRecord]):
-        self.host = host  # needs: now(), trace(...), charge(...)
+        self.host = host  # needs: now(), charge(...), trace(...) with a str actor
         self.table = table
         self.vcpus = list(vcpus)
         self.flag = False
         self.current: VcpuRecord | None = None
         self._initialized = False
         self._params = {}
+        self._vm_detail = {v.id: f"vm={v.id}" for v in self.vcpus}  # for the cb_* records
+        self._actor = {v.id: str(v.id) for v in self.vcpus}
 
     # -- boot ------------------------------------------------------------
 
@@ -114,21 +122,21 @@ class Framework:
         if self._initialized:
             raise ContractViolation("framework initialized twice")
         self._initialized = True
-        self.host.trace("cb_init", actor="hv")
+        self.host.trace("cb_init")
         self.table.init()
         for v in self.vcpus:
-            self.host.trace("cb_allocate", actor="hv", detail=f"vm={v.id}")
+            self.host.trace("cb_allocate", "hv", "", 0, self._vm_detail[v.id])
             v.sched_state = self.table.allocate(v)
             self._params[v.id] = v.sched_param
         for v in self.vcpus:
-            self.host.trace("cb_enque", actor="hv", detail=f"vm={v.id}")
+            self.host.trace("cb_enque", "hv", "", 0, self._vm_detail[v.id])
             self.table.enque(v)
 
     # -- flag + checkpoints -----------------------------------------------
 
     def set_reschedule_flag(self) -> None:
         self._require_init()
-        self.host.trace("flag_set", actor="hv")
+        self.host.trace("flag_set")
         self.flag = True
 
     def dispatch_checkpoint(self, kind: str) -> None:
@@ -139,9 +147,11 @@ class Framework:
         decision loop runs until the flag stays clear.
         """
         self._require_init()
-        if kind not in CHECKPOINT_KINDS:
-            raise ContractViolation(f"unknown checkpoint kind {kind!r}")
-        self.host.trace("checkpoint", actor="hv", detail=f"kind={kind};flag={int(self.flag)}")
+        try:
+            detail = _CHECKPOINT_DETAILS[kind][self.flag]
+        except (KeyError, TypeError):
+            raise ContractViolation(f"unknown checkpoint kind {kind!r}") from None
+        self.host.trace("checkpoint", "hv", "", 0, detail)
         rounds = 0
         while self.flag:
             rounds += 1
@@ -152,42 +162,36 @@ class Framework:
             if chosen is self.current:
                 continue
             old = self.current
-            if old is not None and old.run_state is RunState.RUNNING:
-                old.run_state = RunState.READY
-                self.host.trace("cb_block", actor="hv", detail=f"vm={old.id}")
+            if old is not None and old.run_state is _RUNNING:
+                old.run_state = _READY
+                self.host.trace("cb_block", "hv", "", 0, self._vm_detail[old.id])
                 self.table.block(old)
             if chosen is None:
                 self.current = None
-                self.host.trace("dispatch", actor="hv", detail=self._switch_detail(old, None))
+                self.host.trace("dispatch", "hv", "", 0, self._switch_detail(old, None))
             else:
                 self.current = chosen
-                chosen.run_state = RunState.RUNNING
-                self.host.charge(
-                    "dispatch", "world_switch", detail=self._switch_detail(old, chosen)
-                )
+                chosen.run_state = _RUNNING
+                self.host.charge("dispatch", "world_switch", self._switch_detail(old, chosen))
         # A vCPU that went to sleep without a pending reschedule vacates the CPU.
-        if self.current is not None and self.current.run_state is not RunState.RUNNING:
-            self.host.trace("cpu_idle", actor="hv", detail=f"vacated=vm{self.current.id}")
+        if self.current is not None and self.current.run_state is not _RUNNING:
+            self.host.trace("cpu_idle", "hv", "", 0, f"vacated=vm{self.current.id}")
             self.current = None
 
     def _call_schedule(self) -> VcpuRecord | None:
-        before = [v.run_state for v in self.vcpus]
+        vcpus = self.vcpus
+        before = [v.run_state for v in vcpus]
         chosen = self.table.schedule()
-        after = [v.run_state for v in self.vcpus]
-        if before != after:
+        if [v.run_state for v in vcpus] != before:
             raise ContractViolation("schedule() changed vCPU run states")
-        for v in self.vcpus:
+        for v in vcpus:
             if v.sched_param is not self._params[v.id]:
                 raise ContractViolation(f"sched_param of vm {v.id} was replaced")
-        if chosen is not None and chosen.run_state in (RunState.SLEEPING, RunState.BLOCKED):
+        if chosen is not None and (chosen.run_state is _SLEEPING or chosen.run_state is _BLOCKED):
             raise ContractViolation(
                 f"schedule() returned vm {chosen.id} in state {chosen.run_state.value}"
             )
-        self.host.trace(
-            "cb_schedule",
-            actor="hv",
-            detail="vm=-" if chosen is None else f"vm={chosen.id}",
-        )
+        self.host.trace("cb_schedule", "hv", "", 0, "vm=-" if chosen is None else self._vm_detail[chosen.id])
         return chosen
 
     @staticmethod
@@ -200,20 +204,20 @@ class Framework:
 
     def on_vm_sleep(self, vcpu: VcpuRecord) -> None:
         self._require_init()
-        if vcpu.run_state is not RunState.RUNNING:
+        if vcpu.run_state is not _RUNNING:
             raise ContractViolation(f"sleep of vm {vcpu.id} which is {vcpu.run_state.value}")
-        vcpu.run_state = RunState.SLEEPING
-        self.host.trace("vm_sleep", actor=vcpu.id)
-        self.host.trace("cb_yield", actor="hv", detail=f"vm={vcpu.id}")
+        vcpu.run_state = _SLEEPING
+        self.host.trace("vm_sleep", self._actor[vcpu.id])
+        self.host.trace("cb_yield", "hv", "", 0, self._vm_detail[vcpu.id])
         self.table.yield_()
 
     def on_vm_wakeup(self, vcpu: VcpuRecord) -> None:
         self._require_init()
-        if vcpu.run_state not in (RunState.SLEEPING, RunState.BLOCKED):
+        if vcpu.run_state is not _SLEEPING and vcpu.run_state is not _BLOCKED:
             raise ContractViolation(f"wakeup of vm {vcpu.id} which is {vcpu.run_state.value}")
-        vcpu.run_state = RunState.READY
-        self.host.trace("vm_wake", actor=vcpu.id)
-        self.host.trace("cb_unblock", actor="hv", detail=f"vm={vcpu.id}")
+        vcpu.run_state = _READY
+        self.host.trace("vm_wake", self._actor[vcpu.id])
+        self.host.trace("cb_unblock", "hv", "", 0, self._vm_detail[vcpu.id])
         self.table.unblock(vcpu)
 
     def _require_init(self) -> None:

@@ -51,6 +51,12 @@ class EdfScheduler(SchedulerTable):
     ties) and arms a timer for its budget expiry.  A second timer wakes the
     system at the next waiting-queue release; without it a release while a
     longer-deadline VM runs would be handled arbitrarily late.
+
+    The sweep is skipped while now is before _bound, a lower bound on the
+    deadlines of the tracked (executable, waiting, dispatched) VMs that the
+    sweep recomputes and enque and _route lower.  schedule() still cancels
+    and re-arms its timers on every call: timer_set/timer_cancel records,
+    their count and their order are part of the trace contract.
     """
 
     def __init__(self, services: SchedulerServices, params: dict[int, EdfParam]):
@@ -62,6 +68,7 @@ class EdfScheduler(SchedulerTable):
         self._waiting: set[int] = set()
         self._dispatched: int | None = None
         self._timers: list[TimerHandle] = []
+        self._bound: Time | float = float("inf")
 
     @staticmethod
     def parse(spec: SystemSpec) -> dict[int, EdfParam]:
@@ -95,27 +102,32 @@ class EdfScheduler(SchedulerTable):
 
     def enque(self, vcpu: VcpuRecord) -> None:
         self._executable.add(vcpu.id)
+        self._bound = min(self._bound, self._states[vcpu.id].deadline)
 
     def schedule(self) -> VcpuRecord | None:
         now = self.services.now()
         self._cancel_timers()
-        if self._dispatched is not None:
-            self._sync(self._dispatched)
-        self._sweep(now)
+        states = self._states
+        dispatched = self._dispatched
+        if dispatched is not None:
+            self._sync(dispatched)
+        if now >= self._bound:
+            self._sweep(now)
 
-        candidates = [(self._states[i].deadline, i) for i in self._executable]
-        if self._dispatched is not None and self._states[self._dispatched].remaining > 0:
-            candidates.append((self._states[self._dispatched].deadline, self._dispatched))
-        if not candidates:
-            winner = None
-        else:
-            _, winner = min(candidates)
-            if winner != self._dispatched:
-                self._executable.discard(winner)
+        # Earliest (deadline, id) of the executable VMs and a dispatched one with budget.
+        winner = None
+        if dispatched is not None and states[dispatched].remaining > 0:
+            winner, best = dispatched, states[dispatched].deadline
+        for vm_id in self._executable:
+            deadline = states[vm_id].deadline
+            if winner is None or deadline < best or (deadline == best and vm_id < winner):
+                winner, best = vm_id, deadline
+        if winner is not None and winner != dispatched:
+            self._executable.discard(winner)
         self._dispatched = winner
 
         if winner is not None:
-            st = self._states[winner]
+            st = states[winner]
             self._timers.append(self.services.register_timer(now + st.remaining))
             if st.deadline < now + st.remaining:
                 # Budget cannot finish in time: a miss is coming; check at the line.
@@ -160,11 +172,12 @@ class EdfScheduler(SchedulerTable):
         st.mark = self._vcpus[vm_id].total_consumed
 
     def _sweep(self, now: Time) -> None:
-        """Replenish every crossed period; unconsumed budget at a crossed
-        deadline is a deadline miss."""
-        tracked = set(self._executable) | set(self._waiting)
+        """Replenish every crossed period, in VM order; unconsumed budget at
+        a crossed deadline is a deadline miss.  Resets the bound."""
+        tracked = self._executable | self._waiting
         if self._dispatched is not None:
             tracked.add(self._dispatched)
+        bound = float("inf")
         for vm_id in sorted(tracked):
             st = self._states[vm_id]
             while st.deadline <= now:
@@ -174,14 +187,18 @@ class EdfScheduler(SchedulerTable):
             if vm_id in self._waiting and st.remaining > 0:
                 self._waiting.discard(vm_id)
                 self._executable.add(vm_id)
+            bound = min(bound, st.deadline)
+        self._bound = bound
 
     def _route(self, vm_id: int) -> None:
         self._executable.discard(vm_id)
         self._waiting.discard(vm_id)
-        if self._states[vm_id].remaining > 0:
+        st = self._states[vm_id]
+        if st.remaining > 0:
             self._executable.add(vm_id)
         else:
             self._waiting.add(vm_id)
+        self._bound = min(self._bound, st.deadline)
         if self._dispatched == vm_id:
             self._dispatched = None
 

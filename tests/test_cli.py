@@ -37,6 +37,16 @@ def generated_manifest(gen, **vm_fields):
     return m
 
 
+def run_hvsim_process(*args, interpreter_flags=()):
+    """`python [interpreter_flags] -m hvsim [args]` in a fresh process, on this checkout's src."""
+    src = str(Path(hvsim.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, *interpreter_flags, "-m", "hvsim", *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 MIXED = {"kind": "mixed", "segments": 4}
 
 MALFORMED_EXPANSION = {
@@ -206,13 +216,8 @@ class TestOptimizedInterpreter:
     """Contracts checked by raise, not assert, hold under python -O."""
 
     def _run_O(self, cfg, out, horizon):
-        src = str(Path(hvsim.cli.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        return subprocess.run(
-            [sys.executable, "-O", "-m", "hvsim", "--config", cfg, "--horizon-ns", str(horizon),
-             "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        return run_hvsim_process("--config", cfg, "--horizon-ns", horizon, "--out", out,
+                                 interpreter_flags=["-O"])
 
     def test_trace_bytes_equal_in_process_run(self, tmp_path):
         cfg = write_manifest(tmp_path, small_edf_manifest())
@@ -276,6 +281,21 @@ class TestCmdSweep:
         assert rows[1].split(",")[4] == ""  # 4 ms budget runs fine
         assert "budget" in rows[2].split(",")[4]  # 11 ms > 10 ms period
 
+    def test_deeply_nested_unknown_key_is_an_error_row(self, tmp_path):
+        """Each variant is decoded anew, so a 950-level unknown value never
+        meets a recursive copy; its rows read as for a shallow unknown key."""
+        shallow = dict(self.tight_manifest(), lr_count=4, junk=1)
+        cfg = write_manifest(tmp_path, shallow, "shallow.json")
+        assert cmd_sweep(cfg, 40 * MS, str(tmp_path / "shallow"), "lr_count", [1, 2]) == 0
+        deep = tmp_path / "deep.json"
+        deep.write_text(json.dumps(shallow).replace('"junk": 1', '"junk": ' + "[" * 950 + "]" * 950))
+        proc = run_hvsim_process("--config", deep, "--horizon-ns", 40 * MS, "--out", tmp_path / "deep",
+                                 "--sweep", "lr_count", "--values", "1,2")
+        assert proc.returncode == 0, proc.stderr
+        summary = (tmp_path / "deep" / "summary.csv").read_text()
+        assert summary == (tmp_path / "shallow" / "summary.csv").read_text()
+        assert summary.count("manifest: unknown keys ['junk']") == 2
+
     def test_unresolvable_key_exits_2(self, tmp_path, capsys):
         cfg = write_manifest(tmp_path, self.tight_manifest())
         assert cmd_sweep(cfg, MS, str(tmp_path / "s"), "cost_model.nope", [1]) == 2
@@ -316,6 +336,14 @@ class TestMain:
         argv = ["--config", str(cfg), "--horizon-ns", "1000", "--out", str(tmp_path / "o")]
         assert main(argv + sweep) == 2
         assert capsys.readouterr().err == "configuration error: manifest is not valid UTF-8: byte 0: invalid start byte\n"
+
+    @pytest.mark.parametrize("sweep", [[], ["--sweep", "lr_count", "--values", "1"]], ids=["run", "sweep"])
+    def test_too_deeply_nested_config_exits_2(self, tmp_path, capsys, sweep):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 200_000)
+        argv = ["--config", str(cfg), "--horizon-ns", "1000", "--out", str(tmp_path / "o")]
+        assert main(argv + sweep) == 2
+        assert capsys.readouterr().err == "configuration error: manifest is nested too deeply to decode\n"
 
     def test_bad_horizon_rejected(self, tmp_path):
         cfg = write_manifest(tmp_path, small_edf_manifest())

@@ -23,6 +23,13 @@ MS = 1_000_000
 US = 1_000
 
 
+def edf_scripted_manifest(params, workloads, **extra):
+    """Zero-cost EDF: one (period_ns, budget_ns) and one workload per VM."""
+    vms = [make_vm(i, w) for i, w in enumerate(workloads)]
+    sched_param = {str(i): {"period_ns": p, "budget_ns": b} for i, (p, b) in enumerate(params)}
+    return make_manifest(vms, {"name": "edf", "sched_param": sched_param}, cost_model=ZERO_COST, **extra)
+
+
 def trace_sha256(result) -> str:
     buf = io.StringIO()
     write_csv(result.records, buf)
@@ -173,6 +180,53 @@ def boot_timers_and_irqs_same_ns():
     return m, 3 * MS
 
 
+def edf_deadline_at_schedule_instant():
+    """EDF: the deadline timer of vm 1 fires at 10 ms, the deadline of all
+    three VMs; vms 1 and 2 miss at that instant, reported in VM order."""
+    sleeper = {"loop": True, "segments": [{"compute": 1500 * US}, {"wfi": True}]}
+    m = edf_scripted_manifest(
+        [(10 * MS, 8 * MS), (5 * MS, 2 * MS), (10 * MS, MS)],
+        [busy_workload(30 * MS), sleeper, busy_workload(30 * MS)],
+        phys_irqs=[{"at_ns": t * MS, "irq": 33} for t in (5, 10, 15, 20)],
+    )
+    return m, 22 * MS
+
+
+def edf_first_deadline_while_dispatched():
+    """EDF: vm 0 (budget = period) runs from boot to its first deadline with
+    no block in between; vm 1 never runs and misses at 4 ms."""
+    m = edf_scripted_manifest([(MS, MS), (4 * MS, MS)], [busy_workload(30 * MS)] * 2)
+    return m, 5 * MS
+
+
+def edf_forgiven_periods_then_miss():
+    """EDF: vm 1 sleeps across several 1 ms periods, wakes 100 us before its
+    next deadline with a full budget and misses that deadline at once."""
+    sleeper = {"loop": True, "segments": [{"compute": 100 * US}, {"wfi": True}]}
+    m = edf_scripted_manifest(
+        [(20 * MS, 10 * MS), (MS, 300 * US)], [busy_workload(30 * MS), sleeper],
+        phys_irqs=[{"at_ns": 5_900 * US, "irq": 33}, {"at_ns": 12_950 * US, "irq": 33}],
+    )
+    return m, 20 * MS
+
+
+def edf_block_routes_earliest_deadline():
+    """EDF: vm 1's release at 1.5 ms sweeps while vm 0 runs; vm 0 then
+    exhausts its budget and is blocked into the waiting queue with a
+    deadline (2 ms) earlier than every other VM's."""
+    params = [(2 * MS, 1_500 * US), (1_500 * US, 200 * US)]
+    m = edf_scripted_manifest(params, [busy_workload(30 * MS)] * 2)
+    return m, 12 * MS
+
+
+def edf_release_with_budget_timer():
+    """EDF: vm 0's waiting-queue release and vm 1's budget expiry are timers
+    at the same 1 ms instant, handled in one interrupt."""
+    params = [(MS, 300 * US), (10 * MS, 300 * US), (2 * MS, 400 * US)]
+    m = edf_scripted_manifest(params, [busy_workload(30 * MS)] * 3)
+    return m, 10 * MS
+
+
 PINNED = {
     unsorted_same_ns_irqs:
         "e0b478612c7062eabae29ff609085ad264795fb5319ec3b1988ea09c29e1edec",
@@ -190,6 +244,16 @@ PINNED = {
         "4f05d4fd6abc77fef4d79a0466d4a6123967b4ea2df2191b09b2cfaa73ee8a33",
     compute_preempted_then_ends_at_horizon:
         "68cd859ff32563edb02772c11a44a742749a13255e7a3d88c684eece402c344a",
+    edf_deadline_at_schedule_instant:
+        "f9648f39f4f0e1464b750dc67e21b5fa901a3f766c2518f00f58f05dd12eb87f",
+    edf_first_deadline_while_dispatched:
+        "c79b8f8e2ae158aa71b1b0ec9e603775ea0d9dabe4e0f4df5a5a3196ace9d21f",
+    edf_forgiven_periods_then_miss:
+        "98ea72c763b9c2f7ab39ce2351d8ced7131e5a5fb08940ae9d241e28542013dd",
+    edf_block_routes_earliest_deadline:
+        "9988b6f464ec6f0242eaf5d830903be2a73fb1fd49ae50df6dde9a8f88e0296b",
+    edf_release_with_budget_timer:
+        "18242d3782174a89090ab1572871e67d4343db6dd827f9ec31485109ccfe4c71",
 }
 
 
@@ -235,3 +299,26 @@ def test_5000_consecutive_hyp_calls():
     res = run_manifest(m, 40 * MS)
     assert_conserved(res)
     assert len(records_of(res, "hyp_call")) > n
+
+
+def test_edf_pins_reach_their_case():
+    """Each EDF pin above still builds the case its docstring names."""
+    res = run_manifest(*edf_deadline_at_schedule_instant())
+    misses = [(r.time, r.detail) for r in records_of(res, "deadline_miss")]
+    assert misses[:2] == [(10 * MS, "vm=1;deadline=10000000"), (10 * MS, "vm=2;deadline=10000000")]
+
+    res = run_manifest(*edf_first_deadline_while_dispatched())
+    assert [(r.time, r.detail) for r in records_of(res, "cb_block", "deadline_miss")] == [
+        (4 * MS, "vm=1;deadline=4000000")
+    ]
+
+    res = run_manifest(*edf_forgiven_periods_then_miss())
+    assert [r.time for r in records_of(res, "vm_wake")] == [5_900 * US, 12_950 * US]
+    assert [r.time for r in records_of(res, "deadline_miss")] == [6 * MS, 13 * MS]
+
+    res = run_manifest(*edf_block_routes_earliest_deadline())
+    assert (1_700 * US, "vm=0") in [(r.time, r.detail) for r in records_of(res, "cb_block")]
+
+    res = run_manifest(*edf_release_with_budget_timer())
+    fires = [(r.time, r.detail) for r in records_of(res, "timer_fire")]
+    assert (MS, "ids=7+8") in fires

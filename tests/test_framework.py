@@ -216,6 +216,45 @@ class TestScheduleContracts:
         with pytest.raises(ContractViolation, match="sched_param"):
             fw.dispatch_checkpoint(END_OF_HYP_CALL)
 
+    def test_schedule_returning_blocked_vcpu_rejected(self):
+        _, _, vcpus, fw = make_framework(2)
+        fw.initialize()
+        vcpus[1].run_state = RunState.BLOCKED
+        with pytest.raises(ContractViolation, match="blocked"):
+            dispatch(fw, 1)
+
+    def test_schedule_swapping_two_run_states_rejected(self):
+        """The multiset of run states is unchanged; the check is per vCPU."""
+
+        class Swapper(RecordingTable):
+            def schedule(self):
+                a, b = self.vcpus
+                a.run_state, b.run_state = b.run_state, a.run_state
+                return None
+
+        vcpus = [VcpuRecord(id=0, sched_param=None), VcpuRecord(id=1, sched_param=None)]
+        fw = Framework(FakeHost(), Swapper(), vcpus)
+        fw.initialize()
+        vcpus[1].run_state = RunState.SLEEPING
+        fw.set_reschedule_flag()
+        with pytest.raises(ContractViolation, match="run states"):
+            fw.dispatch_checkpoint(END_OF_HYP_CALL)
+
+    def test_schedule_replacing_sched_param_with_equal_copy_rejected(self):
+        """The check is identity: an equal but distinct dict still violates it."""
+
+        class Copier(RecordingTable):
+            def schedule(self):
+                self.vcpus[0].sched_param = dict(self.vcpus[0].sched_param)
+                return None
+
+        vcpus = [VcpuRecord(id=0, sched_param={"priority": 1})]
+        fw = Framework(FakeHost(), Copier(), vcpus)
+        fw.initialize()
+        fw.set_reschedule_flag()
+        with pytest.raises(ContractViolation, match="sched_param"):
+            fw.dispatch_checkpoint(END_OF_HYP_CALL)
+
     def test_flag_storm_detected(self):
         class Storm(RecordingTable):
             def __init__(self, fw_ref):
