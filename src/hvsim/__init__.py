@@ -35,7 +35,7 @@ from .model import (
     ZERO_COST,
 )
 from .schedulers import SCHEDULERS, register
-from .trace import MetricsReport, TraceRecord, compare_traces, metrics_from_trace
+from .trace import MetricsReport, Trace, TraceRecord, compare_traces, metrics_from_trace
 
 __all__ = [
     "CostModel",
@@ -57,6 +57,7 @@ __all__ = [
     "SimulationAborted",
     "SystemSpec",
     "TimerHandle",
+    "Trace",
     "TraceRecord",
     "VcpuRecord",
     "VmSpec",

@@ -17,12 +17,22 @@ runs at most one guest.  These rules decide the order, all test-pinned:
 - At the same instant, arrivals come before timers set after boot; timers set
   in the scheduler's init or allocate come before arrivals.
 
+Every record goes through `trace` (or, for the closing pause at the
+horizon, `_final_fold`), which extends one flat list by the record's six
+fields; `RunResult.records` is a `trace.Trace` over that list, a read-only
+sequence that builds each `TraceRecord` on access.
+
+A run whose virtual time stops advancing is a scheduler contract violation:
+more than `_MAX_TIMER_IRQS_PER_INSTANT` timer interrupts at one instant end
+it, as `framework._MAX_CHECKPOINT_ROUNDS` ends a flag that never settles.
+
 Runs are pure functions of (SystemSpec, horizon).
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import framework as fw_mod
@@ -39,28 +49,28 @@ from .model import (
     VcpuRecord,
 )
 from .schedulers import get_plugin
-from .trace import MetricsReport, TraceRecord, metrics_from_trace
+from .trace import MetricsReport, Trace, TraceRecord, metrics_from_trace
 from .vgic import DIST_MMIO_BASE, SPURIOUS_IRQ, Vgic
 
 # Heap entries are (at, seq, kind, data), of these kinds:
 EV_PHYS_IRQ = "phys_irq"
 EV_TIMER_FIRE = "timer_fire"
 
-_new = tuple.__new__  # builds a TraceRecord without the NamedTuple's Python-level __new__
+_MAX_TIMER_IRQS_PER_INSTANT = 64
 _SLEEPING = RunState.SLEEPING  # Python 3.11 loads an enum member ~5x slower than a global
 
 
 class SimulationAborted(RuntimeError):
     """A contract violation ended the run; carries the trace so far."""
 
-    def __init__(self, message: str, records: list[TraceRecord]):
+    def __init__(self, message: str, records: Sequence[TraceRecord]):
         super().__init__(message)
         self.records = records
 
 
 @dataclass
 class RunResult:
-    records: list[TraceRecord]
+    records: Sequence[TraceRecord]  # a Trace
     metrics: MetricsReport
     horizon: Time
 
@@ -99,7 +109,8 @@ class Engine(SchedulerServices):
         self.horizon = horizon
         self.cost = spec.cost_model
         self._now: Time = 0
-        self.records: list[TraceRecord] = []
+        self._flat: list = []  # six slots per record; see trace.Trace
+        self.records = Trace(self._flat)
 
         self.vcpus = [VcpuRecord(id=vm.id, sched_param=vm.sched_param) for vm in spec.vms]
         self._actor = [str(v.id) for v in self.vcpus]  # trace actor by VM id
@@ -122,6 +133,8 @@ class Engine(SchedulerServices):
         # runs once the heap head is at or after until.
         self._step = None
         self._timer_ids = 0
+        self._timer_irq_at: Time = -1  # instant of the last timer interrupt
+        self._timer_irqs_at = 0  # timer interrupts at that instant
         self._running = False  # a guest holds the CPU
         self._run_start: Time = 0
 
@@ -131,7 +144,7 @@ class Engine(SchedulerServices):
         return self._now
 
     def trace(self, kind: str, actor: str = "hv", cost_field="", cost_ns=0, detail="") -> None:
-        self.records.append(_new(TraceRecord, (self._now, actor, kind, cost_field, cost_ns, detail)))
+        self._flat.extend((self._now, actor, kind, cost_field, cost_ns, detail))
 
     def charge(self, kind: str, cost_field: str, detail="", actor: str = "hv") -> None:
         cost = getattr(self.cost, cost_field)
@@ -254,6 +267,16 @@ class Engine(SchedulerServices):
             heapq.heappop(q)
             if not head[3].cancelled:
                 batch.append(head[3])
+        now = self._now
+        if now == self._timer_irq_at:
+            self._timer_irqs_at += 1
+            if self._timer_irqs_at > _MAX_TIMER_IRQS_PER_INSTANT:
+                raise ContractViolation(
+                    f"{self._timer_irqs_at} timer interrupts at {now} ns: "
+                    "virtual time does not advance (scheduler livelock)"
+                )
+        else:
+            self._timer_irq_at, self._timer_irqs_at = now, 1
         self._suspend()
         ids = "+".join(str(h.handle_id) for h in batch)
         self.charge("timer_fire", "interrupt_entry_exit", f"ids={ids}")
@@ -479,7 +502,7 @@ class Engine(SchedulerServices):
             return
         cur = self.fw.current
         cur.total_consumed += self.horizon - self._run_start
-        self.records.append(TraceRecord(self.horizon, self._actor[cur.id], "vm_pause", "", 0, ""))
+        self._flat.extend((self.horizon, self._actor[cur.id], "vm_pause", "", 0, ""))
 
 
 # Guest traps by segment kind.

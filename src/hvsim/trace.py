@@ -3,12 +3,23 @@
 A trace is the full, ordered account of one run: every scheduler callback,
 every cost charge (naming its cost-model field), every state transition.
 Metrics are always recomputed from the trace so the two can never disagree.
+
+A run's records are a `Trace`: a read-only sequence of `TraceRecord`s stored
+as one flat list, six slots per record, so a long run keeps no object per
+record for the garbage collector to track.  Each `TraceRecord` is built when
+it is read.  The fold, `run_intervals` and `write_csv` read a `Trace`'s slots
+directly; every reader also takes a plain list of records, such as
+`read_csv` returns.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import zip_longest
+from operator import eq
 from typing import Iterable, NamedTuple
 
 from .model import Time
@@ -16,6 +27,8 @@ from .model import Time
 CSV_HEADER = "time_ns,actor,kind,cost_field,cost_ns,detail"
 _FIELDS = CSV_HEADER.split(",")
 _CSV_FORMAT = "%s,%s,%s,%s,%s,%s"  # a record's fields in CSV_HEADER order
+_WIDTH = len(_FIELDS)  # slots per record in a Trace
+_CSV_BLOCK = 512  # records formatted by one % in write_csv
 
 
 class TraceRecord(NamedTuple):
@@ -33,6 +46,55 @@ class TraceRecord(NamedTuple):
         return json.dumps(dict(zip(_FIELDS, self)), sort_keys=True)
 
 
+_record = partial(tuple.__new__, TraceRecord)  # a TraceRecord from 6 values, in C
+
+
+class Trace(Sequence):
+    """The records of one run, read-only, over `flat`: six slots per record
+    in CSV_HEADER order, appended to only by the engine.  Each `TraceRecord`
+    is built on access; a slice is a list; a Trace equals a Trace or a list
+    holding the same records."""
+
+    __slots__ = ("_flat",)
+
+    def __init__(self, flat: list):
+        self._flat = flat
+
+    def __len__(self) -> int:
+        return len(self._flat) // _WIDTH
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        n = len(self)
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("trace index out of range")
+        k = index * _WIDTH
+        return _record(self._flat[k : k + _WIDTH])
+
+    def __iter__(self):
+        return map(_record, _rows(self))
+
+    def __eq__(self, other):
+        if isinstance(other, Trace):
+            return self._flat == other._flat
+        if isinstance(other, list):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+
+def _rows(records: Iterable[TraceRecord]) -> Iterable[tuple]:
+    """The records as 6-tuples; a Trace's come straight off its flat list."""
+    if isinstance(records, Trace):
+        it = iter(records._flat)
+        return zip(it, it, it, it, it, it)
+    return records
+
+
 def record_from_csv(line: str) -> TraceRecord:
     time_s, actor, kind, cost_field, cost_s, detail = line.split(",", 5)
     return TraceRecord(int(time_s), actor, kind, cost_field, int(cost_s), detail)
@@ -41,7 +103,15 @@ def record_from_csv(line: str) -> TraceRecord:
 def write_csv(records: Iterable[TraceRecord], fh) -> None:
     fh.write(CSV_HEADER + "\n")
     line = _CSV_FORMAT + "\n"
-    fh.writelines(line % r for r in records)
+    # One % formats a whole block of records from their flat slots.
+    flat = records._flat if isinstance(records, Trace) else [v for r in records for v in r]
+    step = _CSV_BLOCK * _WIDTH
+    full = len(flat) - len(flat) % step
+    block = line * _CSV_BLOCK
+    for k in range(0, full, step):
+        fh.write(block % tuple(flat[k : k + step]))
+    if full < len(flat):
+        fh.write(line * ((len(flat) - full) // _WIDTH) % tuple(flat[full:]))
 
 
 def read_csv(fh) -> list[TraceRecord]:
@@ -55,15 +125,15 @@ def write_json(records: Iterable[TraceRecord], fh) -> None:
     fh.writelines(r.to_json() + "\n" for r in records)
 
 
-def compare_traces(a: list[TraceRecord], b: list[TraceRecord]):
+def compare_traces(a: Sequence[TraceRecord], b: Sequence[TraceRecord]):
     """None when equal, else (index, record_a, record_b) of first divergence.
 
     Records compare by their serialized form; a missing record (shorter
     trace) compares as None.
     """
-    for i in range(max(len(a), len(b))):
-        ra = a[i].to_csv() if i < len(a) else None
-        rb = b[i].to_csv() if i < len(b) else None
+    for i, (ra, rb) in enumerate(zip_longest(a, b)):
+        ra = None if ra is None else ra.to_csv()
+        rb = None if rb is None else rb.to_csv()
         if ra != rb:
             return i, ra, rb
     return None
@@ -130,17 +200,15 @@ class MetricsReport:
         }
 
 
-def run_intervals(records: list[TraceRecord], horizon: Time) -> list[tuple[Time, Time, int]]:
+def run_intervals(records: Sequence[TraceRecord], horizon: Time) -> list[tuple[Time, Time, int]]:
     """(start, end, vm) spans during which a VM held the CPU, clamped to horizon."""
     spans = []
     open_vm: int | None = None
     open_at = 0
-    for r in records:
-        kind = r.kind  # most records are neither kind: skip them unpacked
+    for time, actor, kind, _, _, _ in _rows(records):
         if kind == "vm_start":
-            open_vm, open_at = int(r.actor), r.time
+            open_vm, open_at = int(actor), time
         elif kind == "vm_pause" and open_vm is not None:
-            time = r.time
             s = open_at if open_at < horizon else horizon
             e = time if time < horizon else horizon
             if e > s:
@@ -166,13 +234,13 @@ def metrics_from_trace(
     back with `read_csv` folds to the same report as the run's own records."""
     per_vm = {vm: VmMetrics() for vm in vm_ids}
     report = MetricsReport(horizon=horizon, per_vm=per_vm)
-    busy: list[tuple[Time, Time]] = []
-    add_busy = busy.append
+    busy: list[Time] = []  # busy spans as flat (start, end) pairs: no tuple kept per span
+    add_busy = busy.extend
     switch_in: dict[str, int | None] = {}  # memo of _switch_in by detail string
     overhead = 0
     open_vm: int | None = None
     open_at = 0
-    for time, actor, kind, _, cost, detail in records:
+    for time, actor, kind, _, cost, detail in _rows(records):
         if cost:
             s = time if time < horizon else horizon
             e = time + cost
@@ -211,10 +279,13 @@ def metrics_from_trace(
 
     # Idle is measured as the horizon minus the union of busy spans, so any
     # accidental double-booking of time shows up as a conservation failure.
-    busy.sort()
+    # Sorting by start alone is enough: the union does not depend on the
+    # order of spans that start together.
+    order = sorted(range(0, len(busy), 2), key=busy.__getitem__)
     covered = 0
-    cur_s, cur_e = busy[0] if busy else (0, 0)
-    for s, e in busy:
+    cur_s = cur_e = busy[order[0]] if order else 0
+    for k in order:
+        s, e = busy[k], busy[k + 1]
         if s > cur_e:
             covered += cur_e - cur_s
             cur_s, cur_e = s, e

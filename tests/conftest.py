@@ -4,6 +4,7 @@ import pytest
 
 from hvsim import load_manifest, run
 from hvsim.framework import SchedulerTable, TimerHandle
+from hvsim.schedulers import SCHEDULERS, FixedPriorityScheduler, register
 from hvsim.trace import run_intervals
 from hvsim.workloadgen import ZERO_COST, busy_workload, make_manifest, make_vm
 
@@ -53,6 +54,27 @@ def rr_manifest(n_vms, quantum_ns, horizon, cost_model=ZERO_COST, workloads=None
     vms = [make_vm(i, w) for i, w in enumerate(workloads)]
     scheduler = {"name": "rr", "quantum_ns": quantum_ns}
     return make_manifest(vms, scheduler, cost_model=cost_model, **extra)
+
+
+class SameInstantTimer(FixedPriorityScheduler):
+    """A broken FP table: every schedule() sets a timer at the current instant,
+    so under a zero cost model virtual time never advances.  The record cap
+    fails a test whose engine does not end the livelock, instead of hanging."""
+
+    RECORD_CAP = 100_000
+
+    def schedule(self):
+        assert len(self.services.records) < self.RECORD_CAP, "the engine did not end the livelock"
+        self.services.register_timer(self.services.now())
+        return super().schedule()
+
+
+@pytest.fixture
+def same_instant_timer():
+    """The registered name of SameInstantTimer, for the length of one test."""
+    register("same_instant_timer", SameInstantTimer)
+    yield "same_instant_timer"
+    del SCHEDULERS["same_instant_timer"]
 
 
 class FakeHost:

@@ -117,6 +117,19 @@ class TestCmdRun:
         text = (out / "trace.csv").read_text()
         assert "contract_violation" in text
 
+    def test_same_instant_livelock_exits_3_with_trace(self, tmp_path, same_instant_timer):
+        m = fp_manifest([1], [[{"compute": MS}]], MS)
+        m["scheduler"]["name"] = same_instant_timer
+        cfg = write_manifest(tmp_path, m)
+        out = tmp_path / "out"
+        assert cmd_run(cfg, MS, str(out)) == 3
+        assert sorted(p.name for p in out.iterdir()) == ["trace.csv"]
+        with open(out / "trace.csv") as fh:
+            records = read_csv(fh)
+        assert records[-1].kind == "contract_violation"
+        assert "virtual time does not advance" in records[-1].detail
+        assert {r.time for r in records} == {0}
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_contract_violation_partial_trace_reads_back(self, tmp_path, fmt):
         m = fp_manifest(

@@ -1,5 +1,7 @@
 import gc
 import heapq
+import random
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -7,10 +9,11 @@ import pytest
 import hvsim.engine
 from hvsim import SimulationAborted, compare_traces, load_manifest
 from hvsim.schedulers import FixedPriorityScheduler, register, SCHEDULERS
-from hvsim.trace import run_intervals
+from hvsim.trace import Trace, run_intervals
 from hvsim.workloadgen import ZERO_COST, busy_workload, edf_manifest, make_manifest
 
 from conftest import assert_conserved, fp_manifest, records_of, rr_manifest, run_manifest
+from test_acceptance import _contract_manifest
 
 INT_ONLY = dict(ZERO_COST, interrupt_entry_exit=7_480)
 MS = 1_000_000
@@ -264,6 +267,32 @@ class TestContractViolationAbort:
         assert err.value.records[-1].kind == "contract_violation"
 
 
+class TestSameInstantLivelock:
+    """A run whose virtual time stops advancing ends in a contract violation."""
+
+    def test_timer_at_now_under_zero_cost_aborts(self, same_instant_timer):
+        m = fp_manifest([1], [[{"compute": MS}]], horizon=MS)
+        m["scheduler"]["name"] = same_instant_timer
+        with pytest.raises(SimulationAborted, match="virtual time does not advance") as err:
+            run_manifest(m, MS)
+        records = err.value.records
+        assert isinstance(records, Trace)
+        assert records[-1].kind == "contract_violation"
+        assert {r.time for r in records} == {0}
+        assert len([r for r in records if r.kind == "timer_fire"]) == (
+            hvsim.engine._MAX_TIMER_IRQS_PER_INSTANT
+        )
+
+    def test_timer_at_now_with_interrupt_cost_runs_to_horizon(self, same_instant_timer):
+        # Each timer interrupt charges its cost, so the next one is at a later
+        # instant: many more than the bound, and no abort.
+        m = fp_manifest([1], [[{"compute": MS}]], horizon=MS, cost_model=INT_ONLY)
+        m["scheduler"]["name"] = same_instant_timer
+        res = run_manifest(m, MS)
+        assert len(records_of(res, "timer_fire")) > 2 * hvsim.engine._MAX_TIMER_IRQS_PER_INSTANT
+        assert_conserved(res)
+
+
 class TestMetricsBasics:
     def test_switch_in_counts(self):
         res = run_manifest(rr_manifest(2, quantum_ns=MS, horizon=4 * MS), 4 * MS)
@@ -307,6 +336,22 @@ def test_finished_run_leaves_no_cyclic_garbage(make):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="counts CPython's gen-0 allocations")
+def test_trace_keeps_no_gc_tracked_object_per_record():
+    """The trace is one flat list, so a run allocates far fewer objects the
+    cyclic collector tracks than it writes records, and collects rarely."""
+    spec = load_manifest(_contract_manifest("edf", random.Random(7919), 20 * MS))
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        res = hvsim.engine.run(spec, 20 * MS)
+        grown = gc.get_count()[0] - before
+    finally:
+        gc.enable()
+    assert grown < len(res.records) / 10
 
 
 class TestBenchmarkHooks:

@@ -1,4 +1,5 @@
-"""The one-pass metrics fold and run intervals against the two-pass oracle."""
+"""The one-pass metrics fold and run intervals against the two-pass oracle,
+and the flat `Trace` sequence against a plain list of records."""
 
 import io
 import random
@@ -6,14 +7,17 @@ import random
 import pytest
 
 import oracles
-from hvsim import load_manifest, run
+from hvsim import Trace, load_manifest, run
 from hvsim.trace import (
+    _CSV_BLOCK,
+    CSV_HEADER,
     TraceRecord,
     compare_traces,
     metrics_from_trace,
     read_csv,
     run_intervals,
     write_csv,
+    write_json,
 )
 from hvsim.workloadgen import make_manifest, make_vm
 from test_acceptance import _contract_manifest, _ivc_acceptance_manifest
@@ -165,3 +169,77 @@ def test_hyp_call_payload_with_separators_round_trips():
     back = read_back(res.records)
     assert compare_traces(back, res.records) is None
     assert metrics_from_trace(back, 5 * MS, [0, 1]) == res.metrics
+
+
+# ---------------------------------------------------------------------------
+# The Trace sequence
+# ---------------------------------------------------------------------------
+
+
+def trace_of(records):
+    """A Trace holding records, built the way the engine builds one."""
+    return Trace([value for r in records for value in r])
+
+
+@pytest.fixture(scope="module")
+def edf_run():
+    return run(load_manifest(_contract_manifest("edf", random.Random(7919), 20 * MS)), 20 * MS)
+
+
+def test_trace_sequence_protocol(edf_run):
+    trace = edf_run.records
+    records = list(trace)
+    n = len(records)
+    assert isinstance(trace, Trace) and len(trace) == n > 2 * _CSV_BLOCK + 1
+    assert all(type(r) is TraceRecord for r in records)
+    assert trace[0].kind == "boot" and trace[0] == records[0]
+    assert trace[n - 1] == trace[-1] == records[-1] and trace[-n] == records[0]
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            trace[index]
+    for part in (slice(3, 7), slice(None, None, -97), slice(-5, None), slice(n, None), slice(7, 3)):
+        assert type(trace[part]) is list and trace[part] == records[part]
+    assert list(iter(trace)) == records
+    assert trace.index(records[n // 2]) == records.index(records[n // 2])
+    with pytest.raises(TypeError):
+        trace[0] = records[1]
+
+
+def test_trace_equality(edf_run):
+    trace = edf_run.records
+    records = list(trace)
+    assert trace == trace_of(records) and trace == records and records == trace
+    assert trace != trace_of(records[:-1]) and trace != records[:-1]
+    assert trace != records[:-1] + [records[0]]  # same length, one record differs
+    assert trace != tuple(records) and trace_of([]) == []
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 2 * _CSV_BLOCK + 1]
+)
+def test_trace_writers_equal_list_path(edf_run, n):
+    records = edf_run.records[:n]
+    trace = trace_of(records)
+    assert len(trace) == n
+    expected = {
+        write_csv: CSV_HEADER + "\n" + "".join(r.to_csv() + "\n" for r in records),
+        write_json: "".join(r.to_json() + "\n" for r in records),
+    }
+    for write, text in expected.items():
+        from_trace, from_list = io.StringIO(), io.StringIO()
+        write(trace, from_trace)
+        write(records, from_list)
+        assert from_trace.getvalue() == from_list.getvalue() == text
+
+
+def test_trace_fold_equals_oracle_and_list_path(edf_run):
+    trace, horizon = edf_run.records, edf_run.horizon
+    records = list(trace)
+    vm_ids = sorted(edf_run.metrics.per_vm)
+    got = metrics_from_trace(trace, horizon, vm_ids)
+    assert got == edf_run.metrics == metrics_from_trace(records, horizon, vm_ids)
+    assert got == oracles.metrics_from_trace(records, horizon, vm_ids)
+    spans = run_intervals(trace, horizon)
+    assert spans == run_intervals(records, horizon) == oracles.run_intervals(records, horizon)
+    assert compare_traces(trace, records) is None
+    assert compare_traces(trace, records[:-1]) == (len(records) - 1, records[-1].to_csv(), None)
