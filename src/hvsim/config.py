@@ -250,80 +250,57 @@ def _parse_vm(raw, index: int, sched_params: dict) -> VmSpec:
     )
 
 
-def _overlap(a_lo, a_hi, b_lo, b_hi) -> bool:
-    return a_lo < b_hi and b_lo < a_hi
+def _disjoint(spans, clash) -> None:
+    """Raise ConfigError(clash(a, b)) for two overlapping (lo, hi, owner) spans.
+
+    Sorted by lo, any overlap in the set shows as an overlapping pair of
+    neighbours, so one pass over the neighbours decides the whole set.
+    """
+    spans = sorted(spans, key=lambda span: span[0])
+    for a, b in zip(spans, spans[1:]):
+        if b[0] < a[1]:
+            raise ConfigError(clash(a, b))
 
 
 def _validate_layout(spec: SystemSpec) -> None:
-    # Per-VM IPA space must be non-overlapping, and must not shadow the
-    # trapped distributor window.
-    for vm in spec.vms:
-        spans = sorted(
-            [(r.ipa_base, r.ipa_end, "region") for r in vm.regions]
-            + [(ref.ipa, ref.ipa + PAGE_SIZE, "shared page") for ref in vm.shared_pages]
-        )
-        for (lo1, hi1, k1), (lo2, hi2, k2) in zip(spans, spans[1:]):
-            if lo2 < hi1:
-                raise ConfigError(
-                    f"vm {vm.id}: {k1} at {lo1:#x} overlaps {k2} at {lo2:#x} in IPA space"
-                )
-        for lo, hi, kind in spans:
-            if _overlap(lo, hi, DIST_MMIO_BASE, DIST_MMIO_BASE + DIST_MMIO_SIZE):
-                raise ConfigError(
-                    f"vm {vm.id}: {kind} at {lo:#x} overlaps the distributor window"
-                )
-
-    # PA disjointness across VMs, except declared shared pages.
-    pa_spans = [
-        (r.pa_base, r.pa_end, vm.id) for vm in spec.vms for r in vm.regions
-    ]
-    pa_spans.sort()
-    for (lo1, hi1, v1), (lo2, hi2, v2) in zip(pa_spans, pa_spans[1:]):
-        if lo2 < hi1:
-            if v1 == v2:
-                raise ConfigError(f"vm {v1}: regions overlap in PA space at {lo2:#x}")
-            raise ConfigError(
-                f"PA overlap between vm {v1} and vm {v2} at {lo2:#x} "
-                "(only declared shared pages may be shared)"
-            )
-
     page_pa = {}
     for page in spec.shared_pages:
         if page.page_id in page_pa:
             raise ConfigError(f"shared_pages: duplicate id {page.page_id}")
         if page.pa % PAGE_SIZE:
             raise ConfigError(f"shared_pages[{page.page_id}].pa: not 4KB aligned")
-        for lo, hi, vm in pa_spans:
-            if _overlap(page.pa, page.pa + PAGE_SIZE, lo, hi):
-                raise ConfigError(
-                    f"shared page {page.page_id} PA {page.pa:#x} overlaps vm {vm} memory"
-                )
-        for other_id, other_pa in page_pa.items():
-            if _overlap(page.pa, page.pa + PAGE_SIZE, other_pa, other_pa + PAGE_SIZE):
-                raise ConfigError(
-                    f"shared pages {other_id} and {page.page_id} overlap at {page.pa:#x}"
-                )
         page_pa[page.page_id] = page.pa
 
+    # Each VM's IPA space is disjoint and leaves the trapped distributor window unmapped.
     for vm in spec.vms:
         for ref in vm.shared_pages:
             if ref.page_id not in page_pa:
-                raise ConfigError(
-                    f"vm {vm.id}: shared page {ref.page_id} not declared in shared_pages"
-                )
+                raise ConfigError(f"vm {vm.id}: shared page {ref.page_id} not declared in shared_pages")
+        _disjoint(
+            [(r.ipa_base, r.ipa_end, "region") for r in vm.regions]
+            + [(ref.ipa, ref.ipa + PAGE_SIZE, "shared page") for ref in vm.shared_pages]
+            + [(DIST_MMIO_BASE, DIST_MMIO_BASE + DIST_MMIO_SIZE, "distributor window")],
+            lambda a, b: f"vm {vm.id}: {a[2]} at {a[0]:#x} overlaps {b[2]} at {b[0]:#x} in IPA space",
+        )
 
-    seen_irq: dict[int, int] = {}
-    for vm in spec.vms:
-        for irq in sorted(vm.assigned_irqs):
-            if irq in seen_irq:
-                raise ConfigError(
-                    f"IRQ {irq} assigned to both vm {seen_irq[irq]} and vm {vm.id}"
-                )
-            seen_irq[irq] = vm.id
+    # Physical memory: every region and every shared frame has one owner.
+    _disjoint(
+        [(r.pa_base, r.pa_end, f"vm {vm.id}") for vm in spec.vms for r in vm.regions]
+        + [(pa, pa + PAGE_SIZE, f"shared page {pid}") for pid, pa in page_pa.items()],
+        lambda a, b: f"PA overlap between {a[2]} and {b[2]} at {b[0]:#x}",
+    )
+
+    # Interrupt ids: each belongs to at most one VM, as an irq or as a virq.
+    _disjoint(
+        [(i, i + 1, vm.id) for vm in spec.vms for i in vm.assigned_irqs | vm.virqs],
+        lambda a, b: f"IRQ {a[0]} assigned to both vm {a[2]} and vm {b[2]}",
+    )
 
 
 def _validate_channels(spec: SystemSpec) -> None:
     n = len(spec.vms)
+    declared = {page.page_id for page in spec.shared_pages}
+    vm_pages = [{ref.page_id for ref in vm.shared_pages} for vm in spec.vms]
     page_owner: dict[int, int] = {}
     seen_ids = set()
     for ch in spec.channels:
@@ -338,7 +315,6 @@ def _validate_channels(spec: SystemSpec) -> None:
             raise ConfigError(f"{where}: unknown variant {ch.variant!r}")
         if not ch.pages:
             raise ConfigError(f"{where}: a channel needs at least one page")
-        declared = {page.page_id for page in spec.shared_pages}
         for pid in ch.pages:
             if pid not in declared:
                 raise ConfigError(f"{where}: page {pid} not in shared_pages")
@@ -346,7 +322,7 @@ def _validate_channels(spec: SystemSpec) -> None:
                 raise ConfigError(f"{where}: page {pid} already used by channel {page_owner[pid]}")
             page_owner[pid] = ch.id
             for ep in (a, b):
-                if pid not in {ref.page_id for ref in spec.vms[ep].shared_pages}:
+                if pid not in vm_pages[ep]:
                     raise ConfigError(f"{where}: endpoint vm {ep} does not declare page {pid}")
         for ep, virq in zip((a, b), ch.virqs):
             if virq not in spec.vms[ep].virqs:

@@ -63,7 +63,7 @@ class SchedulerTable(abc.ABC):
 
     @abc.abstractmethod
     def block(self, vcpu: VcpuRecord) -> None:
-        """vcpu was preempted while running."""
+        """vcpu was preempted: schedule() has just returned another vCPU."""
 
     @abc.abstractmethod
     def unblock(self, vcpu: VcpuRecord) -> None:

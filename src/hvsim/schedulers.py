@@ -199,8 +199,6 @@ class EdfScheduler(SchedulerTable):
         else:
             self._waiting.add(vm_id)
         self._bound = min(self._bound, st.deadline)
-        if self._dispatched == vm_id:
-            self._dispatched = None
 
     def _cancel_timers(self) -> None:
         for h in self._timers:
@@ -259,12 +257,7 @@ class FixedPriorityScheduler(SchedulerTable):
             self.services.set_flag()
 
     def block(self, vcpu: VcpuRecord) -> None:
-        before = self._should_run()
-        if self._dispatched == vcpu.id:
-            self._dispatched = None
         self._ready.add(vcpu.id)
-        if self._should_run() != before:
-            self.services.set_flag()
 
     def unblock(self, vcpu: VcpuRecord) -> None:
         before = self._should_run()
@@ -332,8 +325,6 @@ class RoundRobinScheduler(SchedulerTable):
         self.services.set_flag()
 
     def block(self, vcpu: VcpuRecord) -> None:
-        if self._dispatched == vcpu.id:
-            self._dispatched = None
         self._ring.append(vcpu.id)
 
     def unblock(self, vcpu: VcpuRecord) -> None:

@@ -4,7 +4,8 @@ The distributor has no hardware virtualization support, so guest accesses to
 it are trapped and emulated against this model; the per-VM CPU interface
 (list registers, ACK/EOI) is direct and never costs a trap.  Each VM sees a
 filtered view of the distributor: only its own interrupts are visible, writes
-touching anything else are silently ignored.
+touching anything else are silently ignored.  The views isolate only because
+the loader gives each interrupt id at most one VM, as an irq or as a virq.
 
 This module is a pure state machine.  Costs, wakeups and checkpoints are the
 engine's business; methods only report what happened.

@@ -2,8 +2,9 @@
 
 These deliberately do not share code with the package: the EDF oracle is a
 1-microsecond tick simulation, the interrupt-controller oracle keeps one
-tiny state machine per interrupt id, and the metrics oracle is the original
-two-pass fold over a trace (it shares only the report containers).  All are
+tiny state machine per interrupt id, the metrics oracle is the original
+two-pass fold over a trace (it shares only the report containers), and the
+layout oracle compares every pair of spans a manifest declares.  All are
 compared against the package elsewhere; keep them dumb.
 """
 
@@ -332,3 +333,52 @@ def metrics_from_trace(
         covered += cur_e - cur_s
     report.idle_time = horizon - covered
     return report
+
+
+# ---------------------------------------------------------------------------
+# All-pairs layout check
+# ---------------------------------------------------------------------------
+
+_PAGE = 0x1000
+_DIST_WINDOW = (0x01C8_1000, 0x01C8_2000)  # trapped distributor, reserved in every IPA space
+
+
+def _addr(value) -> int:
+    if isinstance(value, str):
+        return int(value, 16) if value.lower().startswith("0x") else int(value)
+    return value
+
+
+def _pairs_overlapping(spans):
+    return [
+        (a, b) for i, a in enumerate(spans) for b in spans[i + 1 :] if a[0] < b[1] and b[0] < a[1]
+    ]
+
+
+def layout_conflicts(manifest: dict) -> list[tuple[tuple, tuple]]:
+    """Every pair of (lo, hi, owner) spans that overlap in one of three spaces.
+
+    - each VM's IPA space: its regions, its shared-page refs and the
+      distributor window
+    - physical memory: every VM's regions and every declared shared frame
+    - interrupt ids: each VM's irqs and virqs (a virq listed twice by one
+      VM is one id)
+
+    The manifest is assumed valid in every other respect.
+    """
+    conflicts = []
+    pa = [(_addr(p["pa"]), _addr(p["pa"]) + _PAGE, f"shared page {p['id']}")
+          for p in manifest.get("shared_pages", [])]
+    ids = []
+    for vm in manifest["vms"]:
+        ipa = [_DIST_WINDOW + ("distributor window",)]
+        for r in vm["regions"]:
+            n = _addr(r["len"])
+            ipa.append((_addr(r["ipa"]), _addr(r["ipa"]) + n, "region"))
+            pa.append((_addr(r["pa"]), _addr(r["pa"]) + n, f"vm {vm['id']}"))
+        for ref in vm.get("shared_pages", []):
+            ipa.append((_addr(ref["ipa"]), _addr(ref["ipa"]) + _PAGE, f"shared page {ref['page']}"))
+        conflicts += _pairs_overlapping(ipa)
+        for irq in list(vm["irqs"]) + sorted(set(vm.get("virqs", []))):
+            ids.append((irq, irq + 1, f"vm {vm['id']}"))
+    return conflicts + _pairs_overlapping(pa) + _pairs_overlapping(ids)

@@ -315,6 +315,43 @@ class TestCmdSweep:
         assert "sweep key" in capsys.readouterr().err
 
 
+    def test_aborted_run_is_an_error_row_with_its_partial_trace(self, tmp_path, same_instant_timer):
+        """Under a zero cost the same-instant timer livelocks and the run
+        aborts; with a 7.48 us interrupt cost time advances and it completes."""
+        m = fp_manifest([1], [[{"compute": MS}]], MS)
+        m["scheduler"]["name"] = same_instant_timer
+        cfg = write_manifest(tmp_path, m)
+        out = tmp_path / "sweep"
+        assert cmd_sweep(cfg, MS, str(out), "cost_model.interrupt_entry_exit", [0, 7_480]) == 0
+        rows = (out / "summary.csv").read_text().splitlines()
+        assert rows[1].startswith("0,,,,contract violation: ")
+        assert "virtual time does not advance" in rows[1]
+        assert rows[2].split(",")[4] == ""
+        assert sorted(p.name for p in (out / "run_000").iterdir()) == ["trace.csv"]
+        with open(out / "run_000" / "trace.csv") as fh:
+            assert read_csv(fh)[-1].kind == "contract_violation"
+        assert (out / "run_001" / "metrics.json").exists()
+
+    def test_list_index_key_sweeps(self, tmp_path):
+        cfg = write_manifest(tmp_path, fp_manifest([1], [[{"compute": MS}]], 4 * MS))
+        out = tmp_path / "sweep"
+        assert cmd_sweep(cfg, 4 * MS, str(out), "vms.0.workload.0.compute", [MS, 3 * MS]) == 0
+        for i, busy in enumerate([MS, 3 * MS]):
+            metrics = json.loads((out / f"run_{i:03d}" / "metrics.json").read_text())
+            assert metrics["per_vm"]["0"]["cpu_time_ns"] == busy
+
+    @pytest.mark.parametrize("key, message", [
+        ("vms.1.workload.0.compute", "sweep key 'vms.1.workload.0.compute': bad index '1'"),
+        ("vms.x.id", "sweep key 'vms.x.id': bad index 'x'"),
+        ("vms.0.workload", "sweep key 'vms.0.workload': not a numeric field"),
+        ("gic_boot_init", "sweep key 'gic_boot_init': not a numeric field"),
+    ])
+    def test_bad_index_or_non_numeric_leaf_exits_2(self, tmp_path, capsys, key, message):
+        cfg = write_manifest(tmp_path, fp_manifest([1], [[{"compute": MS}]], MS, gic_boot_init=True))
+        assert cmd_sweep(cfg, MS, str(tmp_path / "s"), key, [1]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
 class TestMain:
     def test_run_invocation(self, tmp_path):
         cfg = write_manifest(tmp_path, small_edf_manifest())
@@ -341,6 +378,17 @@ class TestMain:
              "--values", "1,2"]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("values, message", [
+        ([], "--sweep requires --values\n"),
+        (["--values", "1,x"], "--values must be comma-separated integers\n"),
+    ])
+    def test_sweep_without_integer_values_exits_2(self, tmp_path, capsys, values, message):
+        cfg = write_manifest(tmp_path, small_edf_manifest())
+        argv = ["--config", cfg, "--horizon-ns", "1000", "--out", str(tmp_path / "o"), "--sweep", "lr_count"]
+        assert main(argv + values) == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("sweep", [[], ["--sweep", "lr_count", "--values", "2"]], ids=["run", "sweep"])
     def test_non_utf8_config_exits_2(self, tmp_path, capsys, sweep):

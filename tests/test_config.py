@@ -18,6 +18,8 @@ from hvsim import (
 from hvsim.cli import main
 from hvsim.workloadgen import ZERO_COST, busy_workload, make_manifest, make_vm
 
+from oracles import layout_conflicts
+
 
 def two_vm_manifest(**overrides):
     m = make_manifest(
@@ -60,6 +62,49 @@ def test_irq_double_assignment_rejected():
     m["vms"][1]["irqs"] = [32]
     with pytest.raises(ConfigError, match="IRQ 32"):
         load_manifest(m)
+
+
+def three_vm_manifest():
+    return make_manifest([make_vm(i, busy_workload(1_000_000)) for i in range(3)], {"name": "rr"},
+                         cost_model=ZERO_COST)
+
+
+def virq_is_another_vms_irq():
+    m = three_vm_manifest()
+    m["vms"][0]["irqs"] = [32, 40]
+    m["vms"][1]["virqs"] = [40]
+    return m
+
+
+def virq_of_two_vms():
+    m = three_vm_manifest()
+    m["vms"][1]["virqs"] = [100]
+    m["vms"][2]["virqs"] = [100]
+    return m
+
+
+# Both once loaded: vm 1's ICENABLER write then disabled vm 0's hardware irq
+# 40, and vm 2's IPRIORITYR write changed the priority vm 1 reads for virq 100.
+SHARED_INTERRUPT_IDS = {
+    "virq-is-another-vms-irq": (virq_is_another_vms_irq, "IRQ 40 assigned to both vm 0 and vm 1"),
+    "virq-of-two-vms": (virq_of_two_vms, "IRQ 100 assigned to both vm 1 and vm 2"),
+}
+
+
+@pytest.mark.parametrize("case", SHARED_INTERRUPT_IDS)
+def test_interrupt_id_with_two_owners_rejected(case):
+    make, message = SHARED_INTERRUPT_IDS[case]
+    with pytest.raises(ConfigError) as err:
+        load_manifest(make())
+    assert str(err.value) == message
+    assert layout_conflicts(make())
+
+
+def test_interrupt_id_with_two_owners_cli_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(virq_is_another_vms_irq()))
+    assert main(["--config", str(cfg), "--horizon-ns", "1000000", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "configuration error: IRQ 40 assigned to both vm 0 and vm 1\n"
 
 
 def test_unknown_key_rejected_everywhere():
@@ -417,6 +462,41 @@ def test_any_value_is_rejected_or_round_trips(site, value):
     except ConfigError:
         return
     assert load_config(dumps_config(spec)) == spec
+
+
+# -- layout property: rejected exactly when the all-pairs oracle finds a conflict --
+
+# Small pools so that overlaps are common: IPA pages straddle the distributor
+# window (page 3 of the pool), PA pages and interrupt ids are few.
+IPA_PAGES = st.integers(0, 12).map(lambda k: hex(0x01C7_E000 + k * 0x1000))
+PA_PAGES = st.integers(0, 24).map(lambda k: hex(0x4000_0000 + k * 0x1000))
+INTERRUPT_IDS = st.lists(st.integers(32, 44), unique=True, max_size=2)
+
+
+@st.composite
+def layouts(draw):
+    n_pages = draw(st.integers(0, 3))
+    vms = []
+    for i in range(draw(st.integers(1, 3))):
+        regions = [{"ipa": draw(IPA_PAGES), "pa": draw(PA_PAGES), "len": hex(draw(st.integers(1, 3)) * 0x1000),
+                    "perms": "rw"} for _ in range(draw(st.integers(1, 2)))]
+        page_ids = draw(st.lists(st.integers(0, n_pages - 1), unique=True)) if n_pages else []
+        refs = [{"page": p, "ipa": draw(IPA_PAGES), "perms": "rw"} for p in page_ids]
+        vms.append(make_vm(i, busy_workload(1_000), irqs=draw(INTERRUPT_IDS), regions=regions,
+                           virqs=draw(INTERRUPT_IDS), shared_pages=refs))
+    pages = [{"id": p, "pa": draw(PA_PAGES)} for p in range(n_pages)]
+    return make_manifest(vms, {"name": "rr"}, cost_model=ZERO_COST, shared_pages=pages)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=layouts())
+def test_layout_rejected_exactly_on_a_conflict(m):
+    try:
+        load_manifest(m)
+    except ConfigError:
+        assert layout_conflicts(m)
+    else:
+        assert not layout_conflicts(m)
 
 
 # -- cost-model consistency ----------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 import hvsim.engine
 from hvsim import SimulationAborted, compare_traces, load_manifest
 from hvsim.schedulers import FixedPriorityScheduler, register, SCHEDULERS
-from hvsim.trace import Trace, run_intervals
+from hvsim.trace import Trace, TraceRecord, run_intervals
 from hvsim.workloadgen import ZERO_COST, busy_workload, edf_manifest, make_manifest
 
 from conftest import assert_conserved, fp_manifest, records_of, rr_manifest, run_manifest
@@ -305,6 +305,62 @@ class TestMetricsBasics:
         m = make_manifest([], {"name": "fp", "sched_param": {}}, cost_model=ZERO_COST)
         res = run_manifest(m, MS)
         assert res.metrics.idle_time == MS
+        assert_conserved(res)
+
+
+DIST = 0x01C8_1000
+
+
+def _dist_access(offset, op, value=None):
+    access = {"ipa": hex(DIST + offset), "op": op}
+    if value is not None:
+        access["value"] = value
+    return {"mmio": access}
+
+
+def _hv(time, kind, cost_field="", cost_ns=0, detail=""):
+    return TraceRecord(time, "hv", kind, cost_field, cost_ns, detail)
+
+
+class TestDistributorAccess:
+    """Trapped distributor accesses under the default cost model: the boot
+    switch ends at 25,840 ns and each access costs 6,580 ns."""
+
+    def test_read_records_the_value_read(self):
+        m = fp_manifest([1], [[_dist_access(0x104, "read"), {"compute": MS}]], 2 * MS, cost_model=None)
+        res = run_manifest(m, 2 * MS)
+        assert records_of(res, "mmio_dist", "dist_fault") == [
+            _hv(25_840, "mmio_dist", "mmio_emulation", 6_580, "vm=0;offset=0x104;op=read;value=0x1"),
+        ]
+        assert_conserved(res)
+
+    @pytest.mark.parametrize("policy, faults", [("fault", 1), ("ignore", 0)])
+    def test_unmodeled_offset_follows_policy(self, policy, faults):
+        m = fp_manifest([1], [[_dist_access(0xF00, "write", 5), {"compute": MS}]], 2 * MS,
+                        cost_model=None, faults={"dist_unmodeled": policy})
+        res = run_manifest(m, 2 * MS)
+        access = _hv(25_840, "mmio_dist", "mmio_emulation", 6_580, "vm=0;offset=0xf00;op=write;value=0x5")
+        fault = _hv(32_420, "dist_fault", detail="vm=0;offset=0xf00")
+        assert records_of(res, "mmio_dist", "dist_fault") == [access, fault][: 1 + faults]
+        assert_conserved(res)
+
+    def test_isenabler_write_injects_latched_irq(self):
+        """Irq 32 arrives while disabled and latches; the guest's enable
+        injects it, and it is taken as soon as the guest resumes."""
+        script = [{"compute": MS}, _dist_access(0x0, "write", 1), _dist_access(0x104, "write", 1),
+                  {"compute": MS}]
+        m = fp_manifest([1], [script], 3 * MS, cost_model=None, gic_boot_init=False,
+                        phys_irqs=[{"at_ns": MS // 2, "irq": 32}])
+        res = run_manifest(m, 3 * MS)
+        assert records_of(res, "irq_latched", "mmio_dist", "virq_inject", "guest_ack", "guest_eoi") == [
+            _hv(507_480, "irq_latched", detail="irq=32;target=0"),
+            _hv(1_033_320, "mmio_dist", "mmio_emulation", 6_580, "vm=0;offset=0x0;op=write;value=0x1"),
+            _hv(1_039_900, "mmio_dist", "mmio_emulation", 6_580, "vm=0;offset=0x104;op=write;value=0x1"),
+            _hv(1_046_480, "virq_inject", detail="target=0;hw=1;via=mmio"),
+            TraceRecord(1_046_480, "0", "guest_ack", "", 0, "virq=32"),
+            TraceRecord(1_046_480, "0", "guest_eoi", "", 0, "virq=32"),
+        ]
+        assert res.metrics.per_vm[0].irqs_received == 1
         assert_conserved(res)
 
 

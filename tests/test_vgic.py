@@ -193,6 +193,17 @@ class TestInterruptFlow:
         assert gic.inject_soft(0, 100) == "collapsed"
         assert lr_states(gic, 0) == {(100, "pending")}  # single delivery
 
+    def test_soft_inject_into_full_lrs_waits_for_eoi(self):
+        gic = make_gic(lr_count=1)
+        assert gic.phys_arrival(32).outcome == "injected"
+        assert gic.inject_soft(0, 100) == "pending"  # the one LR holds 32
+        assert gic.pending[100] and lr_states(gic, 0) == {(32, "pending")}
+        assert gic.guest_ack(0) == 32
+        ok, injected = gic.guest_eoi(0, 32)
+        assert ok and injected == [0]  # the freed slot takes the latched virq
+        assert not gic.pending[100] and lr_states(gic, 0) == {(100, "pending")}
+        assert gic.guest_ack(0) == 100
+
     def test_soft_inject_undeclared_virq_rejected(self):
         gic = make_gic()
         with pytest.raises(ValueError, match="not declared"):
