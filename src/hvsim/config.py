@@ -189,6 +189,15 @@ def _parse_cost_model(raw) -> CostModel:
     return CostModel(**values)
 
 
+def _interrupt_ids(raw, where: str) -> frozenset[int]:
+    """A list of distinct interrupt ids as a set."""
+    raw = _list(raw, where)
+    ids = frozenset(_parse_int(i, where, lo=SGI_COUNT, hi=N_INTERRUPTS) for i in raw)
+    if len(ids) != len(raw):
+        raise ConfigError(f"{where}: duplicate interrupt ids")
+    return ids
+
+
 def _parse_vm(raw, index: int, sched_params: dict) -> VmSpec:
     where = f"vms[{index}]"
     _check_keys(raw, _VM_KEYS, {"id", "regions", "irqs", "workload"}, where)
@@ -212,16 +221,8 @@ def _parse_vm(raw, index: int, sched_params: dict) -> VmSpec:
         except ConfigError as exc:
             raise ConfigError(f"{rw}: {exc}") from None
 
-    raw_irqs = _list(raw["irqs"], f"{where}.irqs")
-    irqs = frozenset(
-        _parse_int(i, f"{where}.irqs", lo=SGI_COUNT, hi=N_INTERRUPTS) for i in raw_irqs
-    )
-    if len(irqs) != len(raw_irqs):
-        raise ConfigError(f"{where}.irqs: duplicate interrupt ids")
-    virqs = frozenset(
-        _parse_int(v, f"{where}.virqs", lo=SGI_COUNT, hi=N_INTERRUPTS)
-        for v in _list(raw.get("virqs", []), f"{where}.virqs")
-    )
+    irqs = _interrupt_ids(raw["irqs"], f"{where}.irqs")
+    virqs = _interrupt_ids(raw.get("virqs", []), f"{where}.virqs")
     if virqs & irqs:
         raise ConfigError(f"{where}: virqs {sorted(virqs & irqs)} collide with assigned irqs")
 

@@ -326,9 +326,9 @@ class Engine(SchedulerServices):
             self.charge("mmio_dist", "mmio_emulation", detail=detail)
             if eff.unmodeled and self.spec.faults.dist_unmodeled == "fault":
                 self.trace("dist_fault", detail=f"vm={vcpu.id};offset={offset:#x}")
+            # The distributor drains only the writer, which is running here.
             for target in eff.injections:
                 self.trace("virq_inject", detail=f"target={target};hw=1;via=mmio")
-                self._wake_if_sleeping(target)
         else:  # stage-2 fault
             self.charge(
                 "stage2_fault",
@@ -489,7 +489,7 @@ class Engine(SchedulerServices):
 
     def _wake_if_sleeping(self, vm_id: int) -> None:
         vcpu = self.vcpus[vm_id]
-        if vcpu.run_state is _SLEEPING:
+        if vcpu._run_state is _SLEEPING:
             self.fw.on_vm_wakeup(vcpu)
 
     def _next_arrival(self) -> None:

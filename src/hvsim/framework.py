@@ -7,11 +7,15 @@ sched_param and returns what the constructor needs; the engine builds the
 table as cls(services, cls.parse(spec)).  A timer set with the services'
 register_timer(at) sets the reschedule flag when it fires.  The dispatcher
 only ever acts at two checkpoints (end of a hyp call, end of physical
-interrupt handling) and only when the flag is set.  Table implementations
-own sched_param/sched_state and must not touch vCPU run states; the
-dispatcher snapshots run states around every schedule() call and aborts the
-run on a violation.  The trace details the dispatcher writes (vm=<id>,
-kind=...;flag=...) are built once per vCPU and checkpoint kind, not per call.
+interrupt handling) and only when the flag is set.
+
+Tables own sched_state; run states are the framework's and sched_param is
+fixed.  Around every table operation the framework raises a guard cell it
+shares with its vCPUs, so a run-state write during an operation raises
+ContractViolation at the write and aborts the run (see model.VcpuRecord).
+schedule() returning a sleeping or blocked vCPU is checked once per call.
+The trace details the dispatcher writes (vm=<id>, kind=...;flag=...) are
+built once per vCPU and checkpoint kind, not per call.
 """
 
 from __future__ import annotations
@@ -52,9 +56,8 @@ class SchedulerTable(abc.ABC):
 
     @abc.abstractmethod
     def schedule(self) -> VcpuRecord | None:
-        """Pick the vCPU to run next, or None to idle.
-
-        Must not change any vCPU run state.
+        """Pick the vCPU to run next, or None to idle; never a sleeping or
+        blocked one.  Like every operation, must not change any run state.
         """
 
     @abc.abstractmethod
@@ -112,7 +115,11 @@ class Framework:
         self.flag = False
         self.current: VcpuRecord | None = None
         self._initialized = False
-        self._params = {}
+        # The running table operation's name, "" between operations: a cell the
+        # vCPUs share, so none points back at the framework (no cycle to collect).
+        self._guard = [""]
+        for v in self.vcpus:
+            v._guard = self._guard
         self._vm_detail = {v.id: f"vm={v.id}" for v in self.vcpus}  # for the cb_* records
         self._actor = {v.id: str(v.id) for v in self.vcpus}
 
@@ -123,14 +130,22 @@ class Framework:
             raise ContractViolation("framework initialized twice")
         self._initialized = True
         self.host.trace("cb_init")
-        self.table.init()
+        self._op("init")
         for v in self.vcpus:
             self.host.trace("cb_allocate", "hv", "", 0, self._vm_detail[v.id])
-            v.sched_state = self.table.allocate(v)
-            self._params[v.id] = v.sched_param
+            v.sched_state = self._op("allocate", v)
         for v in self.vcpus:
             self.host.trace("cb_enque", "hv", "", 0, self._vm_detail[v.id])
-            self.table.enque(v)
+            self._op("enque", v)
+
+    def _op(self, name: str, *args):
+        """Call table operation `name` with run states guarded."""
+        guard = self._guard
+        guard[0] = name
+        try:
+            return getattr(self.table, name)(*args)
+        finally:
+            guard[0] = ""
 
     # -- flag + checkpoints -----------------------------------------------
 
@@ -162,34 +177,27 @@ class Framework:
             if chosen is self.current:
                 continue
             old = self.current
-            if old is not None and old.run_state is _RUNNING:
-                old.run_state = _READY
+            if old is not None and old._run_state is _RUNNING:
+                old._run_state = _READY
                 self.host.trace("cb_block", "hv", "", 0, self._vm_detail[old.id])
-                self.table.block(old)
+                self._op("block", old)
             if chosen is None:
                 self.current = None
                 self.host.trace("dispatch", "hv", "", 0, self._switch_detail(old, None))
             else:
                 self.current = chosen
-                chosen.run_state = _RUNNING
+                chosen._run_state = _RUNNING
                 self.host.charge("dispatch", "world_switch", self._switch_detail(old, chosen))
         # A vCPU that went to sleep without a pending reschedule vacates the CPU.
-        if self.current is not None and self.current.run_state is not _RUNNING:
+        if self.current is not None and self.current._run_state is not _RUNNING:
             self.host.trace("cpu_idle", "hv", "", 0, f"vacated=vm{self.current.id}")
             self.current = None
 
     def _call_schedule(self) -> VcpuRecord | None:
-        vcpus = self.vcpus
-        before = [v.run_state for v in vcpus]
-        chosen = self.table.schedule()
-        if [v.run_state for v in vcpus] != before:
-            raise ContractViolation("schedule() changed vCPU run states")
-        for v in vcpus:
-            if v.sched_param is not self._params[v.id]:
-                raise ContractViolation(f"sched_param of vm {v.id} was replaced")
-        if chosen is not None and (chosen.run_state is _SLEEPING or chosen.run_state is _BLOCKED):
+        chosen = self._op("schedule")
+        if chosen is not None and (chosen._run_state is _SLEEPING or chosen._run_state is _BLOCKED):
             raise ContractViolation(
-                f"schedule() returned vm {chosen.id} in state {chosen.run_state.value}"
+                f"schedule() returned vm {chosen.id} in state {chosen._run_state.value}"
             )
         self.host.trace("cb_schedule", "hv", "", 0, "vm=-" if chosen is None else self._vm_detail[chosen.id])
         return chosen
@@ -204,21 +212,22 @@ class Framework:
 
     def on_vm_sleep(self, vcpu: VcpuRecord) -> None:
         self._require_init()
-        if vcpu.run_state is not _RUNNING:
-            raise ContractViolation(f"sleep of vm {vcpu.id} which is {vcpu.run_state.value}")
-        vcpu.run_state = _SLEEPING
+        if vcpu._run_state is not _RUNNING:
+            raise ContractViolation(f"sleep of vm {vcpu.id} which is {vcpu._run_state.value}")
+        vcpu._run_state = _SLEEPING
         self.host.trace("vm_sleep", self._actor[vcpu.id])
         self.host.trace("cb_yield", "hv", "", 0, self._vm_detail[vcpu.id])
-        self.table.yield_()
+        self._op("yield_")
 
     def on_vm_wakeup(self, vcpu: VcpuRecord) -> None:
         self._require_init()
-        if vcpu.run_state is not _SLEEPING and vcpu.run_state is not _BLOCKED:
-            raise ContractViolation(f"wakeup of vm {vcpu.id} which is {vcpu.run_state.value}")
-        vcpu.run_state = _READY
+        state = vcpu._run_state
+        if state is not _SLEEPING and state is not _BLOCKED:
+            raise ContractViolation(f"wakeup of vm {vcpu.id} which is {state.value}")
+        vcpu._run_state = _READY
         self.host.trace("vm_wake", self._actor[vcpu.id])
         self.host.trace("cb_unblock", "hv", "", 0, self._vm_detail[vcpu.id])
-        self.table.unblock(vcpu)
+        self._op("unblock", vcpu)
 
     def _require_init(self) -> None:
         if not self._initialized:

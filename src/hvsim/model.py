@@ -226,20 +226,51 @@ class SystemSpec:
     gic_boot_init: bool = True
 
 
-@dataclass
+# The guard of a vCPU that no framework owns: never raised.
+_UNGUARDED = ("",)
+
+
 class VcpuRecord:
     """Per-VM runtime control block.
 
-    sched_param is constant after allocation and sched_state is only ever
-    touched inside scheduler-table operations; the dispatcher reads neither.
-    total_consumed is CPU time since boot.
+    Run states are the framework's.  The framework and the engine write the
+    private slot; a write through run_state raises ContractViolation while a
+    scheduler-table operation runs, which the framework marks in a guard cell
+    it shares with its vCPUs (the cell holds the operation's name, "" between
+    operations).  Outside a table operation, code such as a test may still set
+    run_state.  sched_param is fixed at construction; rebinding it raises.
+    sched_state belongs to the table; total_consumed is CPU time since boot.
     """
 
-    id: VmId
-    sched_param: Any
-    run_state: RunState = RunState.READY
-    sched_state: Any = None
-    total_consumed: Time = 0
+    __slots__ = ("id", "_sched_param", "_run_state", "sched_state", "total_consumed", "_guard")
+
+    def __init__(self, id: VmId, sched_param: Any, run_state: RunState = RunState.READY,
+                 sched_state: Any = None, total_consumed: Time = 0):
+        self.id = id
+        self._sched_param = sched_param
+        self._run_state = run_state
+        self.sched_state = sched_state
+        self.total_consumed = total_consumed
+        self._guard = _UNGUARDED
+
+    @property
+    def run_state(self) -> RunState:
+        return self._run_state
+
+    @run_state.setter
+    def run_state(self, state: RunState) -> None:
+        op = self._guard[0]
+        if op:
+            raise ContractViolation(f"{op}() changed vCPU run states (vm {self.id})")
+        self._run_state = state
+
+    @property
+    def sched_param(self) -> Any:
+        return self._sched_param
+
+    @sched_param.setter
+    def sched_param(self, value: Any) -> None:
+        raise ContractViolation(f"sched_param of vm {self.id} was replaced")
 
     def __repr__(self) -> str:  # keep trace details short
-        return f"vcpu{self.id}({self.run_state.value})"
+        return f"vcpu{self.id}({self._run_state.value})"

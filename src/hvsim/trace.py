@@ -7,7 +7,7 @@ Metrics are always recomputed from the trace so the two can never disagree.
 A run's records are a `Trace`: a read-only sequence of `TraceRecord`s stored
 as one flat list, six slots per record, so a long run keeps no object per
 record for the garbage collector to track.  Each `TraceRecord` is built when
-it is read.  The fold, `run_intervals` and `write_csv` read a `Trace`'s slots
+it is read.  The fold, `run_intervals` and the writers read a `Trace`'s slots
 directly; every reader also takes a plain list of records, such as
 `read_csv` returns.
 """
@@ -18,7 +18,8 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import zip_longest
+from itertools import chain, zip_longest
+from json.encoder import encode_basestring_ascii as _json_str
 from operator import eq
 from typing import Iterable, NamedTuple
 
@@ -28,7 +29,11 @@ CSV_HEADER = "time_ns,actor,kind,cost_field,cost_ns,detail"
 _FIELDS = CSV_HEADER.split(",")
 _CSV_FORMAT = "%s,%s,%s,%s,%s,%s"  # a record's fields in CSV_HEADER order
 _WIDTH = len(_FIELDS)  # slots per record in a Trace
-_CSV_BLOCK = 512  # records formatted by one % in write_csv
+_CSV_BLOCK = 512  # records formatted by one % in a writer
+# A record as TraceRecord.to_json writes it: keys sorted, strings escaped by
+# json's own escaper, so the fields go in (actor, cost_field, cost_ns, detail,
+# kind, time) order.
+_JSON_LINE = '{"actor": %s, "cost_field": %s, "cost_ns": %s, "detail": %s, "kind": %s, "time_ns": %s}\n'
 
 
 class TraceRecord(NamedTuple):
@@ -100,18 +105,19 @@ def record_from_csv(line: str) -> TraceRecord:
     return TraceRecord(int(time_s), actor, kind, cost_field, int(cost_s), detail)
 
 
+def _blocks(records: Iterable[TraceRecord]) -> Iterable[list]:
+    """The records' flat slots, _CSV_BLOCK records at a time: a writer formats
+    each block with one %."""
+    flat = records._flat if isinstance(records, Trace) else [v for r in records for v in r]
+    step = _CSV_BLOCK * _WIDTH
+    return (flat[k : k + step] for k in range(0, len(flat), step))
+
+
 def write_csv(records: Iterable[TraceRecord], fh) -> None:
     fh.write(CSV_HEADER + "\n")
     line = _CSV_FORMAT + "\n"
-    # One % formats a whole block of records from their flat slots.
-    flat = records._flat if isinstance(records, Trace) else [v for r in records for v in r]
-    step = _CSV_BLOCK * _WIDTH
-    full = len(flat) - len(flat) % step
-    block = line * _CSV_BLOCK
-    for k in range(0, full, step):
-        fh.write(block % tuple(flat[k : k + step]))
-    if full < len(flat):
-        fh.write(line * ((len(flat) - full) // _WIDTH) % tuple(flat[full:]))
+    for slots in _blocks(records):
+        fh.write(line * (len(slots) // _WIDTH) % tuple(slots))
 
 
 def read_csv(fh) -> list[TraceRecord]:
@@ -122,7 +128,12 @@ def read_csv(fh) -> list[TraceRecord]:
 
 
 def write_json(records: Iterable[TraceRecord], fh) -> None:
-    fh.writelines(r.to_json() + "\n" for r in records)
+    """One `TraceRecord.to_json` line per record, byte for byte."""
+    for slots in _blocks(records):
+        time, actor, kind, cost_field, cost, detail = (slots[i::_WIDTH] for i in range(_WIDTH))
+        rows = zip(map(_json_str, actor), map(_json_str, cost_field), cost,
+                   map(_json_str, detail), map(_json_str, kind), time)
+        fh.write(_JSON_LINE * len(time) % tuple(chain.from_iterable(rows)))
 
 
 def compare_traces(a: Sequence[TraceRecord], b: Sequence[TraceRecord]):

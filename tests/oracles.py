@@ -361,8 +361,7 @@ def layout_conflicts(manifest: dict) -> list[tuple[tuple, tuple]]:
     - each VM's IPA space: its regions, its shared-page refs and the
       distributor window
     - physical memory: every VM's regions and every declared shared frame
-    - interrupt ids: each VM's irqs and virqs (a virq listed twice by one
-      VM is one id)
+    - interrupt ids: each VM's irqs and virqs
 
     The manifest is assumed valid in every other respect.
     """
@@ -379,6 +378,6 @@ def layout_conflicts(manifest: dict) -> list[tuple[tuple, tuple]]:
         for ref in vm.get("shared_pages", []):
             ipa.append((_addr(ref["ipa"]), _addr(ref["ipa"]) + _PAGE, f"shared page {ref['page']}"))
         conflicts += _pairs_overlapping(ipa)
-        for irq in list(vm["irqs"]) + sorted(set(vm.get("virqs", []))):
+        for irq in list(vm["irqs"]) + list(vm.get("virqs", [])):
             ids.append((irq, irq + 1, f"vm {vm['id']}"))
     return conflicts + _pairs_overlapping(pa) + _pairs_overlapping(ids)

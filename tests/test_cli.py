@@ -14,7 +14,7 @@ from hvsim.schedulers import SCHEDULERS, FixedPriorityScheduler, register
 from hvsim.trace import TraceRecord, metrics_from_trace, read_csv
 from hvsim.workloadgen import ZERO_COST, busy_workload, edf_manifest
 
-from conftest import fp_manifest
+from conftest import fp_manifest, rr_manifest
 
 MS = 1_000_000
 GOLDEN = Path(__file__).parent / "data" / "golden_trace.csv"
@@ -37,14 +37,37 @@ def generated_manifest(gen, **vm_fields):
     return m
 
 
-def run_hvsim_process(*args, interpreter_flags=()):
-    """`python [interpreter_flags] -m hvsim [args]` in a fresh process, on this checkout's src."""
+def run_python_process(*argv, interpreter_flags=()):
+    """`python [interpreter_flags] [argv]` in a fresh process, on this checkout's src."""
     src = str(Path(hvsim.cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, *interpreter_flags, "-m", "hvsim", *map(str, args)],
+        [sys.executable, *interpreter_flags, *map(str, argv)],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def run_hvsim_process(*args, interpreter_flags=()):
+    """`python [interpreter_flags] -m hvsim [args]` in a fresh process."""
+    return run_python_process("-m", "hvsim", *args, interpreter_flags=interpreter_flags)
+
+
+# The hvsim CLI with one more registered table: RR whose block() writes the
+# run state of the vCPU it is handed.
+BLOCK_WRITER_CLI = """
+import sys
+from hvsim.cli import main
+from hvsim.model import RunState
+from hvsim.schedulers import RoundRobinScheduler, register
+
+class BlockWriter(RoundRobinScheduler):
+    def block(self, vcpu):
+        vcpu.run_state = RunState.BLOCKED
+        super().block(vcpu)
+
+register("block_writer", BlockWriter)
+sys.exit(main(sys.argv[1:]))
+"""
 
 
 MIXED = {"kind": "mixed", "segments": 4}
@@ -245,6 +268,17 @@ class TestOptimizedInterpreter:
         proc = self._run_O(write_manifest(tmp_path, m), tmp_path / "o", 5 * MS)
         assert proc.returncode == 3, proc.stderr
         assert "contract_violation" in (tmp_path / "o" / "trace.csv").read_text()
+
+    def test_run_state_write_in_block_exits_3(self, tmp_path):
+        m = rr_manifest(2, quantum_ns=MS, horizon=5 * MS)
+        m["scheduler"]["name"] = "block_writer"
+        out = tmp_path / "o"
+        proc = run_python_process("-c", BLOCK_WRITER_CLI, "--config", write_manifest(tmp_path, m),
+                                  "--horizon-ns", 5 * MS, "--out", out, interpreter_flags=["-O"])
+        assert proc.returncode == 3, proc.stderr
+        with open(out / "trace.csv") as fh:
+            last = read_csv(fh)[-1]
+        assert (last.kind, last.detail) == ("contract_violation", "block() changed vCPU run states (vm 0)")
 
 
 class TestGoldenTrace:

@@ -64,6 +64,17 @@ def test_irq_double_assignment_rejected():
         load_manifest(m)
 
 
+@pytest.mark.parametrize("field", ["irqs", "virqs"])
+def test_interrupt_id_listed_twice_rejected(field):
+    """One VM listing an id twice is rejected the same way for irqs and virqs."""
+    m = two_vm_manifest()
+    m["vms"][1][field] = [100, 100]
+    with pytest.raises(ConfigError) as err:
+        load_manifest(m)
+    assert str(err.value) == f"vms[1].{field}: duplicate interrupt ids"
+    assert layout_conflicts(m)
+
+
 def three_vm_manifest():
     return make_manifest([make_vm(i, busy_workload(1_000_000)) for i in range(3)], {"name": "rr"},
                          cost_model=ZERO_COST)

@@ -364,6 +364,30 @@ class TestDistributorAccess:
         assert_conserved(res)
 
 
+    def test_mmio_injections_target_the_writer(self):
+        """The distributor drains only the writing VM, which is running: a
+        via=mmio injection never has another VM to wake."""
+        scripts = [
+            {"loop": True, "segments": [
+                {"compute": 150_000 + 50_000 * i}, _dist_access(0x184, "write", 1 << i),
+                {"compute": 200_000}, _dist_access(0x104, "write", 1 << i), {"wfi": True},
+            ]}
+            for i in range(3)
+        ]
+        m = rr_manifest(3, quantum_ns=MS // 2, horizon=20 * MS, cost_model=None, workloads=scripts,
+                        phys_irqs=[{"at_ns": t, "irq": 32 + t % 3} for t in range(70_001, 20 * MS, 90_001)])
+        res = run_manifest(m, 20 * MS)
+        writer, targets = None, []
+        for r in res.records:
+            if r.kind == "mmio_dist":
+                writer = r.detail.split(";")[0].removeprefix("vm=")
+            elif r.kind == "virq_inject" and r.detail.endswith("via=mmio"):
+                assert r.detail.startswith(f"target={writer};"), r
+                targets.append(writer)
+        assert sorted(set(targets)) == ["0", "1", "2"]
+        assert_conserved(res)
+
+
 def _trapping_rr_manifest():
     trapping = {"loop": True, "segments": [
         {"compute": 200_000}, {"hyp_call": None}, {"compute": 100_000}, {"wfi": True},

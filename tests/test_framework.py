@@ -255,6 +255,24 @@ class TestScheduleContracts:
         with pytest.raises(ContractViolation, match="sched_param"):
             fw.dispatch_checkpoint(END_OF_HYP_CALL)
 
+    def test_schedule_restoring_run_state_before_return_rejected(self):
+        """A write undone before schedule() returns is still a write."""
+
+        class Restorer(RecordingTable):
+            def schedule(self):
+                v = self.vcpus[0]
+                state = v.run_state
+                v.run_state = RunState.BLOCKED
+                v.run_state = state
+                return None
+
+        vcpus = [VcpuRecord(id=0, sched_param=None)]
+        fw = Framework(FakeHost(), Restorer(), vcpus)
+        fw.initialize()
+        fw.set_reschedule_flag()
+        with pytest.raises(ContractViolation, match="run states"):
+            fw.dispatch_checkpoint(END_OF_HYP_CALL)
+
     def test_flag_storm_detected(self):
         class Storm(RecordingTable):
             def __init__(self, fw_ref):
@@ -302,3 +320,63 @@ class TestTimers:
         i = next(i for i, r in enumerate(records) if r.kind == "timer_fire")
         assert [r.kind for r in records[i + 1 : i + 4]] == ["flag_set", "flag_set", "checkpoint"]
         assert records[i + 3].detail.endswith("flag=1")
+
+
+def _writes_run_state_in(op):
+    """A RecordingTable whose `op` sets vcpu 0 BLOCKED, then records the call."""
+
+    def write(self, *args):
+        (args[0] if args else self.vcpus[0]).run_state = RunState.BLOCKED
+        return getattr(RecordingTable, op)(self, *args)
+
+    return type(f"Writes{op}", (RecordingTable,), {op: write})
+
+
+def _drive_to(op, fw, vcpus):
+    """Run a two-vCPU framework until its table's `op` has been called."""
+    fw.initialize()  # allocate, enque
+    dispatch(fw, 0)
+    if op == "block":
+        dispatch(fw, 1)
+    elif op in ("yield_", "unblock"):
+        fw.on_vm_sleep(vcpus[0])
+        fw.on_vm_wakeup(vcpus[0])
+
+
+class TestRunStateGuard:
+    """Run states are the framework's during every table operation."""
+
+    @pytest.mark.parametrize("op", ["block", "unblock", "yield_", "enque", "allocate"])
+    def test_write_in_operation_rejected(self, op):
+        vcpus = [VcpuRecord(id=0, sched_param=None), VcpuRecord(id=1, sched_param=None)]
+        fw = Framework(FakeHost(), _writes_run_state_in(op)(), vcpus)
+        with pytest.raises(ContractViolation, match=rf"{op}\(\) changed vCPU run states \(vm 0\)"):
+            _drive_to(op, fw, vcpus)
+        assert vcpus[0].run_state is not RunState.BLOCKED
+
+    def test_guard_lowered_after_a_raising_operation(self):
+        class Raiser(RecordingTable):
+            def block(self, vcpu):
+                raise RuntimeError("table bug")
+
+        vcpus = [VcpuRecord(id=0, sched_param=None), VcpuRecord(id=1, sched_param=None)]
+        fw = Framework(FakeHost(), Raiser(), vcpus)
+        fw.initialize()
+        dispatch(fw, 0)
+        with pytest.raises(RuntimeError, match="table bug"):
+            dispatch(fw, 1)
+        vcpus[0].run_state = RunState.SLEEPING
+        assert vcpus[0].run_state is RunState.SLEEPING
+
+    def test_sched_param_rebind_outside_operations_rejected(self):
+        vcpu = VcpuRecord(id=3, sched_param={"priority": 1})
+        with pytest.raises(ContractViolation, match="^sched_param of vm 3 was replaced$"):
+            vcpu.sched_param = {"priority": 1}
+        assert vcpu.sched_param == {"priority": 1}
+
+    def test_constructor_and_repr_unchanged(self):
+        vcpu = VcpuRecord(3, None, RunState.SLEEPING, sched_state="s", total_consumed=7)
+        assert repr(vcpu) == "vcpu3(sleeping)"
+        assert (vcpu.id, vcpu.sched_state, vcpu.total_consumed) == (3, "s", 7)
+        vcpu.run_state = RunState.READY
+        assert vcpu.run_state is RunState.READY
