@@ -198,7 +198,7 @@ def _interrupt_ids(raw, where: str) -> frozenset[int]:
     return ids
 
 
-def _parse_vm(raw, index: int, sched_params: dict) -> VmSpec:
+def _parse_vm(raw, index: int, sched_params: dict, page_pa: dict) -> VmSpec:
     where = f"vms[{index}]"
     _check_keys(raw, _VM_KEYS, {"id", "regions", "irqs", "workload"}, where)
     vm_id = _parse_int(raw["id"], f"{where}.id")
@@ -232,6 +232,8 @@ def _parse_vm(raw, index: int, sched_params: dict) -> VmSpec:
         rw = f"{where}.shared_pages[{j}]"
         _check_keys(ref, {"page", "ipa", "perms"}, {"page", "ipa", "perms"}, rw)
         page_id = _parse_int(ref["page"], f"{rw}.page")
+        if page_id not in page_pa:
+            raise ConfigError(f"{rw}.page: shared page {page_id} not declared in shared_pages")
         if page_id in seen_pages:
             raise ConfigError(f"{rw}: page {page_id} referenced twice")
         seen_pages.add(page_id)
@@ -264,19 +266,8 @@ def _disjoint(spans, clash) -> None:
 
 
 def _validate_layout(spec: SystemSpec) -> None:
-    page_pa = {}
-    for page in spec.shared_pages:
-        if page.page_id in page_pa:
-            raise ConfigError(f"shared_pages: duplicate id {page.page_id}")
-        if page.pa % PAGE_SIZE:
-            raise ConfigError(f"shared_pages[{page.page_id}].pa: not 4KB aligned")
-        page_pa[page.page_id] = page.pa
-
     # Each VM's IPA space is disjoint and leaves the trapped distributor window unmapped.
     for vm in spec.vms:
-        for ref in vm.shared_pages:
-            if ref.page_id not in page_pa:
-                raise ConfigError(f"vm {vm.id}: shared page {ref.page_id} not declared in shared_pages")
         _disjoint(
             [(r.ipa_base, r.ipa_end, "region") for r in vm.regions]
             + [(ref.ipa, ref.ipa + PAGE_SIZE, "shared page") for ref in vm.shared_pages]
@@ -287,7 +278,7 @@ def _validate_layout(spec: SystemSpec) -> None:
     # Physical memory: every region and every shared frame has one owner.
     _disjoint(
         [(r.pa_base, r.pa_end, f"vm {vm.id}") for vm in spec.vms for r in vm.regions]
-        + [(pa, pa + PAGE_SIZE, f"shared page {pid}") for pid, pa in page_pa.items()],
+        + [(p.pa, p.pa + PAGE_SIZE, f"shared page {p.page_id}") for p in spec.shared_pages],
         lambda a, b: f"PA overlap between {a[2]} and {b[2]} at {b[0]:#x}",
     )
 
@@ -296,54 +287,6 @@ def _validate_layout(spec: SystemSpec) -> None:
         [(i, i + 1, vm.id) for vm in spec.vms for i in vm.assigned_irqs | vm.virqs],
         lambda a, b: f"IRQ {a[0]} assigned to both vm {a[2]} and vm {b[2]}",
     )
-
-
-def _validate_channels(spec: SystemSpec) -> None:
-    n = len(spec.vms)
-    declared = {page.page_id for page in spec.shared_pages}
-    vm_pages = [{ref.page_id for ref in vm.shared_pages} for vm in spec.vms]
-    page_owner: dict[int, int] = {}
-    seen_ids = set()
-    for ch in spec.channels:
-        where = f"channels[{ch.id}]"
-        if ch.id in seen_ids:
-            raise ConfigError(f"{where}: duplicate channel id")
-        seen_ids.add(ch.id)
-        a, b = ch.endpoints
-        if a == b or not (0 <= a < n and 0 <= b < n):
-            raise ConfigError(f"{where}: endpoints must be two distinct VM ids, got {a},{b}")
-        if ch.variant not in (VARIANT_FREE, VARIANT_GATED):
-            raise ConfigError(f"{where}: unknown variant {ch.variant!r}")
-        if not ch.pages:
-            raise ConfigError(f"{where}: a channel needs at least one page")
-        for pid in ch.pages:
-            if pid not in declared:
-                raise ConfigError(f"{where}: page {pid} not in shared_pages")
-            if pid in page_owner:
-                raise ConfigError(f"{where}: page {pid} already used by channel {page_owner[pid]}")
-            page_owner[pid] = ch.id
-            for ep in (a, b):
-                if pid not in vm_pages[ep]:
-                    raise ConfigError(f"{where}: endpoint vm {ep} does not declare page {pid}")
-        for ep, virq in zip((a, b), ch.virqs):
-            if virq not in spec.vms[ep].virqs:
-                raise ConfigError(f"{where}: virq {virq} not declared by endpoint vm {ep}")
-
-    # Channel-referenced ivc segments must come from an endpoint VM.
-    by_id = {ch.id: ch for ch in spec.channels}
-    for vm in spec.vms:
-        for i, seg in enumerate(vm.workload.segments):
-            if seg.kind.startswith("ivc_"):
-                ch = by_id.get(seg.channel)
-                if ch is None:
-                    raise ConfigError(
-                        f"vms[{vm.id}].workload[{i}]: unknown channel {seg.channel}"
-                    )
-                if vm.id not in ch.endpoints:
-                    raise ConfigError(
-                        f"vms[{vm.id}].workload[{i}]: vm {vm.id} is not an endpoint "
-                        f"of channel {seg.channel}"
-                    )
 
 
 def load_manifest(data: dict) -> SystemSpec:
@@ -368,20 +311,26 @@ def load_manifest(data: dict) -> SystemSpec:
             raise ConfigError(f"scheduler.sched_param: bad VM id key {key!r}") from None
         sched_params[int(key)] = value
 
-    vms = tuple(_parse_vm(raw, i, sched_params) for i, raw in enumerate(_list(data["vms"], "vms")))
+    page_pa = {}
+    for j, raw in enumerate(_list(data.get("shared_pages", []), "shared_pages")):
+        where = f"shared_pages[{j}]"
+        _check_keys(raw, {"id", "pa"}, {"id", "pa"}, where)
+        page_id = _parse_int(raw["id"], f"{where}.id")
+        if page_id in page_pa:
+            raise ConfigError(f"{where}.id: duplicate id {page_id}")
+        pa = parse_addr(raw["pa"], f"{where}.pa")
+        if pa % PAGE_SIZE:
+            raise ConfigError(f"{where}.pa: not 4KB aligned")
+        page_pa[page_id] = pa
+
+    vms = tuple(_parse_vm(raw, i, sched_params, page_pa) for i, raw in enumerate(_list(data["vms"], "vms")))
     for vm_id in sched_params:
         if not 0 <= vm_id < len(vms):
             raise ConfigError(f"scheduler.sched_param: no such VM {vm_id}")
 
-    shared = []
-    for j, raw in enumerate(_list(data.get("shared_pages", []), "shared_pages")):
-        where = f"shared_pages[{j}]"
-        _check_keys(raw, {"id", "pa"}, {"id", "pa"}, where)
-        shared.append(
-            SharedPage(_parse_int(raw["id"], f"{where}.id"), parse_addr(raw["pa"], f"{where}.pa"))
-        )
-
     channels = []
+    channel_ends = {}  # channel id -> endpoints
+    page_owner = {}  # page id -> index of the channel using it
     for j, raw in enumerate(_list(data.get("channels", []), "channels")):
         where = f"channels[{j}]"
         _check_keys(raw, {"id", "endpoints", "pages", "virqs", "variant"},
@@ -393,21 +342,52 @@ def load_manifest(data: dict) -> SystemSpec:
             raise ConfigError(f"{where}.endpoints: expected [vm, vm]")
         if not (isinstance(virqs, list) and len(virqs) == 2):
             raise ConfigError(f"{where}.virqs: expected [virq_for_ep0, virq_for_ep1]")
-        channels.append(
-            ChannelSpec(
-                id=_parse_int(raw["id"], f"{where}.id"),
-                endpoints=(
-                    _parse_int(endpoints[0], f"{where}.endpoints[0]"),
-                    _parse_int(endpoints[1], f"{where}.endpoints[1]"),
-                ),
-                pages=tuple(_parse_int(p, f"{where}.pages") for p in pages),
-                virqs=(
-                    _parse_int(virqs[0], f"{where}.virqs[0]"),
-                    _parse_int(virqs[1], f"{where}.virqs[1]"),
-                ),
-                variant=raw.get("variant", VARIANT_FREE),
-            )
+        ch = ChannelSpec(
+            id=_parse_int(raw["id"], f"{where}.id"),
+            endpoints=(
+                _parse_int(endpoints[0], f"{where}.endpoints[0]"),
+                _parse_int(endpoints[1], f"{where}.endpoints[1]"),
+            ),
+            pages=tuple(_parse_int(p, f"{where}.pages") for p in pages),
+            virqs=(
+                _parse_int(virqs[0], f"{where}.virqs[0]"),
+                _parse_int(virqs[1], f"{where}.virqs[1]"),
+            ),
+            variant=raw.get("variant", VARIANT_FREE),
         )
+        if ch.id in channel_ends:
+            raise ConfigError(f"{where}.id: duplicate channel id {ch.id}")
+        a, b = ch.endpoints
+        if a == b or not (a < len(vms) and b < len(vms)):
+            raise ConfigError(f"{where}.endpoints: must be two distinct VM ids, got {a},{b}")
+        if ch.variant not in (VARIANT_FREE, VARIANT_GATED):
+            raise ConfigError(f"{where}.variant: unknown variant {ch.variant!r}")
+        if not ch.pages:
+            raise ConfigError(f"{where}.pages: a channel needs at least one page")
+        for pid in ch.pages:
+            if pid not in page_pa:
+                raise ConfigError(f"{where}.pages: page {pid} not in shared_pages")
+            if pid in page_owner:
+                raise ConfigError(f"{where}.pages: page {pid} already used by channels[{page_owner[pid]}]")
+            page_owner[pid] = j
+            for ep in (a, b):
+                if all(ref.page_id != pid for ref in vms[ep].shared_pages):
+                    raise ConfigError(f"{where}.pages: endpoint vm {ep} does not declare page {pid}")
+        for ep, virq in zip((a, b), ch.virqs):
+            if virq not in vms[ep].virqs:
+                raise ConfigError(f"{where}.virqs: virq {virq} not declared by endpoint vm {ep}")
+        channels.append(ch)
+        channel_ends[ch.id] = ch.endpoints
+
+    # Channel-referenced ivc segments must come from an endpoint VM.
+    for vm in vms:
+        for i, seg in enumerate(vm.workload.segments):
+            if seg.kind.startswith("ivc_"):
+                where = f"vms[{vm.id}].workload[{i}]"
+                if seg.channel not in channel_ends:
+                    raise ConfigError(f"{where}: unknown channel {seg.channel}")
+                if vm.id not in channel_ends[seg.channel]:
+                    raise ConfigError(f"{where}: vm {vm.id} is not an endpoint of channel {seg.channel}")
 
     # The common case is settled by exact-type tests; anything else takes
     # the general checks, which accept it or raise with the entry's path.
@@ -442,7 +422,7 @@ def load_manifest(data: dict) -> SystemSpec:
         cost_model=_parse_cost_model(data.get("cost_model")),
         scheduler_name=name,
         scheduler_options=sched,
-        shared_pages=tuple(shared),
+        shared_pages=tuple(SharedPage(pid, pa) for pid, pa in page_pa.items()),
         channels=tuple(channels),
         phys_irqs=tuple(phys_irqs),
         faults=faults,
@@ -450,7 +430,6 @@ def load_manifest(data: dict) -> SystemSpec:
         gic_boot_init=_parse_bool(data.get("gic_boot_init", True), "gic_boot_init"),
     )
     _validate_layout(spec)
-    _validate_channels(spec)
     get_plugin(spec.scheduler_name).parse(spec)
     return spec
 

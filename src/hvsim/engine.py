@@ -156,7 +156,7 @@ class Engine(SchedulerServices):
 
     def register_timer(self, at: Time) -> TimerHandle:
         if at < self._now:
-            raise ValueError(f"timer at {at} is in the past (now={self._now})")
+            raise ContractViolation(f"timer at {at} is in the past (now={self._now})")
         self._timer_ids += 1
         handle = TimerHandle(self._timer_ids, at)
         self.trace("timer_set", "hv", "", 0, f"id={handle.handle_id};at={at}")
@@ -171,6 +171,8 @@ class Engine(SchedulerServices):
         self.trace("timer_cancel", "hv", "", 0, f"id={handle.handle_id}")
 
     def report_deadline_miss(self, vm_id: int, deadline: Time) -> None:
+        if type(vm_id) is not int or not 0 <= vm_id < len(self.vcpus):
+            raise ContractViolation(f"deadline miss reported for unknown vm {vm_id!r}")
         self.trace("deadline_miss", "hv", "", 0, f"vm={vm_id};deadline={deadline}")
 
     # -- run -----------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 The distributor has no hardware virtualization support, so guest accesses to
 it are trapped and emulated against this model; the per-VM CPU interface
-(list registers, ACK/EOI) is direct and never costs a trap.  Each VM sees a
-filtered view of the distributor: only its own interrupts are visible, writes
-touching anything else are silently ignored.  The views isolate only because
-the loader gives each interrupt id at most one VM, as an irq or as a virq.
+(list registers, ACK/EOI) is direct and never costs a trap.  A VM's list
+registers are a dict keyed by virq, capped at ``lr_count`` entries; slot
+order is not modelled.  Each VM sees a filtered view of the distributor:
+only its own interrupts are visible, writes touching anything else are
+silently ignored.  The views isolate only because the loader gives each
+interrupt id at most one VM, as an irq or as a virq.
 
 This module is a pure state machine.  Costs, wakeups and checkpoints are the
 engine's business; methods only report what happened.
@@ -41,72 +43,35 @@ DIST_MMIO_SIZE = 0x1000
 
 
 class LrState(enum.Enum):
-    INVALID = "invalid"
     PENDING = "pending"
     ACTIVE = "active"
 
 
 # Python 3.11 loads an enum member through its class ~5x slower than a global.
-_INVALID, _PENDING, _ACTIVE = LrState.INVALID, LrState.PENDING, LrState.ACTIVE
-
-
-class Lr:
-    """One list-register slot."""
-
-    __slots__ = ("virq", "priority", "state", "hw_link")
-
-    def __init__(self) -> None:
-        self.virq = 0
-        self.priority = 0
-        self.state = _INVALID
-        self.hw_link: int | None = None
-
-    def clear(self) -> None:
-        self.virq = 0
-        self.priority = 0
-        self.state = _INVALID
-        self.hw_link = None
+_PENDING, _ACTIVE = LrState.PENDING, LrState.ACTIVE
 
 
 class VirtualCpuInterface:
-    """Per-VM virtual CPU interface: LR slots plus ACK/EOI bookkeeping."""
+    """Per-VM virtual CPU interface: the list registers and the ACK/EOI path.
+
+    ``lrs`` maps each held virq to ``[priority, state, hw_link]``, at most
+    ``lr_count`` entries, so a second injection of a held id collapses into
+    it.  Which slot holds a virq is not modelled; nothing can observe it.
+    """
 
     def __init__(self, lr_count: int = DEFAULT_LR_COUNT):
-        self.lrs = [Lr() for _ in range(lr_count)]
-        self.n_pending = 0  # LRs in PENDING state; most ACKs find none
-        self.ack_count = 0
-        self.eoi_count = 0
-
-    def find(self, virq: int) -> Lr | None:
-        for lr in self.lrs:
-            if lr.state is not _INVALID and lr.virq == virq:
-                return lr
-        return None
-
-    def free_slot(self) -> Lr | None:
-        for lr in self.lrs:
-            if lr.state is _INVALID:
-                return lr
-        return None
-
-    def active_count(self) -> int:
-        return sum(1 for lr in self.lrs if lr.state is _ACTIVE)
+        self.lrs: dict[int, list] = {}
+        self.lr_count = lr_count
+        self.n_pending = 0  # entries in PENDING state; most ACKs find none
 
     def fill(self, virq: int, priority: int, hw_link: int | None) -> str:
-        """Try to make virq pending; returns "injected", "collapsed" or "full".
-
-        At most one LR ever holds a given virq in a non-invalid state, so a
-        second injection of the same id collapses into the existing one.
-        """
-        if self.find(virq) is not None:
+        """Try to make virq pending; returns "injected", "collapsed" or "full"."""
+        lrs = self.lrs
+        if virq in lrs:
             return "collapsed"
-        slot = self.free_slot()
-        if slot is None:
+        if len(lrs) >= self.lr_count:
             return "full"
-        slot.virq = virq
-        slot.priority = priority
-        slot.state = _PENDING
-        slot.hw_link = hw_link
+        lrs[virq] = [priority, _PENDING, hw_link]
         self.n_pending += 1
         return "injected"
 
@@ -114,15 +79,13 @@ class VirtualCpuInterface:
         """Take the highest-priority pending interrupt; 1023 when none."""
         if not self.n_pending:
             return SPURIOUS_IRQ
-        best: Lr | None = None
-        for lr in self.lrs:
-            if lr.state is _PENDING:
-                if best is None or (lr.priority, lr.virq) < (best.priority, best.virq):
-                    best = lr
-        best.state = _ACTIVE
+        best = None
+        for virq, entry in self.lrs.items():
+            if entry[1] is _PENDING and (best is None or (entry[0], virq) < best):
+                best = (entry[0], virq)
+        self.lrs[best[1]][1] = _ACTIVE
         self.n_pending -= 1
-        self.ack_count += 1
-        return best.virq
+        return best[1]
 
     def eoi(self, virq: int) -> tuple[bool, int | None]:
         """Complete virq; returns (ok, linked physical irq or None).
@@ -130,13 +93,11 @@ class VirtualCpuInterface:
         EOI of an interrupt that is not active is a no-op (the caller
         records the warning).
         """
-        lr = self.find(virq)
-        if lr is None or lr.state is not _ACTIVE:
+        entry = self.lrs.get(virq)
+        if entry is None or entry[1] is not _ACTIVE:
             return False, None
-        hw = lr.hw_link
-        lr.clear()
-        self.eoi_count += 1
-        return True, hw
+        del self.lrs[virq]
+        return True, entry[2]
 
 
 @dataclass
@@ -178,7 +139,6 @@ class Vgic:
             vm: frozenset(i for i, t in self.irq_targets.items() if t == vm) | self.declared_virqs[vm]
             for vm in declared_virqs
         }
-        self._visible_sorted = {vm: tuple(sorted(vis)) for vm, vis in self._visible.items()}
 
     def visible(self, vm: VmId) -> frozenset[int]:
         return self._visible[vm]
@@ -199,10 +159,7 @@ class Vgic:
         if offset == GICD_CTLR:
             if is_write:
                 self.ctlr[vm] = bool(value & 1)
-                eff = MmioEffect()
-                if self.ctlr[vm]:
-                    eff.injections = self._drain(vm)
-                return eff
+                return MmioEffect(injections=self._drain(vm) if self.ctlr[vm] else [])
             return MmioEffect(read_value=int(self.ctlr[vm]))
         if GICD_ISENABLER <= offset < GICD_ISENABLER + 4 * _N_WORDS:
             return self._rw_bits(vm, (offset - GICD_ISENABLER) // 4, is_write, value, self.enabled, set_bits=True)
@@ -236,7 +193,6 @@ class Vgic:
                 if irq in vis and bits[irq]:
                     out |= 1 << k
             return MmioEffect(read_value=out)
-        eff = MmioEffect()
         changed = False
         for k in range(32):
             irq = base + k
@@ -248,8 +204,8 @@ class Vgic:
                 bits[irq] = set_bits
                 changed = True
         if changed and set_bits:
-            eff.injections = self._drain(vm)
-        return eff
+            return MmioEffect(injections=self._drain(vm))
+        return MmioEffect()
 
     def _rw_priority(self, vm, word_idx, is_write, value) -> MmioEffect:
         base = word_idx * 4
@@ -316,32 +272,34 @@ class Vgic:
         return True
 
     def _drain(self, vm: VmId) -> list[VmId]:
-        """Deliver latched interrupts that became injectable; (priority, id) order."""
+        """Deliver latched interrupts that became injectable; (priority, id) order.
+
+        The drain stops at the first eligible interrupt that does not fit in
+        the LRs, so a lower-priority latched soft virq whose id the LRs hold
+        is not merged in that drain.  A set-enable or set-pending write drains
+        only when it changed a bit; a CTLR write that enables always drains.
+        """
+        cands = []
+        for irq in self._visible[vm]:
+            if self.pending[irq]:
+                cands.append((self.priority[irq], irq))
+        cands.sort()
         injected = []
-        while True:
-            cands = []
-            for irq in self._visible_sorted[vm]:
-                if not self.pending[irq]:
-                    continue
-                if self.irq_targets.get(irq) == vm:
-                    if self.ctlr[vm] and self.enabled[irq] and not self.active[irq]:
-                        cands.append((self.priority[irq], irq, True))
-                else:  # a declared virq
-                    cands.append((self.priority[irq], irq, False))
-            if not cands:
-                return injected
-            _, irq, is_hw = min(cands)
-            if is_hw:
+        for _, irq in cands:
+            if self.irq_targets.get(irq) == vm:
+                if not (self.ctlr[vm] and self.enabled[irq] and not self.active[irq]):
+                    continue  # not eligible
                 if not self._try_inject_hw(vm, irq):
-                    return injected
+                    break
                 injected.append(vm)
-            else:
+            else:  # a declared virq
                 res = self.cpu_if[vm].fill(irq, self.priority[irq], None)
                 if res == "full":
-                    return injected
+                    break
                 self.pending[irq] = False
                 if res == "injected":
                     injected.append(vm)
+        return injected
 
     # -- observability ----------------------------------------------------
 
@@ -354,9 +312,7 @@ class Vgic:
             "priority": bytes(self.priority),
             "ctlr": dict(self.ctlr),
             "lrs": {
-                vm: tuple(
-                    (lr.virq, lr.priority, lr.state.value, lr.hw_link) for lr in ci.lrs
-                )
+                vm: tuple((virq, p, state.value, hw) for virq, (p, state, hw) in ci.lrs.items())
                 for vm, ci in self.cpu_if.items()
             },
         }

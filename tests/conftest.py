@@ -77,6 +77,35 @@ def same_instant_timer():
     del SCHEDULERS["same_instant_timer"]
 
 
+# A plugin's bad service call, and the text of the contract violation it ends in.
+BAD_SERVICE_CALLS = {
+    "timer-in-past": (lambda services, now: services.register_timer(now - 1),
+                      "timer at 999999 is in the past"),
+    "miss-of-unknown-vm": (lambda services, now: services.report_deadline_miss(7, now), "unknown vm 7"),
+}
+
+
+def bad_service_call_table(case):
+    """A broken FP table whose schedule() makes BAD_SERVICE_CALLS[case] from 1 ms on."""
+    call = BAD_SERVICE_CALLS[case][0]
+
+    class BadServiceCall(FixedPriorityScheduler):
+        def schedule(self):
+            now = self.services.now()
+            if now >= 1_000_000:
+                call(self.services, now)
+            return super().schedule()
+
+    return BadServiceCall
+
+
+def bad_service_call_manifest():
+    """vm 0 sleeps at 1 ms, so schedule() runs then; the table is "bad_call"."""
+    m = fp_manifest([1, 2], [[{"compute": 1_000_000}, {"wfi": True}], busy_workload(5_000_000)], 5_000_000)
+    m["scheduler"]["name"] = "bad_call"
+    return m
+
+
 class FakeHost:
     """Minimal engine stand-in for framework-level unit tests."""
 

@@ -84,19 +84,27 @@ class _IrqMachine:
 
 
 class OracleGic:
-    """Reference model assuming LR capacity is never exhausted."""
+    """Reference model; each VM holds at most lr_count LRs (None: no limit).
 
-    def __init__(self, irq_targets, declared_virqs):
+    Capacity rules: a drain takes the VM's latched interrupts in (priority,
+    id) order and stops at the first eligible one that does not fit, a
+    set-enable or set-pending write drains only when it changed a bit, and a
+    soft injection into full LRs latches.
+    """
+
+    def __init__(self, irq_targets, declared_virqs, lr_count=None):
         self.targets = dict(irq_targets)
         self.virqs = {vm: set(v) for vm, v in declared_virqs.items()}
         self.ctlr = {vm: False for vm in declared_virqs}
         self.irqs = [_IrqMachine() for _ in range(_N)]
-        self.acks = {vm: 0 for vm in declared_virqs}
-        self.eois = {vm: 0 for vm in declared_virqs}
+        self.lr_count = lr_count
 
     def _visible(self, vm):
         owned = {i for i, t in self.targets.items() if t == vm}
         return owned | self.virqs[vm]
+
+    def _room(self, vm):
+        return self.lr_count is None or len(self._lr_set(vm)) < self.lr_count
 
     def boot_enable(self, vm):
         self.ctlr[vm] = True
@@ -110,7 +118,7 @@ class OracleGic:
         vm = self.targets.get(i)
         if vm is None:
             return
-        if self.ctlr[vm] and m.enabled and m.pending and not m.active and m.lr == "invalid":
+        if self.ctlr[vm] and m.enabled and m.pending and not m.active and m.lr == "invalid" and self._room(vm):
             m.pending = False
             m.active = True
             m.lr = "pending"
@@ -128,13 +136,18 @@ class OracleGic:
             m.hw = False
 
     def _drain(self, vm):
-        for i in sorted(self._visible(vm)):
+        for i in sorted(self._visible(vm), key=lambda i: (self.irqs[i].priority, i)):
             m = self.irqs[i]
             if not m.pending:
                 continue
             if self.targets.get(i) == vm:
-                self._inject_hw(i)
+                if self.ctlr[vm] and m.enabled and not m.active and m.lr == "invalid":
+                    if not self._room(vm):
+                        return
+                    self._inject_hw(i)
             elif i in self.virqs[vm]:
+                if m.lr == "invalid" and not self._room(vm):
+                    return
                 self._inject_soft(vm, i)
 
     def mmio(self, vm, offset, is_write, value=0):
@@ -162,11 +175,13 @@ class OracleGic:
                         if i in vis and getattr(self.irqs[i], attr):
                             out |= 1 << k
                     return out
+                changed = False
                 for k in range(32):
                     i = w * 32 + k
                     if (value >> k) & 1 and i in vis and i >= _SGI:
+                        changed |= getattr(self.irqs[i], attr) != sets
                         setattr(self.irqs[i], attr, sets)
-                if sets:
+                if sets and changed:
                     self._drain(vm)
                 return None
         if _IPRIORITYR <= offset < _IPRIORITYR + 4 * (_N // 4):
@@ -205,6 +220,9 @@ class OracleGic:
         m = self.irqs[virq]
         if m.lr != "invalid":
             return
+        if not self._room(vm):
+            m.pending = True
+            return
         m.lr = "pending"
         m.lr_priority = m.priority
         m.hw = False
@@ -218,7 +236,6 @@ class OracleGic:
         if best is None:
             return _SPURIOUS
         self.irqs[best[1]].lr = "active"
-        self.acks[vm] += 1
         return best[1]
 
     def guest_eoi(self, vm, virq):
@@ -229,7 +246,6 @@ class OracleGic:
         if m.hw:
             m.active = False
             m.hw = False
-        self.eois[vm] += 1
         self._drain(vm)
         return True
 

@@ -14,7 +14,7 @@ from hvsim.schedulers import SCHEDULERS, FixedPriorityScheduler, register
 from hvsim.trace import TraceRecord, metrics_from_trace, read_csv
 from hvsim.workloadgen import ZERO_COST, busy_workload, edf_manifest
 
-from conftest import fp_manifest, rr_manifest
+from conftest import BAD_SERVICE_CALLS, bad_service_call_manifest, fp_manifest, rr_manifest
 
 MS = 1_000_000
 GOLDEN = Path(__file__).parent / "data" / "golden_trace.csv"
@@ -66,6 +66,19 @@ class BlockWriter(RoundRobinScheduler):
         super().block(vcpu)
 
 register("block_writer", BlockWriter)
+sys.exit(main(sys.argv[1:]))
+"""
+
+# The hvsim CLI with "bad_call" registered: the table of
+# conftest.bad_service_call_table for the case named by the first argument.
+BAD_SERVICE_CALL_CLI = f"""
+import sys
+sys.path.insert(0, {str(Path(__file__).parent)!r})
+from conftest import bad_service_call_table
+from hvsim.cli import main
+from hvsim.schedulers import register
+
+register("bad_call", bad_service_call_table(sys.argv.pop(1)))
 sys.exit(main(sys.argv[1:]))
 """
 
@@ -268,6 +281,17 @@ class TestOptimizedInterpreter:
         proc = self._run_O(write_manifest(tmp_path, m), tmp_path / "o", 5 * MS)
         assert proc.returncode == 3, proc.stderr
         assert "contract_violation" in (tmp_path / "o" / "trace.csv").read_text()
+
+    @pytest.mark.parametrize("case", BAD_SERVICE_CALLS)
+    def test_bad_service_call_exits_3_with_trace(self, tmp_path, case):
+        out = tmp_path / "o"
+        proc = run_python_process("-c", BAD_SERVICE_CALL_CLI, case, "--config",
+                                  write_manifest(tmp_path, bad_service_call_manifest()),
+                                  "--horizon-ns", 5 * MS, "--out", out, interpreter_flags=["-O"])
+        assert proc.returncode == 3, proc.stderr
+        with open(out / "trace.csv") as fh:
+            last = read_csv(fh)[-1]
+        assert last.kind == "contract_violation" and BAD_SERVICE_CALLS[case][1] in last.detail
 
     def test_run_state_write_in_block_exits_3(self, tmp_path):
         m = rr_manifest(2, quantum_ns=MS, horizon=5 * MS)

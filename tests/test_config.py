@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from hvsim import (
     ConfigError,
     CostModel,
+    SimulationAborted,
     dumps_config,
     implied_clock_mhz,
     load_config,
     load_manifest,
+    run,
     validate_cost_model,
 )
 from hvsim.cli import main
@@ -402,6 +404,60 @@ def test_cli_and_load_config_share_json_errors(text, tmp_path, capsys):
     assert capsys.readouterr().err == f"configuration error: {err.value}\n"
 
 
+# Channel and shared-page faults are named by the entry's index path, which
+# differs here from the channel's id (5, 6) and the pages' ids (7, 9).
+def channel_manifest():
+    m = two_vm_manifest(shared_pages=[{"id": 7, "pa": "0x70000000"}, {"id": 9, "pa": "0x70001000"}],
+                        channels=[{"id": 5, "endpoints": [0, 1], "pages": [9], "virqs": [100, 101]}])
+    m["vms"][0].update(virqs=[100], shared_pages=[{"page": 7, "ipa": "0x60000000", "perms": "rw"},
+                                                  {"page": 9, "ipa": "0x60001000", "perms": "rw"}])
+    m["vms"][1].update(virqs=[101], shared_pages=[{"page": 9, "ipa": "0x60001000", "perms": "rw"}])
+    return m
+
+
+def _second_channel(**fields):
+    return lambda m: m["channels"].append(dict(m["channels"][0], **fields))
+
+
+CHANNEL_AND_PAGE_FAULTS = {
+    "page-unaligned": (lambda m: m["shared_pages"][0].update(pa="0x70000800"),
+                       "shared_pages[0].pa: not 4KB aligned"),
+    "page-duplicate-id": (lambda m: m["shared_pages"][1].update(id=7), "shared_pages[1].id: duplicate id 7"),
+    "page-undeclared": (lambda m: m["vms"][1]["shared_pages"][0].update(page=8),
+                        "vms[1].shared_pages[0].page: shared page 8 not declared in shared_pages"),
+    "channel-duplicate-id": (_second_channel(pages=[7]), "channels[1].id: duplicate channel id 5"),
+    "channel-endpoints": (lambda m: m["channels"][0].update(endpoints=[1, 1]),
+                          "channels[0].endpoints: must be two distinct VM ids, got 1,1"),
+    "channel-endpoint-unknown": (lambda m: m["channels"][0].update(endpoints=[0, 2]),
+                                 "channels[0].endpoints: must be two distinct VM ids, got 0,2"),
+    "channel-variant": (lambda m: m["channels"][0].update(variant="open"), "channels[0].variant: unknown variant"),
+    "channel-no-pages": (lambda m: m["channels"][0].update(pages=[]),
+                         "channels[0].pages: a channel needs at least one page"),
+    "channel-page-undeclared": (lambda m: m["channels"][0].update(pages=[8]),
+                                "channels[0].pages: page 8 not in shared_pages"),
+    "channel-page-reused": (_second_channel(id=6), "channels[1].pages: page 9 already used by channels[0]"),
+    "channel-page-unmapped": (lambda m: m["channels"][0].update(pages=[7]),
+                              "channels[0].pages: endpoint vm 1 does not declare page 7"),
+    "channel-virq": (lambda m: m["channels"][0].update(virqs=[100, 102]),
+                     "channels[0].virqs: virq 102 not declared by endpoint vm 1"),
+}
+
+
+def test_channel_manifest_loads():
+    spec = load_manifest(channel_manifest())
+    assert [ch.id for ch in spec.channels] == [5]
+    assert [p.page_id for p in spec.shared_pages] == [7, 9]
+
+
+@pytest.mark.parametrize("case", CHANNEL_AND_PAGE_FAULTS)
+def test_channel_and_page_faults_name_the_index_path(case):
+    m = channel_manifest()
+    edit, message = CHANNEL_AND_PAGE_FAULTS[case]
+    edit(m)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_manifest(m)
+
+
 # -- loader property: reject with ConfigError, or load a spec that round-trips --
 
 JSON_VALUES = st.recursive(
@@ -420,7 +476,8 @@ def _property_manifests():
     channel = {"id": 0, "endpoints": [0, 1], "pages": [0], "virqs": [100, 101]}
     for scheduler in (edf, fp, rr):
         m = two_vm_manifest(scheduler=scheduler, gic_boot_init=True, phys_irqs=[{"at_ns": 500, "irq": 33}],
-                            shared_pages=[{"id": 0, "pa": "0x70000000"}], channels=[channel])
+                            shared_pages=[{"id": 0, "pa": "0x70000000"}], channels=[channel],
+                            faults={"stage2": "inject", "dist_unmodeled": "fault"}, lr_count=4)
         for vm, virq in zip(m["vms"], (100, 101)):
             vm.update(virqs=[virq], shared_pages=[{"page": 0, "ipa": "0x60000000", "perms": "rw"}])
         m["vms"][0]["workload"] = {"loop": True, "segments": [{"compute": 1_000}, {"hyp_call": "x"}]}
@@ -446,33 +503,63 @@ def _node(m, path):
     return m
 
 
-def _segment_paths(m):
-    for prefix in (("vms", 0, "workload", "segments"), ("vms", 1, "workload")):
-        for i, seg in enumerate(_node(m, prefix)):
-            yield from _paths(seg, prefix + (i,))
+# Every node of every manifest, the root excluded.
+MUTATION_SITES = [(m, path) for m in _property_manifests() for path in list(_paths(m, ()))[1:]]
+# Where a key or an element can be inserted: every object and every list.
+INSERTION_SITES = [(m, path) for m, path in MUTATION_SITES if isinstance(_node(m, path), (dict, list))]
+# Keys worth inserting: every key the manifests use, the optional ones they omit, and noise.
+MANIFEST_KEYS = sorted({key for m, path in MUTATION_SITES for key in path if isinstance(key, str)}
+                       | {"variant", "loop", "value", "sched_param", "quantum_ns"})
+# Values that reach the semantic checks: the manifests' own leaves, their
+# valid alternatives, an unaligned address and small integers.
+MANIFEST_LEAVES = list({repr(v): v for v in [
+    *(_node(m, path) for m, path in MUTATION_SITES if not isinstance(_node(m, path), (dict, list))),
+    "halt", "ignore", "hypcall_gated", "free_access", "0x70001000", "0x70000800", "0x60001000",
+]}.values())
+VALUES = JSON_VALUES | st.integers(-1, 4) | st.sampled_from(MANIFEST_LEAVES)
+PROPERTY_HORIZON = 20_000
 
 
-MUTATION_SITES = [
-    (m, path)
-    for m in _property_manifests()
-    for path in [*list(_paths(m["scheduler"], ("scheduler",)))[1:],
-                 ("gic_boot_init",), ("vms", 0, "workload", "loop"),
-                 *_paths(m["phys_irqs"][0], ("phys_irqs", 0)),
-                 *_segment_paths(m)]
-]
-
-
-@settings(max_examples=300, deadline=None)
-@given(site=st.sampled_from(MUTATION_SITES), value=JSON_VALUES)
-def test_any_value_is_rejected_or_round_trips(site, value):
-    base, path = site
-    m = copy.deepcopy(base)
-    _node(m, path[:-1])[path[-1]] = value
+def _rejected_or_round_trips_and_runs(m):
+    """The loader raises ConfigError, or its spec round-trips and runs for
+    PROPERTY_HORIZON to an exact account or to a contract violation."""
     try:
         spec = load_manifest(m)
     except ConfigError:
         return
     assert load_config(dumps_config(spec)) == spec
+    try:
+        result = run(spec, PROPERTY_HORIZON)
+    except SimulationAborted:
+        return
+    assert result.metrics.conserved()
+
+
+@settings(max_examples=300, deadline=None)
+@given(site=st.sampled_from(MUTATION_SITES), value=VALUES)
+def test_any_value_is_rejected_or_round_trips(site, value):
+    base, path = site
+    m = copy.deepcopy(base)
+    _node(m, path[:-1])[path[-1]] = value
+    _rejected_or_round_trips_and_runs(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(site=st.sampled_from(MUTATION_SITES), insertion=st.sampled_from(INSERTION_SITES),
+       key=st.sampled_from(MANIFEST_KEYS) | st.text(max_size=4), value=VALUES, index=st.integers(0, 3),
+       clone=st.booleans())
+def test_any_key_deleted_or_inserted_is_rejected_or_runs(site, insertion, key, value, index, clone):
+    base, path = site
+    m = copy.deepcopy(base)
+    del _node(m, path[:-1])[path[-1]]
+    _rejected_or_round_trips_and_runs(m)
+    m = copy.deepcopy(insertion[0])
+    node = _node(m, insertion[1])
+    if isinstance(node, dict):
+        node[key] = value
+    else:  # a new element, or a copy of one already there
+        node.insert(index, copy.deepcopy(node[index % len(node)]) if clone and node else value)
+    _rejected_or_round_trips_and_runs(m)
 
 
 # -- layout property: rejected exactly when the all-pairs oracle finds a conflict --

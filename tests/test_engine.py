@@ -12,7 +12,16 @@ from hvsim.schedulers import FixedPriorityScheduler, register, SCHEDULERS
 from hvsim.trace import Trace, TraceRecord, run_intervals
 from hvsim.workloadgen import ZERO_COST, busy_workload, edf_manifest, make_manifest
 
-from conftest import assert_conserved, fp_manifest, records_of, rr_manifest, run_manifest
+from conftest import (
+    BAD_SERVICE_CALLS,
+    assert_conserved,
+    bad_service_call_manifest,
+    bad_service_call_table,
+    fp_manifest,
+    records_of,
+    rr_manifest,
+    run_manifest,
+)
 from test_acceptance import _contract_manifest
 
 INT_ONLY = dict(ZERO_COST, interrupt_entry_exit=7_480)
@@ -265,6 +274,19 @@ class TestContractViolationAbort:
         finally:
             del SCHEDULERS["bad_sleeper"]
         assert err.value.records[-1].kind == "contract_violation"
+
+
+@pytest.mark.parametrize("case", BAD_SERVICE_CALLS)
+def test_bad_service_call_aborts_with_trace(case):
+    message = BAD_SERVICE_CALLS[case][1]
+    register("bad_call", bad_service_call_table(case))
+    try:
+        with pytest.raises(SimulationAborted, match=message) as err:
+            run_manifest(bad_service_call_manifest(), 5 * MS)
+    finally:
+        del SCHEDULERS["bad_call"]
+    last = err.value.records[-1]
+    assert (last.time, last.kind) == (MS, "contract_violation") and message in last.detail
 
 
 class TestSameInstantLivelock:

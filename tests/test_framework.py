@@ -302,7 +302,7 @@ class TestTimers:
     def test_register_in_past_rejected(self):
         engine = self.make_engine()
         engine._now = 100
-        with pytest.raises(ValueError, match="past"):
+        with pytest.raises(ContractViolation, match="past"):
             engine.register_timer(99)
 
     def test_register_delegates_and_returns_handle(self):

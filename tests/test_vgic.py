@@ -28,11 +28,7 @@ def make_gic(lr_count=4, boot=True):
 
 
 def lr_states(gic, vm):
-    return {
-        (lr.virq, lr.state.value)
-        for lr in gic.cpu_if[vm].lrs
-        if lr.state.value != "invalid"
-    }
+    return {(virq, state.value) for virq, (_, state, _) in gic.cpu_if[vm].lrs.items()}
 
 
 class TestRegisters:
@@ -182,10 +178,9 @@ class TestInterruptFlow:
         gic.phys_arrival(41)
         gic.guest_ack(1)
         gic.guest_ack(1)
-        ci = gic.cpu_if[1]
-        assert ci.ack_count - ci.eoi_count == ci.active_count() == 2
+        assert lr_states(gic, 1) == {(40, "active"), (41, "active")}
         gic.guest_eoi(1, 40)
-        assert ci.ack_count - ci.eoi_count == ci.active_count() == 1
+        assert lr_states(gic, 1) == {(41, "active")}
 
     def test_soft_inject_and_collapse(self):
         gic = make_gic()
@@ -265,7 +260,7 @@ def random_op(rng, model, oracle):
 
 
 def pending_lrs(gic, vm):
-    return sum(lr.state.value == "pending" for lr in gic.cpu_if[vm].lrs)
+    return sum(state.value == "pending" for _, state, _ in gic.cpu_if[vm].lrs.values())
 
 
 def test_random_sequence_matches_oracle():
@@ -286,3 +281,52 @@ def test_random_sequence_matches_oracle():
             elif out[0] in ("ack", "eoi"):
                 assert out[1] == out[2], (seq, step, out)
         assert canonical(model.snapshot()) == oracle.snapshot(), seq
+
+
+@pytest.mark.parametrize("lr_count", [1, 2, 4])
+def test_random_sequence_at_lr_capacity_matches_oracle(lr_count):
+    """Full LRs: drain order and stop, changed-bit drains, soft latching."""
+    rng = random.Random(0xCA9 + lr_count)
+    for seq in range(400):
+        model = make_gic(lr_count=lr_count, boot=False)
+        oracle = OracleGic(TARGETS, VIRQS, lr_count=lr_count)
+        if rng.random() < 0.8:
+            for vm in (0, 1):
+                model.boot_enable(vm)
+                oracle.boot_enable(vm)
+        for step in range(30):
+            out = random_op(rng, model, oracle)
+            if out[0] in ("r", "ack", "eoi"):
+                assert out[1] == out[2], (lr_count, seq, step, out)
+        for vm in (0, 1):
+            assert model.cpu_if[vm].n_pending == pending_lrs(model, vm), (lr_count, seq)
+        assert canonical(model.snapshot()) == oracle.snapshot(), (lr_count, seq)
+
+
+def test_full_lrs_hold_back_a_merge_until_a_drain_reaches_it():
+    """A drain stops at the first eligible interrupt that does not fit, and
+    only a write that changes a bit (or a CTLR enable) drains again."""
+    model, oracle = make_gic(lr_count=1), OracleGic(TARGETS, VIRQS, lr_count=1)
+    for gic in (model, oracle):
+        gic.boot_enable(0)
+        gic.boot_enable(1)
+    set_100_pending = (0, GICD_ISPENDR + 12, True, 1 << 4)
+    steps = [
+        ("mmio", (0, GICD_IPRIORITYR + 32, True, 0x10)),  # irq 32 more urgent than virq 100
+        ("mmio", (0, GICD_IPRIORITYR + 100, True, 0x80)),
+        ("inject_soft", (0, 100)),  # the one LR holds 100
+        ("phys_arrival", (32,)),  # latched: no room
+        ("mmio", set_100_pending),  # changed: the drain stops at 32, 100 stays latched
+        ("mmio", (0, GICD_IPRIORITYR + 100, True, 0)),  # now 100 is the more urgent
+        ("mmio", set_100_pending),  # no bit changed: no drain
+        ("mmio", (0, GICD_ISENABLER + 4, True, 1)),  # irq 32 already enabled: no drain
+        ("mmio", (0, GICD_CTLR, True, 1)),  # always drains: 100 merges, 32 still waits
+    ]
+    latched_100 = []
+    for name, args in steps:
+        for gic in (model, oracle):
+            getattr(gic, name)(*args)
+        assert canonical(model.snapshot()) == oracle.snapshot(), name
+        latched_100.append(model.pending[100])
+    assert latched_100 == [False, False, False, False, True, True, True, True, False]
+    assert model.pending[32] and lr_states(model, 0) == {(100, "pending")}
