@@ -19,7 +19,6 @@ from .framework import (
     Framework,
     SchedulerServices,
     SchedulerTable,
-    TimerHandle,
 )
 from .model import (
     ConfigError,
@@ -56,7 +55,6 @@ __all__ = [
     "Segment",
     "SimulationAborted",
     "SystemSpec",
-    "TimerHandle",
     "Trace",
     "TraceRecord",
     "VcpuRecord",

@@ -36,7 +36,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import framework as fw_mod
-from .framework import Framework, SchedulerServices, TimerHandle
+from .framework import Framework, SchedulerServices
 from .ivc import ChannelState
 from .memmap import KIND_MMIO, KIND_PA, MemoryMap
 from .model import (
@@ -52,7 +52,7 @@ from .schedulers import get_plugin
 from .trace import MetricsReport, Trace, TraceRecord, metrics_from_trace
 from .vgic import DIST_MMIO_BASE, SPURIOUS_IRQ, Vgic
 
-# Heap entries are (at, seq, kind, data), of these kinds:
+# Heap entries are (at, seq, kind, data), of these kinds (data: irq, timer id):
 EV_PHYS_IRQ = "phys_irq"
 EV_TIMER_FIRE = "timer_fire"
 
@@ -132,7 +132,8 @@ class Engine(SchedulerServices):
         # The running guest's next step, (at, until, handler, vcpu, ctx): it
         # runs once the heap head is at or after until.
         self._step = None
-        self._timer_ids = 0
+        self._timer_ids = 0  # the last timer id issued; ids count up from 1
+        self._armed: set[int] = set()  # ids of timers neither fired nor cancelled
         self._timer_irq_at: Time = -1  # instant of the last timer interrupt
         self._timer_irqs_at = 0  # timer interrupts at that instant
         self._running = False  # a guest holds the CPU
@@ -154,25 +155,32 @@ class Engine(SchedulerServices):
     def set_flag(self) -> None:
         self.fw.set_reschedule_flag()
 
-    def register_timer(self, at: Time) -> TimerHandle:
+    def register_timer(self, at: Time) -> int:
+        if type(at) is not int:
+            raise ContractViolation(f"timer instant {at!r} is not an integer")
         if at < self._now:
             raise ContractViolation(f"timer at {at} is in the past (now={self._now})")
         self._timer_ids += 1
-        handle = TimerHandle(self._timer_ids, at)
-        self.trace("timer_set", "hv", "", 0, f"id={handle.handle_id};at={at}")
+        timer_id = self._timer_ids
+        self._armed.add(timer_id)
+        self.trace("timer_set", "hv", "", 0, f"id={timer_id};at={at}")
         self._seq += 1
-        heapq.heappush(self._queue, (at, self._seq, EV_TIMER_FIRE, handle))
-        return handle
+        heapq.heappush(self._queue, (at, self._seq, EV_TIMER_FIRE, timer_id))
+        return timer_id
 
-    def cancel_timer(self, handle: TimerHandle) -> None:
-        if handle.fired or handle.cancelled:
-            return
-        handle.cancelled = True
-        self.trace("timer_cancel", "hv", "", 0, f"id={handle.handle_id}")
+    def cancel_timer(self, timer_id: int) -> None:
+        """Stop a timer that has not fired yet; on a fired or cancelled one, do nothing."""
+        if type(timer_id) is not int or not 0 < timer_id <= self._timer_ids:
+            raise ContractViolation(f"timer {timer_id!r} was never set")
+        if timer_id in self._armed:
+            self._armed.remove(timer_id)
+            self.trace("timer_cancel", "hv", "", 0, f"id={timer_id}")
 
     def report_deadline_miss(self, vm_id: int, deadline: Time) -> None:
         if type(vm_id) is not int or not 0 <= vm_id < len(self.vcpus):
             raise ContractViolation(f"deadline miss reported for unknown vm {vm_id!r}")
+        if type(deadline) is not int:
+            raise ContractViolation(f"deadline {deadline!r} of vm {vm_id} is not an integer")
         self.trace("deadline_miss", "hv", "", 0, f"vm={vm_id};deadline={deadline}")
 
     # -- run -----------------------------------------------------------------
@@ -186,7 +194,8 @@ class Engine(SchedulerServices):
             self._loop()
             self._final_fold()
         except ContractViolation as exc:
-            self.trace("contract_violation", detail=str(exc).replace(",", ";"))
+            detail = str(exc).replace(",", ";").replace("\n", "\\n").replace("\r", "\\r")
+            self.trace("contract_violation", detail=detail)
             raise SimulationAborted(str(exc), self.records) from exc
         finally:
             self.fw = None
@@ -214,6 +223,7 @@ class Engine(SchedulerServices):
 
     def _loop(self) -> None:
         q = self._queue
+        armed = self._armed
         horizon = self.horizon
         while True:
             step = self._step
@@ -228,18 +238,17 @@ class Engine(SchedulerServices):
             if not q:
                 return
             at, _, kind, data = heapq.heappop(q)
-            if kind == EV_TIMER_FIRE and data.cancelled:
+            if kind == EV_TIMER_FIRE and data not in armed:
                 continue
-            if at < self._now:
-                at = self._now
-            if at >= horizon:
+            now = at if at > self._now else self._now
+            if now >= horizon:
                 return
-            self._now = at
+            self._now = now
             if kind == EV_PHYS_IRQ:
                 self._next_arrival()
                 self._do_phys_irq(data)
             else:
-                self._do_timers(data)
+                self._do_timers(at, data)
 
     # -- event handlers -------------------------------------------------------
 
@@ -257,17 +266,19 @@ class Engine(SchedulerServices):
         self.fw.dispatch_checkpoint(fw_mod.END_OF_PHYSICAL_INTERRUPT)
         self._resume()
 
-    def _do_timers(self, first: TimerHandle) -> None:
+    def _do_timers(self, at: Time, first: int) -> None:
         # Expiries at the same instant share one interrupt and one checkpoint.
+        armed = self._armed
+        armed.remove(first)
         batch = [first]
-        at = first.fire_at
         q = self._queue
         while q:
             head = q[0]
             if head[2] != EV_TIMER_FIRE or head[0] != at:
                 break
             heapq.heappop(q)
-            if not head[3].cancelled:
+            if head[3] in armed:
+                armed.remove(head[3])
                 batch.append(head[3])
         now = self._now
         if now == self._timer_irq_at:
@@ -280,10 +291,9 @@ class Engine(SchedulerServices):
         else:
             self._timer_irq_at, self._timer_irqs_at = now, 1
         self._suspend()
-        ids = "+".join(str(h.handle_id) for h in batch)
+        ids = "+".join(map(str, batch))
         self.charge("timer_fire", "interrupt_entry_exit", f"ids={ids}")
-        for handle in batch:
-            handle.fired = True
+        for _ in batch:
             self.fw.set_reschedule_flag()
         self.fw.dispatch_checkpoint(fw_mod.END_OF_PHYSICAL_INTERRUPT)
         self._resume()

@@ -4,16 +4,17 @@ Scheduling policy lives behind a seven-operation function table.  A plugin
 is one SchedulerTable subclass, added with schedulers.register(name, cls).
 Its static parse(spec) checks the scheduler options and every VM's
 sched_param and returns what the constructor needs; the engine builds the
-table as cls(services, cls.parse(spec)).  A timer set with the services'
-register_timer(at) sets the reschedule flag when it fires.  The dispatcher
-only ever acts at two checkpoints (end of a hyp call, end of physical
-interrupt handling) and only when the flag is set.
+table as cls(services, cls.parse(spec)).  The services' register_timer(at)
+returns a timer id, the one the trace prints; the timer sets the reschedule
+flag when it fires, and cancel_timer(id) stops it until then.  The
+dispatcher only ever acts at two checkpoints (end of a hyp call, end of
+physical interrupt handling) and only when the flag is set.
 
 Tables own sched_state; run states are the framework's and sched_param is
 fixed.  Around every table operation the framework raises a guard cell it
 shares with its vCPUs, so a run-state write during an operation raises
 ContractViolation at the write and aborts the run (see model.VcpuRecord).
-schedule() returning a sleeping or blocked vCPU is checked once per call.
+Each schedule() call is checked to return None or an awake vCPU of this run.
 The trace details the dispatcher writes (vm=<id>, kind=...;flag=...) are
 built once per vCPU and checkpoint kind, not per call.
 """
@@ -21,7 +22,6 @@ built once per vCPU and checkpoint kind, not per call.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from typing import Iterable, Protocol
 
 from .model import ContractViolation, RunState, SystemSpec, Time, VcpuRecord
@@ -33,7 +33,7 @@ CHECKPOINT_KINDS = (END_OF_HYP_CALL, END_OF_PHYSICAL_INTERRUPT)
 _CHECKPOINT_DETAILS = {k: (f"kind={k};flag=0", f"kind={k};flag=1") for k in CHECKPOINT_KINDS}
 
 # Python 3.11 loads an enum member through its class ~5x slower than a global.
-_RUNNING, _READY, _BLOCKED, _SLEEPING = RunState.RUNNING, RunState.READY, RunState.BLOCKED, RunState.SLEEPING
+_RUNNING, _READY, _SLEEPING = RunState.RUNNING, RunState.READY, RunState.SLEEPING
 
 # A checkpoint re-evaluates the flag after applying each decision (table
 # operations may set it again); a scheduler that never converges is broken.
@@ -56,8 +56,8 @@ class SchedulerTable(abc.ABC):
 
     @abc.abstractmethod
     def schedule(self) -> VcpuRecord | None:
-        """Pick the vCPU to run next, or None to idle; never a sleeping or
-        blocked one.  Like every operation, must not change any run state.
+        """Pick one of this run's vCPUs to run next, or None to idle; never a
+        sleeping one.  Like every operation, must not change any run state.
         """
 
     @abc.abstractmethod
@@ -81,17 +81,6 @@ class SchedulerTable(abc.ABC):
         """Push vcpu into the scheduler's wait storage."""
 
 
-@dataclass
-class TimerHandle:
-    """A one-shot timer; when it fires it sets the reschedule flag.
-    Cancellable until it fires."""
-
-    handle_id: int
-    fire_at: Time
-    cancelled: bool = False
-    fired: bool = False
-
-
 class SchedulerServices(Protocol):
     """What a scheduler implementation may call back into.
 
@@ -100,8 +89,8 @@ class SchedulerServices(Protocol):
 
     def now(self) -> Time: ...
     def set_flag(self) -> None: ...
-    def register_timer(self, at: Time) -> TimerHandle: ...
-    def cancel_timer(self, handle: TimerHandle) -> None: ...
+    def register_timer(self, at: Time) -> int: ...
+    def cancel_timer(self, timer_id: int) -> None: ...
     def report_deadline_miss(self, vm_id: int, deadline: Time) -> None: ...
 
 
@@ -195,10 +184,12 @@ class Framework:
 
     def _call_schedule(self) -> VcpuRecord | None:
         chosen = self._op("schedule")
-        if chosen is not None and (chosen._run_state is _SLEEPING or chosen._run_state is _BLOCKED):
-            raise ContractViolation(
-                f"schedule() returned vm {chosen.id} in state {chosen._run_state.value}"
-            )
+        if chosen is not None:
+            # Every vCPU of this framework shares its guard cell.
+            if getattr(chosen, "_guard", None) is not self._guard:
+                raise ContractViolation(f"schedule() returned {chosen!r}: not a vCPU of this run")
+            if chosen._run_state is _SLEEPING:
+                raise ContractViolation(f"schedule() returned vm {chosen.id} in state sleeping")
         self.host.trace("cb_schedule", "hv", "", 0, "vm=-" if chosen is None else self._vm_detail[chosen.id])
         return chosen
 
@@ -221,9 +212,8 @@ class Framework:
 
     def on_vm_wakeup(self, vcpu: VcpuRecord) -> None:
         self._require_init()
-        state = vcpu._run_state
-        if state is not _SLEEPING and state is not _BLOCKED:
-            raise ContractViolation(f"wakeup of vm {vcpu.id} which is {state.value}")
+        if vcpu._run_state is not _SLEEPING:
+            raise ContractViolation(f"wakeup of vm {vcpu.id} which is {vcpu._run_state.value}")
         vcpu._run_state = _READY
         self.host.trace("vm_wake", self._actor[vcpu.id])
         self.host.trace("cb_unblock", "hv", "", 0, self._vm_detail[vcpu.id])

@@ -34,7 +34,6 @@ class ContractViolation(RuntimeError):
 class RunState(enum.Enum):
     RUNNING = "running"
     READY = "ready"
-    BLOCKED = "blocked"
     SLEEPING = "sleeping"
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .framework import SchedulerServices, SchedulerTable, TimerHandle
+from .framework import SchedulerServices, SchedulerTable
 from .model import ConfigError, ContractViolation, SystemSpec, Time, VcpuRecord
 
 DEFAULT_RR_QUANTUM_NS = 10_000_000  # config "quantum_ns" overrides
@@ -45,18 +45,19 @@ class EdfVmState:
 class EdfScheduler(SchedulerTable):
     """Earliest-deadline-first over periodic budgets.
 
-    Two queues: executable VMs ordered by deadline and exhausted VMs waiting
-    for their next period start.  schedule() first replenishes every VM whose
-    period has arrived, then picks the earliest deadline (lowest VM id on
-    ties) and arms a timer for its budget expiry.  A second timer wakes the
-    system at the next waiting-queue release; without it a release while a
+    One set, _ready, holds the VMs that are awake and not dispatched.
+    schedule() first replenishes every VM whose period has arrived.  One pass
+    over _ready then picks the earliest deadline (lowest VM id on ties) among
+    the VMs with budget left, the dispatched one included, and arms a timer
+    for its budget expiry.  The same pass finds the next release of an
+    exhausted VM; a second timer wakes the system then, or a release while a
     longer-deadline VM runs would be handled arbitrarily late.
 
     The sweep is skipped while now is before _bound, a lower bound on the
-    deadlines of the tracked (executable, waiting, dispatched) VMs that the
-    sweep recomputes and enque and _route lower.  schedule() still cancels
-    and re-arms its timers on every call: timer_set/timer_cancel records,
-    their count and their order are part of the trace contract.
+    deadlines of the ready and dispatched VMs that the sweep recomputes and
+    _make_ready lowers.  schedule() still cancels and re-arms its timers on
+    every call: timer_set/timer_cancel records, their count and their order
+    are part of the trace contract.
     """
 
     def __init__(self, services: SchedulerServices, params: dict[int, EdfParam]):
@@ -64,10 +65,9 @@ class EdfScheduler(SchedulerTable):
         self._vcpus: dict[int, VcpuRecord] = {}
         self._params = params
         self._states: dict[int, EdfVmState] = {}
-        self._executable: set[int] = set()
-        self._waiting: set[int] = set()
+        self._ready: set[int] = set()
         self._dispatched: int | None = None
-        self._timers: list[TimerHandle] = []
+        self._timers: list[int] = []
         self._bound: Time | float = float("inf")
 
     @staticmethod
@@ -101,8 +101,7 @@ class EdfScheduler(SchedulerTable):
         return state
 
     def enque(self, vcpu: VcpuRecord) -> None:
-        self._executable.add(vcpu.id)
-        self._bound = min(self._bound, self._states[vcpu.id].deadline)
+        self._make_ready(vcpu.id)
 
     def schedule(self) -> VcpuRecord | None:
         now = self.services.now()
@@ -114,16 +113,20 @@ class EdfScheduler(SchedulerTable):
         if now >= self._bound:
             self._sweep(now)
 
-        # Earliest (deadline, id) of the executable VMs and a dispatched one with budget.
-        winner = None
+        # Earliest (deadline, id) of the VMs with budget; earliest deadline of the rest.
+        winner = release = None
         if dispatched is not None and states[dispatched].remaining > 0:
             winner, best = dispatched, states[dispatched].deadline
-        for vm_id in self._executable:
-            deadline = states[vm_id].deadline
-            if winner is None or deadline < best or (deadline == best and vm_id < winner):
+        for vm_id in self._ready:
+            st = states[vm_id]
+            deadline = st.deadline
+            if st.remaining <= 0:
+                if release is None or deadline < release:
+                    release = deadline
+            elif winner is None or deadline < best or (deadline == best and vm_id < winner):
                 winner, best = vm_id, deadline
         if winner is not None and winner != dispatched:
-            self._executable.discard(winner)
+            self._ready.discard(winner)
         self._dispatched = winner
 
         if winner is not None:
@@ -132,8 +135,7 @@ class EdfScheduler(SchedulerTable):
             if st.deadline < now + st.remaining:
                 # Budget cannot finish in time: a miss is coming; check at the line.
                 self._timers.append(self.services.register_timer(st.deadline))
-        if self._waiting:
-            release = min(self._states[i].deadline for i in self._waiting)
+        if release is not None:
             self._timers.append(self.services.register_timer(release))
         return None if winner is None else self._vcpus[winner]
 
@@ -143,7 +145,7 @@ class EdfScheduler(SchedulerTable):
 
     def block(self, vcpu: VcpuRecord) -> None:
         self._sync(vcpu.id)
-        self._route(vcpu.id)
+        self._make_ready(vcpu.id)
         self.services.set_flag()
 
     def unblock(self, vcpu: VcpuRecord) -> None:
@@ -153,7 +155,7 @@ class EdfScheduler(SchedulerTable):
         # Periods that elapsed while asleep are forgiven, not counted as misses.
         while st.deadline <= now:
             self._replenish(vcpu.id)
-        self._route(vcpu.id)
+        self._make_ready(vcpu.id)
         self.services.set_flag()
 
     # -- internals --------------------------------------------------------
@@ -174,7 +176,7 @@ class EdfScheduler(SchedulerTable):
     def _sweep(self, now: Time) -> None:
         """Replenish every crossed period, in VM order; unconsumed budget at
         a crossed deadline is a deadline miss.  Resets the bound."""
-        tracked = self._executable | self._waiting
+        tracked = set(self._ready)
         if self._dispatched is not None:
             tracked.add(self._dispatched)
         bound = float("inf")
@@ -184,25 +186,16 @@ class EdfScheduler(SchedulerTable):
                 if st.remaining > 0:
                     self.services.report_deadline_miss(vm_id, st.deadline)
                 self._replenish(vm_id)
-            if vm_id in self._waiting and st.remaining > 0:
-                self._waiting.discard(vm_id)
-                self._executable.add(vm_id)
             bound = min(bound, st.deadline)
         self._bound = bound
 
-    def _route(self, vm_id: int) -> None:
-        self._executable.discard(vm_id)
-        self._waiting.discard(vm_id)
-        st = self._states[vm_id]
-        if st.remaining > 0:
-            self._executable.add(vm_id)
-        else:
-            self._waiting.add(vm_id)
-        self._bound = min(self._bound, st.deadline)
+    def _make_ready(self, vm_id: int) -> None:
+        self._ready.add(vm_id)
+        self._bound = min(self._bound, self._states[vm_id].deadline)
 
     def _cancel_timers(self) -> None:
-        for h in self._timers:
-            self.services.cancel_timer(h)
+        for timer_id in self._timers:
+            self.services.cancel_timer(timer_id)
         self._timers.clear()
 
 
@@ -214,15 +207,18 @@ class EdfScheduler(SchedulerTable):
 class FixedPriorityScheduler(SchedulerTable):
     """Lowest priority value runs; ties go to the lower VM id.
 
-    The flag is raised whenever a table operation changes which vCPU ought to
-    be running.
+    One set, _awake, holds every VM that is not asleep, the dispatched one
+    included, so a preempted VM needs no bookkeeping.  The flag is raised
+    whenever a table operation changes which vCPU ought to be running: when
+    the dispatched VM goes to sleep, or a VM wakes that outranks every
+    awake one.
     """
 
     def __init__(self, services: SchedulerServices, priorities: dict[int, int]):
         self.services = services
         self._vcpus: dict[int, VcpuRecord] = {}
-        self._prio = priorities
-        self._ready: set[int] = set()
+        self._rank = {vm_id: (prio, vm_id) for vm_id, prio in priorities.items()}
+        self._awake: set[int] = set()
         self._dispatched: int | None = None
 
     @staticmethod
@@ -241,37 +237,29 @@ class FixedPriorityScheduler(SchedulerTable):
         self._vcpus[vcpu.id] = vcpu
 
     def enque(self, vcpu: VcpuRecord) -> None:
-        self._ready.add(vcpu.id)
+        self._awake.add(vcpu.id)
 
     def schedule(self) -> VcpuRecord | None:
-        winner = self._should_run()
-        if winner is not None and winner != self._dispatched:
-            self._ready.discard(winner)
-        self._dispatched = winner
+        winner = self._dispatched = self._should_run()
         return None if winner is None else self._vcpus[winner]
 
     def yield_(self) -> None:
-        before = self._should_run()
-        self._dispatched = None
-        if self._should_run() != before:
+        sleeper, self._dispatched = self._dispatched, None
+        if sleeper is not None and sleeper == self._should_run():
             self.services.set_flag()
+        self._awake.discard(sleeper)
 
     def block(self, vcpu: VcpuRecord) -> None:
-        self._ready.add(vcpu.id)
+        pass  # a preempted VM stays awake
 
     def unblock(self, vcpu: VcpuRecord) -> None:
-        before = self._should_run()
-        self._ready.add(vcpu.id)
-        if self._should_run() != before:
+        best = self._should_run()
+        self._awake.add(vcpu.id)
+        if best is None or self._rank[vcpu.id] < self._rank[best]:
             self.services.set_flag()
 
     def _should_run(self) -> int | None:
-        cands = set(self._ready)
-        if self._dispatched is not None:
-            cands.add(self._dispatched)
-        if not cands:
-            return None
-        return min(cands, key=lambda i: (self._prio[i], i))
+        return min(self._awake, key=self._rank.__getitem__, default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +276,7 @@ class RoundRobinScheduler(SchedulerTable):
         self._vcpus: dict[int, VcpuRecord] = {}
         self._ring: deque[int] = deque()
         self._dispatched: int | None = None
-        self._timer: TimerHandle | None = None
+        self._timer: int | None = None
 
     @staticmethod
     def parse(spec: SystemSpec) -> Time:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from hvsim import load_manifest, run
-from hvsim.framework import SchedulerTable, TimerHandle
+from hvsim.framework import SchedulerTable
 from hvsim.schedulers import SCHEDULERS, FixedPriorityScheduler, register
 from hvsim.trace import run_intervals
 from hvsim.workloadgen import ZERO_COST, busy_workload, make_manifest, make_vm
@@ -82,6 +82,11 @@ BAD_SERVICE_CALLS = {
     "timer-in-past": (lambda services, now: services.register_timer(now - 1),
                       "timer at 999999 is in the past"),
     "miss-of-unknown-vm": (lambda services, now: services.report_deadline_miss(7, now), "unknown vm 7"),
+    "timer-at-str": (lambda services, now: services.register_timer("5"),
+                     "timer instant '5' is not an integer"),
+    "miss-at-str": (lambda services, now: services.report_deadline_miss(0, "5\n6,7"),
+                    "of vm 0 is not an integer"),
+    "cancel-of-unset-timer": (lambda services, now: services.cancel_timer(42), "timer 42 was never set"),
 }
 
 
@@ -127,10 +132,10 @@ class FakeHost:
 
     def register_timer(self, at):
         self._ids += 1
-        return TimerHandle(self._ids, at)
+        return self._ids
 
-    def cancel_timer(self, handle):
-        handle.cancelled = True
+    def cancel_timer(self, timer_id):
+        pass
 
     def report_deadline_miss(self, vm_id, deadline):
         self.records.append(("deadline_miss", "hv", "", 0, f"vm={vm_id};deadline={deadline}"))

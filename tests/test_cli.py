@@ -62,7 +62,7 @@ from hvsim.schedulers import RoundRobinScheduler, register
 
 class BlockWriter(RoundRobinScheduler):
     def block(self, vcpu):
-        vcpu.run_state = RunState.BLOCKED
+        vcpu.run_state = RunState.RUNNING
         super().block(vcpu)
 
 register("block_writer", BlockWriter)
@@ -79,6 +79,24 @@ from hvsim.cli import main
 from hvsim.schedulers import register
 
 register("bad_call", bad_service_call_table(sys.argv.pop(1)))
+sys.exit(main(sys.argv[1:]))
+"""
+
+# The hvsim CLI with "bad_call" registered: FP whose schedule() raises a
+# contract violation with a two-line message from 1 ms on.
+MULTI_LINE_VIOLATION_CLI = """
+import sys
+from hvsim.cli import main
+from hvsim.model import ContractViolation
+from hvsim.schedulers import FixedPriorityScheduler, register
+
+class MultiLine(FixedPriorityScheduler):
+    def schedule(self):
+        if self.services.now() >= 1_000_000:
+            raise ContractViolation("line one\\nline two,\\r")
+        return super().schedule()
+
+register("bad_call", MultiLine)
 sys.exit(main(sys.argv[1:]))
 """
 
@@ -292,6 +310,18 @@ class TestOptimizedInterpreter:
         with open(out / "trace.csv") as fh:
             last = read_csv(fh)[-1]
         assert last.kind == "contract_violation" and BAD_SERVICE_CALLS[case][1] in last.detail
+
+    def test_multi_line_violation_keeps_one_record_per_line(self, tmp_path):
+        out = tmp_path / "o"
+        proc = run_python_process("-c", MULTI_LINE_VIOLATION_CLI, "--config",
+                                  write_manifest(tmp_path, bad_service_call_manifest()),
+                                  "--horizon-ns", 5 * MS, "--out", out, interpreter_flags=["-O"])
+        assert proc.returncode == 3, proc.stderr
+        with open(out / "trace.csv") as fh:
+            records = read_csv(fh)
+        assert len(records) == (out / "trace.csv").read_bytes().count(b"\n") - 1
+        assert (records[-1].time, records[-1].kind) == (MS, "contract_violation")
+        assert records[-1].detail == r"line one\nline two;\r"
 
     def test_run_state_write_in_block_exits_3(self, tmp_path):
         m = rr_manifest(2, quantum_ns=MS, horizon=5 * MS)

@@ -176,14 +176,19 @@ class TestEventOrdering:
         assert sum(1 for r in after if r.kind == "checkpoint") == 1
 
     def test_cancelled_timer_never_fires(self):
-        class CancelTimer(FixedPriorityScheduler):
-            armed = False
+        """Timer ids count up from 1; only cancelling an armed timer writes a record."""
+        ids = []
 
+        class CancelTimer(FixedPriorityScheduler):
             def schedule(self):
-                if not self.armed:
-                    self.armed = True
-                    handle = self.services.register_timer(self.services.now() + MS)
-                    self.services.cancel_timer(handle)
+                services = self.services
+                if not ids:
+                    first = services.register_timer(services.now() + MS)
+                    services.cancel_timer(first)
+                    services.cancel_timer(first)  # already cancelled
+                    ids.extend((first, services.register_timer(services.now() + 2 * MS)))
+                else:
+                    services.cancel_timer(ids[1])  # fired at 2 ms
                 return super().schedule()
 
         register("cancel_timer", CancelTimer)
@@ -193,8 +198,11 @@ class TestEventOrdering:
             res = run_manifest(m, 10 * MS)
         finally:
             del SCHEDULERS["cancel_timer"]
-        assert records_of(res, "timer_fire") == []
-        assert records_of(res, "timer_cancel") != []
+        assert ids == [1, 2]
+        assert [r.detail for r in records_of(res, "timer_set")] == ["id=1;at=1000000", "id=2;at=2000000"]
+        assert [r.detail for r in records_of(res, "timer_cancel")] == ["id=1"]
+        assert [(r.time, r.detail) for r in records_of(res, "timer_fire")] == [(2 * MS, "ids=2")]
+        assert records_of(res, "cb_schedule")[-1].time == 2 * MS  # the cancel of the fired timer ran
 
 
 class TestCheckpointCompleteness:

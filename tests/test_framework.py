@@ -189,7 +189,7 @@ class TestScheduleContracts:
     def test_schedule_mutating_run_state_rejected(self):
         class Mutator(RecordingTable):
             def schedule(self):
-                self.vcpus[0].run_state = RunState.BLOCKED
+                self.vcpus[0].run_state = RunState.RUNNING
                 return None
 
         host = FakeHost()
@@ -216,12 +216,25 @@ class TestScheduleContracts:
         with pytest.raises(ContractViolation, match="sched_param"):
             fw.dispatch_checkpoint(END_OF_HYP_CALL)
 
-    def test_schedule_returning_blocked_vcpu_rejected(self):
-        _, _, vcpus, fw = make_framework(2)
+    def test_schedule_returning_non_vcpu_rejected(self):
+        class ReturnsInt(RecordingTable):
+            def schedule(self):
+                return 0
+
+        fw = Framework(FakeHost(), ReturnsInt(), [VcpuRecord(id=0, sched_param=None)])
         fw.initialize()
-        vcpus[1].run_state = RunState.BLOCKED
-        with pytest.raises(ContractViolation, match="blocked"):
-            dispatch(fw, 1)
+        fw.set_reschedule_flag()
+        with pytest.raises(ContractViolation, match=r"^schedule\(\) returned 0: not a vCPU of this run$"):
+            fw.dispatch_checkpoint(END_OF_HYP_CALL)
+        assert fw.current is None
+
+    def test_schedule_returning_vcpu_of_another_framework_rejected(self):
+        _, _, others, _ = make_framework(1)  # vm 0 of a second run, also Ready
+        _, _, _, fw = make_framework(1)
+        fw.initialize()
+        with pytest.raises(ContractViolation, match=r"returned vcpu0\(ready\): not a vCPU of this run"):
+            dispatch(fw, others[0])
+        assert fw.current is None and others[0].run_state is RunState.READY
 
     def test_schedule_swapping_two_run_states_rejected(self):
         """The multiset of run states is unchanged; the check is per vCPU."""
@@ -262,7 +275,7 @@ class TestScheduleContracts:
             def schedule(self):
                 v = self.vcpus[0]
                 state = v.run_state
-                v.run_state = RunState.BLOCKED
+                v.run_state = RunState.RUNNING
                 v.run_state = state
                 return None
 
@@ -306,10 +319,11 @@ class TestTimers:
             engine.register_timer(99)
 
     def test_register_delegates_and_returns_handle(self):
+        """The handle is the timer's id, the one the timer_set record prints."""
         engine = self.make_engine()
-        handle = engine.register_timer(42)
-        assert handle.fire_at == 42 and not handle.cancelled and not handle.fired
-        assert engine.records[-1][2:] == ("timer_set", "", 0, f"id={handle.handle_id};at=42")
+        assert engine.register_timer(42) == 1
+        assert engine.register_timer(42) == 2
+        assert engine.records[-1][2:] == ("timer_set", "", 0, "id=2;at=42")
 
     def test_timer_action_sets_flag(self):
         """Each fired timer sets the flag once, before the checkpoint that follows."""
@@ -323,10 +337,10 @@ class TestTimers:
 
 
 def _writes_run_state_in(op):
-    """A RecordingTable whose `op` sets vcpu 0 BLOCKED, then records the call."""
+    """A RecordingTable whose `op` sets vcpu 0 RUNNING, then records the call."""
 
     def write(self, *args):
-        (args[0] if args else self.vcpus[0]).run_state = RunState.BLOCKED
+        (args[0] if args else self.vcpus[0]).run_state = RunState.RUNNING
         return getattr(RecordingTable, op)(self, *args)
 
     return type(f"Writes{op}", (RecordingTable,), {op: write})
@@ -352,7 +366,7 @@ class TestRunStateGuard:
         fw = Framework(FakeHost(), _writes_run_state_in(op)(), vcpus)
         with pytest.raises(ContractViolation, match=rf"{op}\(\) changed vCPU run states \(vm 0\)"):
             _drive_to(op, fw, vcpus)
-        assert vcpus[0].run_state is not RunState.BLOCKED
+        assert vcpus[0].run_state is not RunState.RUNNING
 
     def test_guard_lowered_after_a_raising_operation(self):
         class Raiser(RecordingTable):
