@@ -1,7 +1,11 @@
 """Command-line front end: run a manifest, or sweep one numeric field.
 
+A run streams its trace: each block of records the engine hands over is
+written and folded into the metrics, then dropped.
+
 Exit codes: 0 clean run, 2 configuration error, 3 scheduler contract
-violation (the partial trace is still written), 4 I/O error.
+violation (the partial trace is still written), 4 I/O error, also one
+during the run.
 """
 
 from __future__ import annotations
@@ -13,8 +17,9 @@ from pathlib import Path
 
 from . import engine, workloadgen
 from .config import load_manifest, parse_json
-from .model import ConfigError
-from .trace import run_intervals, write_csv, write_json
+from .model import ConfigError, SystemSpec
+from .trace import CSV_HEADER, Fold, MetricsReport, write_csv, write_json, write_timeline
+from .trace import run_intervals  # noqa: F401  perfbench's tracing wraps hvsim.cli.run_intervals
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -34,46 +39,46 @@ def _expand(text: str, horizon_ns: int, seed) -> dict:
     return workloadgen.expand_generated(parse_json(text), seed, horizon_ns)
 
 
-def _write_trace(records, out_dir: Path, fmt: str) -> None:
+def _run(spec: SystemSpec, horizon_ns: int, out_dir: Path, fmt: str) -> MetricsReport:
+    """Run spec, streaming its trace into out_dir, then write metrics.json and
+    timeline.dat.  An aborted run raises SimulationAborted with its partial
+    trace written and nothing else; a failed write raises OSError, also from
+    inside the run."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    fold = Fold(horizon_ns, [vm.id for vm in spec.vms])
     as_json = fmt == "json"
     with open(out_dir / ("trace.json" if as_json else "trace.csv"), "w") as fh:
-        (write_json if as_json else write_csv)(records, fh)
+        if not as_json:
+            fh.write(CSV_HEADER + "\n")
 
+        def sink(block):
+            if as_json:
+                write_json(block, fh)
+            else:
+                write_csv(block, fh, header=False)
+            fold.feed(block)
 
-def _write_outputs(result: engine.RunResult, out_dir: Path, fmt: str) -> None:
-    _write_trace(result.records, out_dir, fmt)
+        with engine.streaming(sink):
+            engine.run(spec, horizon_ns)
+    metrics = fold.result()
     with open(out_dir / "metrics.json", "w") as fh:
-        json.dump(result.metrics.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(metrics.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(out_dir / "timeline.dat", "w") as fh:
-        fh.write("# time_ns vm_id state\n")
-        for start, end, vm in run_intervals(result.records, result.horizon):
-            fh.write(f"{start} {vm} 1\n{end} {vm} 0\n")
+        write_timeline(fold.spans, fh)
+    return metrics
 
 
 def cmd_run(config_path: str, horizon_ns: int, out_dir: str, fmt: str = "csv", seed=None) -> int:
-    out = Path(out_dir)
     try:
         spec = load_manifest(_expand(_read_manifest(config_path), horizon_ns, seed))
+        _run(spec, horizon_ns, Path(out_dir), fmt)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        result = engine.run(spec, horizon_ns)
     except engine.SimulationAborted as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
-        try:
-            _write_trace(exc.records, out, fmt)
-        except OSError as io_exc:
-            print(f"io error: {io_exc}", file=sys.stderr)
-            return EXIT_IO
         return EXIT_CONTRACT
-    try:
-        _write_outputs(result, out, fmt)
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -135,22 +140,12 @@ def cmd_sweep(
                 rows.append((value, "", "", "", str(exc).replace(",", ";")))
                 continue
             try:
-                result = engine.run(spec, horizon_ns)
+                m = _run(spec, horizon_ns, run_dir, fmt)
             except engine.SimulationAborted as exc:
-                _write_trace(exc.records, run_dir, fmt)
                 rows.append((value, "", "", "", f"contract violation: {exc}".replace(",", ";")))
                 continue
-            _write_outputs(result, run_dir, fmt)
-            m = result.metrics
-            rows.append(
-                (
-                    value,
-                    m.total_deadline_misses(),
-                    m.hypervisor_overhead_time,
-                    f"{m.utilization:.6f}",
-                    "",
-                )
-            )
+            rows.append((value, m.total_deadline_misses(), m.hypervisor_overhead_time,
+                         f"{m.utilization:.6f}", ""))
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "summary.csv", "w") as fh:
             fh.write("value,deadline_misses,hypervisor_overhead_time_ns,utilization,error\n")

@@ -20,7 +20,11 @@ runs at most one guest.  These rules decide the order, all test-pinned:
 Every record goes through `trace` (or, for the closing pause at the
 horizon, `_final_fold`), which extends one flat list by the record's six
 fields; `RunResult.records` is a `trace.Trace` over that list, a read-only
-sequence that builds each `TraceRecord` on access.
+sequence that builds each `TraceRecord` on access, folded once at the end.
+Inside `streaming(sink)` the list is a buffer: whenever it holds about
+`_BLOCK` records, at the end and before `SimulationAborted`, the engine
+calls `sink(records)` and then empties it, so memory does not grow with the
+horizon.
 
 A run whose virtual time stops advancing is a scheduler contract violation:
 more than `_MAX_TIMER_IRQS_PER_INSTANT` timer interrupts at one instant end
@@ -32,7 +36,10 @@ Runs are pure functions of (SystemSpec, horizon).
 from __future__ import annotations
 
 import heapq
-from collections.abc import Sequence
+import sys
+from collections.abc import Callable, Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from . import framework as fw_mod
@@ -57,11 +64,13 @@ EV_PHYS_IRQ = "phys_irq"
 EV_TIMER_FIRE = "timer_fire"
 
 _MAX_TIMER_IRQS_PER_INSTANT = 64
+_BLOCK = 512  # records a streamed run buffers before it calls the sink
 _SLEEPING = RunState.SLEEPING  # Python 3.11 loads an enum member ~5x slower than a global
 
 
 class SimulationAborted(RuntimeError):
-    """A contract violation ended the run; carries the trace so far."""
+    """A contract violation ended the run; carries the trace so far (empty
+    for a streamed run, whose sink has had every record)."""
 
     def __init__(self, message: str, records: Sequence[TraceRecord]):
         super().__init__(message)
@@ -70,9 +79,24 @@ class SimulationAborted(RuntimeError):
 
 @dataclass
 class RunResult:
-    records: Sequence[TraceRecord]  # a Trace
-    metrics: MetricsReport
+    records: Sequence[TraceRecord]  # a Trace; empty after a streamed run
+    metrics: MetricsReport | None  # None after a streamed run: its sink folds
     horizon: Time
+
+
+_STREAM_SINK: ContextVar[Callable[[Trace], None] | None] = ContextVar("sink", default=None)
+
+
+@contextmanager
+def streaming(sink: Callable[[Trace], None]):
+    """Runs started inside this block hand their records to sink a block at
+    a time, then drop them; the sink must not keep the `Trace` it is passed.
+    `run(spec, horizon)` keeps its two arguments, which perfbench wraps."""
+    token = _STREAM_SINK.set(sink)
+    try:
+        yield
+    finally:
+        _STREAM_SINK.reset(token)
 
 
 class _GuestCtx:
@@ -189,6 +213,7 @@ class Engine(SchedulerServices):
         """Run once.  The framework and its table point back at the engine;
         dropping the framework at the end breaks that cycle, so reference
         counting frees the trace as soon as the caller drops the result."""
+        sink = self._sink = _STREAM_SINK.get()
         try:
             self._boot()
             self._loop()
@@ -196,11 +221,21 @@ class Engine(SchedulerServices):
         except ContractViolation as exc:
             detail = str(exc).replace(",", ";").replace("\n", "\\n").replace("\r", "\\r")
             self.trace("contract_violation", detail=detail)
+            if sink is not None:
+                self._hand_over()
             raise SimulationAborted(str(exc), self.records) from exc
         finally:
             self.fw = None
+        if sink is not None:
+            self._hand_over()
+            return RunResult(self.records, None, self.horizon)
         metrics = metrics_from_trace(self.records, self.horizon, [v.id for v in self.vcpus])
         return RunResult(self.records, metrics, self.horizon)
+
+    def _hand_over(self) -> None:
+        """Give the buffered records to the sink, then empty the buffer."""
+        self._sink(self.records)
+        self._flat.clear()
 
     def _boot(self) -> None:
         self.trace("boot", detail=f"scheduler={self.spec.scheduler_name};vms={len(self.vcpus)}")
@@ -225,7 +260,11 @@ class Engine(SchedulerServices):
         q = self._queue
         armed = self._armed
         horizon = self.horizon
+        flat = self._flat
+        full = _BLOCK * 6 if self._sink is not None else sys.maxsize  # slots in a block
         while True:
+            if len(flat) >= full:
+                self._hand_over()
             step = self._step
             if step is not None and (not q or q[0][0] >= step[1]):
                 at, _, handler, vcpu, ctx = step

@@ -7,14 +7,19 @@ Metrics are always recomputed from the trace so the two can never disagree.
 A run's records are a `Trace`: a read-only sequence of `TraceRecord`s stored
 as one flat list, six slots per record, so a long run keeps no object per
 record for the garbage collector to track.  Each `TraceRecord` is built when
-it is read.  The fold, `run_intervals` and the writers read a `Trace`'s slots
-directly; every reader also takes a plain list of records, such as
-`read_csv` returns.
+it is read.  The writers read a `Trace`'s slots directly; every reader also
+takes a plain list of records, such as `read_csv` returns.
+
+`Fold` is the one metrics fold: it takes the records in blocks, in order,
+and keeps only counters, the run spans and the busy-time union, never the
+records.  `metrics_from_trace` and `run_intervals` are one `feed` over a
+whole trace; a streamed run (see `engine.streaming`) feeds it block by block.
 """
 
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
@@ -29,7 +34,8 @@ CSV_HEADER = "time_ns,actor,kind,cost_field,cost_ns,detail"
 _FIELDS = CSV_HEADER.split(",")
 _CSV_FORMAT = "%s,%s,%s,%s,%s,%s"  # a record's fields in CSV_HEADER order
 _WIDTH = len(_FIELDS)  # slots per record in a Trace
-_CSV_BLOCK = 512  # records formatted by one % in a writer
+_CSV_BLOCK = 512  # records (or timeline spans) formatted by one % in a writer
+_TIMELINE_SPAN = "%s %s 1\n%s %s 0\n"  # a run span's two timeline.dat lines: start, vm, end, vm
 # A record as TraceRecord.to_json writes it: keys sorted, strings escaped by
 # json's own escaper, so the fields go in (actor, cost_field, cost_ns, detail,
 # kind, time) order.
@@ -113,8 +119,10 @@ def _blocks(records: Iterable[TraceRecord]) -> Iterable[list]:
     return (flat[k : k + step] for k in range(0, len(flat), step))
 
 
-def write_csv(records: Iterable[TraceRecord], fh) -> None:
-    fh.write(CSV_HEADER + "\n")
+def write_csv(records: Iterable[TraceRecord], fh, header: bool = True) -> None:
+    """The records as CSV lines, after CSV_HEADER unless header is False."""
+    if header:
+        fh.write(CSV_HEADER + "\n")
     line = _CSV_FORMAT + "\n"
     for slots in _blocks(records):
         fh.write(line * (len(slots) // _WIDTH) % tuple(slots))
@@ -134,6 +142,17 @@ def write_json(records: Iterable[TraceRecord], fh) -> None:
         rows = zip(map(_json_str, actor), map(_json_str, cost_field), cost,
                    map(_json_str, detail), map(_json_str, kind), time)
         fh.write(_JSON_LINE * len(time) % tuple(chain.from_iterable(rows)))
+
+
+def write_timeline(spans: list, fh) -> None:
+    """gnuplot columns time_ns vm_id state: per run span, state 1 at its
+    start and 0 at its end; spans are flat (start, end, vm), as `Fold.spans`."""
+    fh.write("# time_ns vm_id state\n")
+    step = 3 * _CSV_BLOCK
+    for k in range(0, len(spans), step):
+        block = spans[k : k + step]
+        start, end, vm = block[0::3], block[1::3], block[2::3]
+        fh.write(_TIMELINE_SPAN * len(vm) % tuple(chain.from_iterable(zip(start, vm, end, vm))))
 
 
 def compare_traces(a: Sequence[TraceRecord], b: Sequence[TraceRecord]):
@@ -211,23 +230,23 @@ class MetricsReport:
         }
 
 
-def run_intervals(records: Sequence[TraceRecord], horizon: Time) -> list[tuple[Time, Time, int]]:
+def run_intervals(records: Iterable[TraceRecord], horizon: Time) -> list[tuple[Time, Time, int]]:
     """(start, end, vm) spans during which a VM held the CPU, clamped to horizon."""
-    spans = []
-    open_vm: int | None = None
-    open_at = 0
-    for time, actor, kind, _, _, _ in _rows(records):
-        if kind == "vm_start":
-            open_vm, open_at = int(actor), time
-        elif kind == "vm_pause" and open_vm is not None:
-            s = open_at if open_at < horizon else horizon
-            e = time if time < horizon else horizon
-            if e > s:
-                spans.append((s, e, open_vm))
-            open_vm = None
-    if open_vm is not None and open_at < horizon:
-        spans.append((open_at, horizon, open_vm))
-    return spans
+    fold = Fold(horizon, ())
+    fold.feed(records)
+    fold.result()
+    it = iter(fold.spans)
+    return list(zip(it, it, it))
+
+
+def metrics_from_trace(
+    records: Iterable[TraceRecord], horizon: Time, vm_ids: Iterable[int]
+) -> MetricsReport:
+    """Fold the trace into metrics in one pass over its records; a trace read
+    back with `read_csv` folds to the same report as the run's own records."""
+    fold = Fold(horizon, vm_ids)
+    fold.feed(records)
+    return fold.result()
 
 
 def _switch_in(detail: str) -> int | None:
@@ -238,69 +257,107 @@ def _switch_in(detail: str) -> int | None:
     return int(to)
 
 
-def metrics_from_trace(
-    records: Iterable[TraceRecord], horizon: Time, vm_ids: Iterable[int]
-) -> MetricsReport:
-    """Fold the trace into metrics in one pass over its records; a trace read
-    back with `read_csv` folds to the same report as the run's own records."""
-    per_vm = {vm: VmMetrics() for vm in vm_ids}
-    report = MetricsReport(horizon=horizon, per_vm=per_vm)
-    busy: list[Time] = []  # busy spans as flat (start, end) pairs: no tuple kept per span
-    add_busy = busy.extend
-    switch_in: dict[str, int | None] = {}  # memo of _switch_in by detail string
-    overhead = 0
-    open_vm: int | None = None
-    open_at = 0
-    for time, actor, kind, _, cost, detail in _rows(records):
-        if cost:
-            s = time if time < horizon else horizon
-            e = time + cost
-            if e > horizon:
-                e = horizon
-            if e > s:
-                overhead += e - s
-                add_busy((s, e))
-        if kind == "vm_start":
-            open_vm, open_at = int(actor), time
-        elif kind == "vm_pause":
-            if open_vm is not None:
-                s = open_at if open_at < horizon else horizon
-                e = time if time < horizon else horizon
-                if e > s:
-                    per_vm[open_vm].cpu_time += e - s
-                    add_busy((s, e))
-                open_vm = None
-        elif kind == "dispatch":
-            try:
-                vm = switch_in[detail]
-            except KeyError:
-                vm = switch_in[detail] = _switch_in(detail)
-            if vm is not None:
-                per_vm[vm].switch_in_count += 1
-        elif kind == "deadline_miss":
-            per_vm[int(detail_field(detail, "vm"))].deadline_misses += 1
-        elif kind == "guest_ack":
-            per_vm[int(actor)].irqs_received += 1
-        elif kind == "ivc_notify":
-            report.ivc_transfers += 1
-    if open_vm is not None and open_at < horizon:
-        per_vm[open_vm].cpu_time += horizon - open_at
-        add_busy((open_at, horizon))
-    report.hypervisor_overhead_time = overhead
+class Fold:
+    """The metrics of one trace, fed its records in order in any number of
+    blocks; `result()` closes a run still open at the end and reports.
 
-    # Idle is measured as the horizon minus the union of busy spans, so any
-    # accidental double-booking of time shows up as a conservation failure.
-    # Sorting by start alone is enough: the union does not depend on the
-    # order of spans that start together.
-    order = sorted(range(0, len(busy), 2), key=busy.__getitem__)
-    covered = 0
-    cur_s = cur_e = busy[order[0]] if order else 0
-    for k in order:
-        s, e = busy[k], busy[k + 1]
-        if s > cur_e:
-            covered += cur_e - cur_s
-            cur_s, cur_e = s, e
-        elif e > cur_e:
-            cur_e = e
-    report.idle_time = horizon - covered - (cur_e - cur_s)
-    return report
+    Per-VM counters cover vm_ids and any other VM the records name.  `spans`
+    holds the run spans, clamped to the horizon, as flat (start, end, vm)
+    ints.  Idle time is the horizon minus the union of busy spans (run spans
+    and cost windows), so any double booking shows up as a conservation
+    failure.  The union is kept as closed disjoint intervals, one per idle
+    gap, plus the open one; a span that starts before the open interval
+    (none does in an engine trace) waits in a late list, and `result()`
+    merges everything by sort, so the union is exact for any record order.
+    """
+
+    def __init__(self, horizon: Time, vm_ids: Iterable[int]):
+        self.horizon = horizon
+        self.per_vm: dict[int, VmMetrics] = defaultdict(VmMetrics, {vm: VmMetrics() for vm in vm_ids})
+        self.spans: list[Time] = []
+        self._overhead = self._ivc = 0
+        self._open_vm: int | None = None
+        self._open_at: Time = 0
+        self._switch_in: dict[str, int | None] = {}  # memo of _switch_in by detail string
+        self._cur_s = self._cur_e = 0  # the open interval of the union
+        self._closed: list[Time] = []  # closed intervals, flat (start, end)
+        self._late: list[Time] = []  # late spans, flat (start, end)
+
+    def feed(self, records: Iterable[TraceRecord]) -> None:
+        horizon, per_vm, switch_in = self.horizon, self.per_vm, self._switch_in
+        add_span = self.spans.extend
+        busy: list[Time] = []  # this block's busy spans, flat (start, end)
+        add_busy = busy.extend
+        overhead, ivc = self._overhead, self._ivc
+        open_vm, open_at = self._open_vm, self._open_at
+        for time, actor, kind, _, cost, detail in _rows(records):
+            if cost:
+                s = time if time < horizon else horizon
+                e = time + cost
+                if e > horizon:
+                    e = horizon
+                if e > s:
+                    overhead += e - s
+                    add_busy((s, e))
+            if kind == "vm_start":
+                open_vm, open_at = int(actor), time
+            elif kind == "vm_pause":
+                if open_vm is not None:
+                    s = open_at if open_at < horizon else horizon
+                    e = time if time < horizon else horizon
+                    if e > s:
+                        per_vm[open_vm].cpu_time += e - s
+                        add_span((s, e, open_vm))
+                        add_busy((s, e))
+                    open_vm = None
+            elif kind == "dispatch":
+                try:
+                    vm = switch_in[detail]
+                except KeyError:
+                    vm = switch_in[detail] = _switch_in(detail)
+                if vm is not None:
+                    per_vm[vm].switch_in_count += 1
+            elif kind == "deadline_miss":
+                per_vm[int(detail_field(detail, "vm"))].deadline_misses += 1
+            elif kind == "guest_ack":
+                per_vm[int(actor)].irqs_received += 1
+            elif kind == "ivc_notify":
+                ivc += 1
+        self._overhead, self._ivc, self._open_vm, self._open_at = overhead, ivc, open_vm, open_at
+        self._union(busy)
+
+    def _union(self, busy: list[Time]) -> None:
+        cur_s, cur_e = self._cur_s, self._cur_e
+        it = iter(busy)
+        for s, e in zip(it, it):
+            if s < cur_s:
+                self._late += (s, e)
+            elif s > cur_e:
+                self._closed += (cur_s, cur_e)
+                cur_s, cur_e = s, e
+            elif e > cur_e:
+                cur_e = e
+        self._cur_s, self._cur_e = cur_s, cur_e
+
+    def result(self) -> MetricsReport:
+        horizon, vm, at = self.horizon, self._open_vm, self._open_at
+        if vm is not None and at < horizon:
+            self.per_vm[vm].cpu_time += horizon - at
+            self.spans += (at, horizon, vm)
+            self._union([at, horizon])
+        self._open_vm = None
+        busy = self._closed + [self._cur_s, self._cur_e] + self._late
+        # Sorting by start alone is enough: the union does not depend on the
+        # order of spans that start together.
+        order = sorted(range(0, len(busy), 2), key=busy.__getitem__)
+        covered = 0
+        cur_s = cur_e = busy[order[0]]
+        for k in order:
+            s, e = busy[k], busy[k + 1]
+            if s > cur_e:
+                covered += cur_e - cur_s
+                cur_s, cur_e = s, e
+            elif e > cur_e:
+                cur_e = e
+        return MetricsReport(horizon, dict(self.per_vm), self._overhead,
+                             horizon - covered - (cur_e - cur_s), self._ivc)

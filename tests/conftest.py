@@ -58,13 +58,19 @@ def rr_manifest(n_vms, quantum_ns, horizon, cost_model=ZERO_COST, workloads=None
 
 class SameInstantTimer(FixedPriorityScheduler):
     """A broken FP table: every schedule() sets a timer at the current instant,
-    so under a zero cost model virtual time never advances.  The record cap
-    fails a test whose engine does not end the livelock, instead of hanging."""
+    so under a zero cost model virtual time never advances.  The call cap
+    fails a test whose engine does not end the livelock, instead of hanging;
+    it counts calls, because a streamed run keeps no records to count."""
 
-    RECORD_CAP = 100_000
+    CALL_CAP = 100_000
+
+    def __init__(self, services, priorities):
+        super().__init__(services, priorities)
+        self.calls = 0
 
     def schedule(self):
-        assert len(self.services.records) < self.RECORD_CAP, "the engine did not end the livelock"
+        self.calls += 1
+        assert self.calls < self.CALL_CAP, "the engine did not end the livelock"
         self.services.register_timer(self.services.now())
         return super().schedule()
 

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -11,10 +12,18 @@ import hvsim.cli
 import hvsim.engine
 from hvsim.cli import cmd_run, cmd_sweep, main
 from hvsim.schedulers import SCHEDULERS, FixedPriorityScheduler, register
-from hvsim.trace import TraceRecord, metrics_from_trace, read_csv
-from hvsim.workloadgen import ZERO_COST, busy_workload, edf_manifest
+from hvsim.trace import TraceRecord, metrics_from_trace, read_csv, run_intervals, write_csv, write_json
+from hvsim.workloadgen import ZERO_COST, busy_workload, edf_manifest, make_manifest, make_vm
 
-from conftest import BAD_SERVICE_CALLS, bad_service_call_manifest, fp_manifest, rr_manifest
+from conftest import (
+    BAD_SERVICE_CALLS,
+    bad_service_call_manifest,
+    bad_service_call_table,
+    fp_manifest,
+    rr_manifest,
+    run_manifest,
+)
+from test_trace import RUNS as TRACE_RUNS
 
 MS = 1_000_000
 GOLDEN = Path(__file__).parent / "data" / "golden_trace.csv"
@@ -80,6 +89,15 @@ from hvsim.schedulers import register
 
 register("bad_call", bad_service_call_table(sys.argv.pop(1)))
 sys.exit(main(sys.argv[1:]))
+"""
+
+# The hvsim CLI, then its process's peak resident set in KiB on stdout.
+PEAK_RSS_CLI = """
+import resource
+import sys
+from hvsim.cli import main
+assert main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 # The hvsim CLI with "bad_call" registered: FP whose schedule() raises a
@@ -209,10 +227,13 @@ class TestCmdRun:
         assert [r.kind for r in records[-2:]] == ["stage2_fault", "contract_violation"]
         assert records[-1].time == MS
 
-    def test_benchmark_layer_hooks_each_called_once(self, tmp_path, monkeypatch):
-        """The layer hooks of perfbench patch these module globals; a run
-        must reach each exactly once through them."""
+    def test_benchmark_layer_hooks_a_streamed_run_reaches(self, tmp_path, monkeypatch):
+        """perfbench's layer hooks patch these module globals.  A streamed run
+        reaches engine.run and load_manifest once and write_csv once per
+        block of about 512 records, and neither post-run fold: metrics.json
+        and timeline.dat come from the Fold the blocks were fed to."""
         calls = Counter()
+        blocks = []
 
         def count(module, name):
             fn = getattr(module, name)
@@ -224,12 +245,26 @@ class TestCmdRun:
             monkeypatch.setattr(module, name, counted)
 
         count(hvsim.engine, "metrics_from_trace")
-        count(hvsim.cli, "write_csv")
+        count(hvsim.cli, "load_manifest")
         count(hvsim.cli, "run_intervals")
-        cfg = write_manifest(tmp_path, fp_manifest([1], [[{"compute": MS}]], 5 * MS))
-        assert main(["--config", cfg, "--horizon-ns", str(5 * MS),
-                     "--out", str(tmp_path / "o")]) == 0
-        assert calls == {"metrics_from_trace": 1, "write_csv": 1, "run_intervals": 1}
+        plain_run, plain_write = hvsim.engine.run, hvsim.cli.write_csv
+
+        def run(spec, horizon):  # perfbench's stand-in takes exactly these two
+            calls["run"] += 1
+            return plain_run(spec, horizon)
+
+        def write_csv(records, fh, header=True):
+            blocks.append(len(records))
+            plain_write(records, fh, header)
+
+        monkeypatch.setattr(hvsim.engine, "run", run)
+        monkeypatch.setattr(hvsim.cli, "write_csv", write_csv)
+        cfg = write_manifest(tmp_path, rr_manifest(2, quantum_ns=100_000, horizon=20 * MS))
+        assert main(["--config", cfg, "--horizon-ns", str(20 * MS), "--out", str(tmp_path / "o")]) == 0
+        assert calls == {"run": 1, "load_manifest": 1}
+        with open(tmp_path / "o" / "trace.csv") as fh:
+            assert sum(blocks) == len(read_csv(fh))
+        assert len(blocks) > 2 and all(512 <= n < 520 for n in blocks[:-1]) and 0 < blocks[-1] < 520
 
     def test_metrics_recomputable_from_trace(self, tmp_path):
         cfg = write_manifest(tmp_path, small_edf_manifest())
@@ -277,6 +312,108 @@ class TestCmdRun:
         assert lines[0] == "# time_ns vm_id state"
         assert lines[1].split() == ["0", "0", "1"]
         assert lines[2].split() == ["3000000", "0", "0"]
+
+
+def library_outputs(records, metrics, horizon, fmt):
+    """The CLI's files as the library writes them from an in-memory run."""
+    trace = io.StringIO()
+    (write_json if fmt == "json" else write_csv)(records, trace)
+    files = {f"trace.{fmt}": trace.getvalue()}
+    if metrics is not None:
+        files["metrics.json"] = json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n"
+        files["timeline.dat"] = "# time_ns vm_id state\n" + "".join(
+            f"{s} {vm} 1\n{e} {vm} 0\n" for s, e, vm in run_intervals(records, horizon)
+        )
+    return files
+
+
+def cli_outputs(out):
+    return {p.name: p.read_text() for p in sorted(out.iterdir())}
+
+
+class TestStreamedOutput:
+    """The CLI streams its trace and folds it block by block; every file it
+    writes equals what the library writes from the retained trace."""
+
+    @pytest.mark.parametrize("name", sorted(TRACE_RUNS))
+    def test_streamed_files_equal_library_files(self, tmp_path, name):
+        make, horizon = TRACE_RUNS[name]
+        manifest = make()
+        res = run_manifest(manifest, horizon)
+        cfg = write_manifest(tmp_path, manifest)
+        for fmt in ("csv", "json"):
+            out = tmp_path / fmt
+            assert cmd_run(cfg, horizon, str(out), fmt) == 0
+            assert cli_outputs(out) == library_outputs(res.records, res.metrics, horizon, fmt)
+
+    @pytest.mark.parametrize("case", sorted(BAD_SERVICE_CALLS))
+    def test_aborted_streamed_trace_equals_aborted_records(self, tmp_path, case):
+        register("bad_call", bad_service_call_table(case))
+        try:
+            with pytest.raises(hvsim.engine.SimulationAborted) as aborted:
+                run_manifest(bad_service_call_manifest(), 5 * MS)
+            cfg = write_manifest(tmp_path, bad_service_call_manifest())
+            for fmt in ("csv", "json"):
+                out = tmp_path / fmt
+                assert cmd_run(cfg, 5 * MS, str(out), fmt) == 3
+                assert cli_outputs(out) == library_outputs(aborted.value.records, None, 5 * MS, fmt)
+        finally:
+            del SCHEDULERS["bad_call"]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    def test_peak_memory_does_not_grow_with_the_horizon(self, tmp_path):
+        """Six generated mixed VMs under RR, as the benchmark's cli_rr: the
+        8 s run may peak at most 6 MiB above the 2 s run."""
+        gen = {"kind": "mixed", "segments": 64, "mean_compute_ns": 300_000, "hyp_call_prob": 0.2}
+        vms = [make_vm(i, {"generate": dict(gen)}) for i in range(6)]
+        cfg = write_manifest(tmp_path, make_manifest(vms, {"name": "rr", "quantum_ns": 250_000}))
+        peak_kib = {}
+        for seconds in (2, 8):
+            proc = run_python_process("-c", PEAK_RSS_CLI, "--config", cfg, "--horizon-ns", seconds * 10**9,
+                                      "--seed", 7919, "--out", tmp_path / str(seconds))
+            assert proc.returncode == 0, proc.stderr
+            peak_kib[seconds] = int(proc.stdout)
+        assert peak_kib[8] - peak_kib[2] <= 6 * 1024, peak_kib
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestWriteFailure:
+    """A write that fails while the run streams its trace ends the CLI with
+    exit 4 and one io error line."""
+
+    def manifest(self, tmp_path):
+        return write_manifest(tmp_path, rr_manifest(2, quantum_ns=100_000, horizon=20 * MS))
+
+    def test_run_exits_4(self, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "trace.csv").symlink_to("/dev/full")
+        proc = run_hvsim_process("--config", self.manifest(tmp_path), "--horizon-ns", 20 * MS, "--out", out)
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("io error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert sorted(p.name for p in out.iterdir()) == ["trace.csv"]
+
+    def test_sweep_exits_4(self, tmp_path):
+        out = tmp_path / "o"
+        (out / "run_001").mkdir(parents=True)
+        (out / "run_001" / "trace.csv").symlink_to("/dev/full")
+        proc = run_hvsim_process("--config", self.manifest(tmp_path), "--horizon-ns", 20 * MS, "--out", out,
+                                 "--sweep", "cost_model.world_switch", "--values", "0,1000")
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("io error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert (out / "run_000" / "metrics.json").exists() and not (out / "summary.csv").exists()
+
+    @pytest.mark.parametrize("sweep", [False, True])
+    def test_unwritable_out_exits_4_before_any_run(self, tmp_path, capsys, monkeypatch, sweep):
+        runs = []
+        monkeypatch.setattr(hvsim.engine, "run", lambda spec, horizon: runs.append(spec))
+        (tmp_path / "file").write_text("")
+        argv = ["--config", self.manifest(tmp_path), "--horizon-ns", str(20 * MS),
+                "--out", str(tmp_path / "file" / "o")]
+        if sweep:
+            argv += ["--sweep", "cost_model.world_switch", "--values", "0,1000"]
+        assert main(argv) == 4
+        assert capsys.readouterr().err.startswith("io error: ") and runs == []
 
 
 class TestOptimizedInterpreter:

@@ -5,12 +5,15 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from hvsim import Trace, load_manifest, run
 from hvsim.trace import (
     _CSV_BLOCK,
     CSV_HEADER,
+    Fold,
     TraceRecord,
     compare_traces,
     metrics_from_trace,
@@ -67,6 +70,9 @@ def test_fold_equals_oracle_on_runs(name):
     vm_ids = sorted(res.metrics.per_vm)
     got = assert_matches_oracle(res.records, horizon, vm_ids)
     assert got == res.metrics and got.conserved()
+    fold = Fold(horizon, vm_ids)
+    fold.feed(res.records)
+    assert fold.result() == got and fold._late == []  # an engine trace has no late span
     if name.startswith("ivc"):
         assert got.ivc_transfers and all(m.irqs_received for m in got.per_vm.values())
     assert assert_matches_oracle(read_back(res.records), horizon, vm_ids) == got
@@ -139,6 +145,42 @@ def test_fold_equals_oracle_on_edge_traces(name):
     got = assert_matches_oracle(records, HORIZON, [0, 1])
     assert got.conserved() is conserved
     assert assert_matches_oracle(read_back(records), HORIZON, [0, 1]) == got
+
+
+# Records of every kind the fold reads, in any time order: cost windows that
+# overlap, start out of order or cross the horizon, and vm_start/vm_pause
+# records that do not pair up.
+_VMS = ["0", "1", "2"]
+_records = st.lists(
+    st.one_of(
+        st.builds(R, st.integers(0, 130), st.sampled_from(_VMS), st.sampled_from(["vm_start", "vm_pause"]),
+                  st.sampled_from([0, 0, 7])),
+        st.builds(R, st.integers(0, 130), st.just("hv"),
+                  st.sampled_from(["hyp_call", "phys_irq", "timer_fire", "ivc_notify"]), st.integers(0, 60)),
+        st.builds(lambda t, c, f, to: R(t, "hv", "dispatch", c, f"from={f};to={to}"), st.integers(0, 130),
+                  st.integers(0, 30), st.sampled_from(["-"] + _VMS), st.sampled_from(["-"] + _VMS)),
+        st.builds(lambda t, vm: R(t, "hv", "deadline_miss", 0, f"vm={vm};deadline={t}"),
+                  st.integers(0, 130), st.sampled_from(_VMS)),
+        st.builds(lambda t, vm: R(t, vm, "guest_ack", 0, "virq=100"), st.integers(0, 130), st.sampled_from(_VMS)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=_records, horizon=st.integers(1, 120), cuts=st.lists(st.integers(0, 40), max_size=6))
+def test_fold_in_any_blocks_equals_oracle(records, horizon, cuts):
+    """Fed in any split into blocks, as the engine's Trace blocks, the fold
+    reports what the two-pass oracle computes from the whole list."""
+    vm_ids = [0, 1, 2]
+    fold = Fold(horizon, vm_ids)
+    bounds = [0, *sorted(min(c, len(records)) for c in cuts), len(records)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        fold.feed(trace_of(records[lo:hi]))
+    assert fold.result() == oracles.metrics_from_trace(records, horizon, vm_ids)
+    it = iter(fold.spans)
+    assert list(zip(it, it, it)) == oracles.run_intervals(records, horizon)
+    assert_matches_oracle(records, horizon, vm_ids)
 
 
 def test_edge_trace_figures():
