@@ -17,10 +17,10 @@ runs at most one guest.  These rules decide the order, all test-pinned:
 - At the same instant, arrivals come before timers set after boot; timers set
   in the scheduler's init or allocate come before arrivals.
 
-Every record goes through `trace` (or, for the closing pause at the
-horizon, `_final_fold`), which extends one flat list by the record's six
-fields; `RunResult.records` is a `trace.Trace` over that list, a read-only
-sequence that builds each `TraceRecord` on access, folded once at the end.
+Every record goes through `trace`, which extends one flat list by the
+record's six fields; `RunResult.records` is a `trace.Trace` over that list,
+a read-only sequence that builds each `TraceRecord` on access, folded once
+at the end.  Only `_fold_running` credits a guest with CPU time.
 Inside `streaming(sink)` the list is a buffer: whenever it holds about
 `_BLOCK` records, at the end and before `SimulationAborted`, the engine
 calls `sink(records)` and then empties it, so memory does not grow with the
@@ -549,11 +549,10 @@ class Engine(SchedulerServices):
             heapq.heappush(self._queue, ev)
 
     def _final_fold(self) -> None:
-        if not self._running or self._run_start >= self.horizon:
-            return
-        cur = self.fw.current
-        cur.total_consumed += self.horizon - self._run_start
-        self._flat.extend((self.horizon, self._actor[cur.id], "vm_pause", "", 0, ""))
+        """Pause a guest still running at the horizon, there."""
+        if self._running and self._run_start < self.horizon:
+            self._now = self.horizon
+            self._suspend()
 
 
 # Guest traps by segment kind.

@@ -8,7 +8,7 @@ the simulation engine owns all mutable state and runs single-threaded.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, NamedTuple
 
 Time = int  # virtual nanoseconds
@@ -68,24 +68,17 @@ class CostModel:
     tlb_flush: Time = DEFAULT_TLB_FLUSH_NS
     mmio_emulation: Time = MEASURED_LATENCIES["hyp_call"][0]
 
-    FIELDS = (
-        "hyp_call",
-        "world_switch",
-        "interrupt_entry_exit",
-        "virtual_interrupt",
-        "tlb_flush",
-        "mmio_emulation",
-    )
-
     def __post_init__(self) -> None:
         for name in self.FIELDS:
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                 raise ConfigError(f"cost_model.{name} must be a non-negative integer, got {v!r}")
 
     def as_dict(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in self.FIELDS}
 
+
+CostModel.FIELDS = tuple(f.name for f in fields(CostModel))
 
 ZERO_COST = CostModel(0, 0, 0, 0, 0, 0)
 

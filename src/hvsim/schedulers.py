@@ -1,15 +1,17 @@
 """Scheduler-table implementations: EDF, fixed-priority, round-robin.
 
 Each class's parse() is the only check of its options and sched_params.
-All three keep their bookkeeping entirely in scheduler-private storage and
-track which vCPU they last handed to the dispatcher, so schedule() can keep
-returning the running vCPU while it remains the best choice.
+All three queue vCPUs, keep each VM's own data in the sched_state that
+allocate() returns, and track which vCPU they last handed to the
+dispatcher, so schedule() can keep returning the running vCPU while it
+remains the best choice.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .framework import SchedulerServices, SchedulerTable
 from .model import ConfigError, ContractViolation, SystemSpec, Time, VcpuRecord
@@ -34,9 +36,10 @@ class EdfParam:
 
 @dataclass
 class EdfVmState:
-    """Dynamic EDF state: absolute deadline (= next period start) and the
-    execution time still allowed in the current period."""
+    """A VM's EDF state: its parameters, its absolute deadline (= next period
+    start) and the execution time still allowed in the current period."""
 
+    param: EdfParam
     deadline: Time
     remaining: Time
     mark: Time  # vcpu.total_consumed at the last replenishment
@@ -45,13 +48,14 @@ class EdfVmState:
 class EdfScheduler(SchedulerTable):
     """Earliest-deadline-first over periodic budgets.
 
-    One set, _ready, holds the VMs that are awake and not dispatched.
-    schedule() first replenishes every VM whose period has arrived.  One pass
-    over _ready then picks the earliest deadline (lowest VM id on ties) among
-    the VMs with budget left, the dispatched one included, and arms a timer
-    for its budget expiry.  The same pass finds the next release of an
-    exhausted VM; a second timer wakes the system then, or a release while a
-    longer-deadline VM runs would be handled arbitrarily late.
+    Each vCPU's sched_state is its EdfVmState.  One set, _ready, holds the
+    vCPUs that are awake and not dispatched.  schedule() first replenishes
+    every VM whose period has arrived.  One pass over _ready then picks the
+    earliest deadline (lowest VM id on ties) among the VMs with budget left,
+    the dispatched one included, and arms a timer for its budget expiry.  The
+    same pass finds the next release of an exhausted VM; a second timer wakes
+    the system then, or a release while a longer-deadline VM runs would be
+    handled arbitrarily late.
 
     The sweep is skipped while now is before _bound, a lower bound on the
     deadlines of the ready and dispatched VMs that the sweep recomputes and
@@ -62,11 +66,9 @@ class EdfScheduler(SchedulerTable):
 
     def __init__(self, services: SchedulerServices, params: dict[int, EdfParam]):
         self.services = services
-        self._vcpus: dict[int, VcpuRecord] = {}
         self._params = params
-        self._states: dict[int, EdfVmState] = {}
-        self._ready: set[int] = set()
-        self._dispatched: int | None = None
+        self._ready: set[VcpuRecord] = set()
+        self._dispatched: VcpuRecord | None = None
         self._timers: list[int] = []
         self._bound: Time | float = float("inf")
 
@@ -91,22 +93,14 @@ class EdfScheduler(SchedulerTable):
 
     def allocate(self, vcpu: VcpuRecord) -> EdfVmState:
         param = self._params[vcpu.id]
-        state = EdfVmState(
-            deadline=self.services.now() + param.period,
-            remaining=param.budget,
-            mark=vcpu.total_consumed,
-        )
-        self._vcpus[vcpu.id] = vcpu
-        self._states[vcpu.id] = state
-        return state
+        return EdfVmState(param, self.services.now() + param.period, param.budget, vcpu.total_consumed)
 
     def enque(self, vcpu: VcpuRecord) -> None:
-        self._make_ready(vcpu.id)
+        self._make_ready(vcpu)
 
     def schedule(self) -> VcpuRecord | None:
         now = self.services.now()
         self._cancel_timers()
-        states = self._states
         dispatched = self._dispatched
         if dispatched is not None:
             self._sync(dispatched)
@@ -115,63 +109,62 @@ class EdfScheduler(SchedulerTable):
 
         # Earliest (deadline, id) of the VMs with budget; earliest deadline of the rest.
         winner = release = None
-        if dispatched is not None and states[dispatched].remaining > 0:
-            winner, best = dispatched, states[dispatched].deadline
-        for vm_id in self._ready:
-            st = states[vm_id]
+        if dispatched is not None and dispatched.sched_state.remaining > 0:
+            winner, best = dispatched, dispatched.sched_state.deadline
+        for vcpu in self._ready:
+            st = vcpu.sched_state
             deadline = st.deadline
             if st.remaining <= 0:
                 if release is None or deadline < release:
                     release = deadline
-            elif winner is None or deadline < best or (deadline == best and vm_id < winner):
-                winner, best = vm_id, deadline
-        if winner is not None and winner != dispatched:
+            elif winner is None or deadline < best or (deadline == best and vcpu.id < winner.id):
+                winner, best = vcpu, deadline
+        if winner is not None and winner is not dispatched:
             self._ready.discard(winner)
         self._dispatched = winner
 
         if winner is not None:
-            st = states[winner]
+            st = winner.sched_state
             self._timers.append(self.services.register_timer(now + st.remaining))
             if st.deadline < now + st.remaining:
                 # Budget cannot finish in time: a miss is coming; check at the line.
                 self._timers.append(self.services.register_timer(st.deadline))
         if release is not None:
             self._timers.append(self.services.register_timer(release))
-        return None if winner is None else self._vcpus[winner]
+        return winner
 
     def yield_(self) -> None:
         self._dispatched = None  # sleeper leaves scheduling until unblock
         self.services.set_flag()
 
     def block(self, vcpu: VcpuRecord) -> None:
-        self._sync(vcpu.id)
-        self._make_ready(vcpu.id)
+        self._sync(vcpu)
+        self._make_ready(vcpu)
         self.services.set_flag()
 
     def unblock(self, vcpu: VcpuRecord) -> None:
-        self._sync(vcpu.id)
-        st = self._states[vcpu.id]
+        self._sync(vcpu)
+        st = vcpu.sched_state
         now = self.services.now()
         # Periods that elapsed while asleep are forgiven, not counted as misses.
         while st.deadline <= now:
-            self._replenish(vcpu.id)
-        self._make_ready(vcpu.id)
+            self._replenish(vcpu)
+        self._make_ready(vcpu)
         self.services.set_flag()
 
     # -- internals --------------------------------------------------------
 
-    def _sync(self, vm_id: int) -> None:
-        st = self._states[vm_id]
-        used = self._vcpus[vm_id].total_consumed - st.mark
-        st.remaining = self._params[vm_id].budget - used
+    def _sync(self, vcpu: VcpuRecord) -> None:
+        st = vcpu.sched_state
+        st.remaining = st.param.budget - (vcpu.total_consumed - st.mark)
         if st.remaining < 0:
-            raise ContractViolation(f"vm {vm_id} ran past its budget")
+            raise ContractViolation(f"vm {vcpu.id} ran past its budget")
 
-    def _replenish(self, vm_id: int) -> None:
-        st = self._states[vm_id]
-        st.deadline += self._params[vm_id].period
-        st.remaining = self._params[vm_id].budget
-        st.mark = self._vcpus[vm_id].total_consumed
+    def _replenish(self, vcpu: VcpuRecord) -> None:
+        st = vcpu.sched_state
+        st.deadline += st.param.period
+        st.remaining = st.param.budget
+        st.mark = vcpu.total_consumed
 
     def _sweep(self, now: Time) -> None:
         """Replenish every crossed period, in VM order; unconsumed budget at
@@ -180,18 +173,18 @@ class EdfScheduler(SchedulerTable):
         if self._dispatched is not None:
             tracked.add(self._dispatched)
         bound = float("inf")
-        for vm_id in sorted(tracked):
-            st = self._states[vm_id]
+        for vcpu in sorted(tracked, key=attrgetter("id")):
+            st = vcpu.sched_state
             while st.deadline <= now:
                 if st.remaining > 0:
-                    self.services.report_deadline_miss(vm_id, st.deadline)
-                self._replenish(vm_id)
+                    self.services.report_deadline_miss(vcpu.id, st.deadline)
+                self._replenish(vcpu)
             bound = min(bound, st.deadline)
         self._bound = bound
 
-    def _make_ready(self, vm_id: int) -> None:
-        self._ready.add(vm_id)
-        self._bound = min(self._bound, self._states[vm_id].deadline)
+    def _make_ready(self, vcpu: VcpuRecord) -> None:
+        self._ready.add(vcpu)
+        self._bound = min(self._bound, vcpu.sched_state.deadline)
 
     def _cancel_timers(self) -> None:
         for timer_id in self._timers:
@@ -207,19 +200,18 @@ class EdfScheduler(SchedulerTable):
 class FixedPriorityScheduler(SchedulerTable):
     """Lowest priority value runs; ties go to the lower VM id.
 
-    One set, _awake, holds every VM that is not asleep, the dispatched one
-    included, so a preempted VM needs no bookkeeping.  The flag is raised
-    whenever a table operation changes which vCPU ought to be running: when
-    the dispatched VM goes to sleep, or a VM wakes that outranks every
-    awake one.
+    Each vCPU's sched_state is its rank, (priority, VM id).  One set, _awake,
+    holds every vCPU that is not asleep, the dispatched one included, so a
+    preempted VM needs no bookkeeping.  The flag is raised whenever a table
+    operation changes which vCPU ought to be running: when the dispatched VM
+    goes to sleep, or a VM wakes that outranks every awake one.
     """
 
     def __init__(self, services: SchedulerServices, priorities: dict[int, int]):
         self.services = services
-        self._vcpus: dict[int, VcpuRecord] = {}
-        self._rank = {vm_id: (prio, vm_id) for vm_id, prio in priorities.items()}
-        self._awake: set[int] = set()
-        self._dispatched: int | None = None
+        self._priorities = priorities
+        self._awake: set[VcpuRecord] = set()
+        self._dispatched: VcpuRecord | None = None
 
     @staticmethod
     def parse(spec: SystemSpec) -> dict[int, int]:
@@ -233,19 +225,19 @@ class FixedPriorityScheduler(SchedulerTable):
             raise ConfigError(f"fp takes no scheduler options, got {spec.scheduler_options!r}")
         return priorities
 
-    def allocate(self, vcpu: VcpuRecord) -> None:
-        self._vcpus[vcpu.id] = vcpu
+    def allocate(self, vcpu: VcpuRecord) -> tuple[int, int]:
+        return self._priorities[vcpu.id], vcpu.id
 
     def enque(self, vcpu: VcpuRecord) -> None:
-        self._awake.add(vcpu.id)
+        self._awake.add(vcpu)
 
     def schedule(self) -> VcpuRecord | None:
-        winner = self._dispatched = self._should_run()
-        return None if winner is None else self._vcpus[winner]
+        self._dispatched = self._should_run()
+        return self._dispatched
 
     def yield_(self) -> None:
         sleeper, self._dispatched = self._dispatched, None
-        if sleeper is not None and sleeper == self._should_run():
+        if sleeper is not None and sleeper is self._should_run():
             self.services.set_flag()
         self._awake.discard(sleeper)
 
@@ -254,12 +246,12 @@ class FixedPriorityScheduler(SchedulerTable):
 
     def unblock(self, vcpu: VcpuRecord) -> None:
         best = self._should_run()
-        self._awake.add(vcpu.id)
-        if best is None or self._rank[vcpu.id] < self._rank[best]:
+        self._awake.add(vcpu)
+        if best is None or vcpu.sched_state < best.sched_state:
             self.services.set_flag()
 
-    def _should_run(self) -> int | None:
-        return min(self._awake, key=self._rank.__getitem__, default=None)
+    def _should_run(self) -> VcpuRecord | None:
+        return min(self._awake, key=attrgetter("sched_state"), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +260,13 @@ class FixedPriorityScheduler(SchedulerTable):
 
 
 class RoundRobinScheduler(SchedulerTable):
-    """Rotate through ready VMs, one quantum each."""
+    """Rotate through ready vCPUs, one quantum each; no per-vCPU state."""
 
     def __init__(self, services: SchedulerServices, quantum: Time):
         self.services = services
         self.quantum = quantum
-        self._vcpus: dict[int, VcpuRecord] = {}
-        self._ring: deque[int] = deque()
-        self._dispatched: int | None = None
+        self._ring: deque[VcpuRecord] = deque()
+        self._dispatched: VcpuRecord | None = None
         self._timer: int | None = None
 
     @staticmethod
@@ -292,31 +283,29 @@ class RoundRobinScheduler(SchedulerTable):
         return quantum
 
     def allocate(self, vcpu: VcpuRecord) -> None:
-        self._vcpus[vcpu.id] = vcpu
+        return None
 
     def enque(self, vcpu: VcpuRecord) -> None:
-        self._ring.append(vcpu.id)
+        self._ring.append(vcpu)
 
     def schedule(self) -> VcpuRecord | None:
         if self._timer is not None:
             self.services.cancel_timer(self._timer)
             self._timer = None
-        winner = self._ring.popleft() if self._ring else self._dispatched
-        self._dispatched = winner
-        if winner is None:
-            return None
-        self._timer = self.services.register_timer(self.services.now() + self.quantum)
-        return self._vcpus[winner]
+        winner = self._dispatched = self._ring.popleft() if self._ring else self._dispatched
+        if winner is not None:
+            self._timer = self.services.register_timer(self.services.now() + self.quantum)
+        return winner
 
     def yield_(self) -> None:
         self._dispatched = None
         self.services.set_flag()
 
     def block(self, vcpu: VcpuRecord) -> None:
-        self._ring.append(vcpu.id)
+        self._ring.append(vcpu)
 
     def unblock(self, vcpu: VcpuRecord) -> None:
-        self._ring.append(vcpu.id)
+        self._ring.append(vcpu)
         if self._dispatched is None:
             self.services.set_flag()  # nothing running: wake the dispatcher
 

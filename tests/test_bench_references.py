@@ -1,9 +1,12 @@
-"""The benchmark workloads still produce their stored reference outputs.
+"""The benchmark workloads still produce their stored reference outputs, and
+still reach the layer hooks the benchmark's traced runs count on.
 
 Seed 7919 of each workload runs once through perfbench/harness.py, the code
-the benchmark itself uses to build, run and check an operation, and must
+the benchmark itself uses to build, run and check an operation, with the
+entry points that perfbench/tracing.py wraps for `run.py --trace 1`.  It must
 match perfbench/reference/ exactly: trace SHA-256, record count, metrics and
-the count of every record kind.
+the count of every record kind.  The traced run must also push onto the
+event heap and record the spans whose counts `--trace 1` divides by.
 """
 
 import sys
@@ -13,6 +16,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import harness  # noqa: E402
+import tracing  # noqa: E402
+
+SPANS = {"config.load", "engine.run", "framework.checkpoint", "schedulers.schedule", "trace.build"}
+CLI_SPANS = {"cli.main", "trace.write"}
 
 
 @pytest.mark.parametrize("workload", sorted(harness.WORKLOADS))
@@ -21,6 +28,13 @@ def test_default_seed_matches_reference(workload, tmp_path):
     ref = harness.load_reference(workload, seed)
     assert ref is not None, f"no stored reference for {workload} seed {seed}"
     case = harness.Case(workload, seed, tmp_path)
-    digest = case.digest(case.run(), keep_text=True)
+    tracer = tracing.Tracer()
+    with tracing.instrumented(tracer) as api:
+        outcome = case.run(api)
+    digest = case.digest(outcome, keep_text=True)
     assert harness.check(case, digest, ref) == []
     assert digest.kinds() == ref["kinds"]
+    assert tracer.heap_pushes > 0
+    calls = {name: n for name, (n, _) in tracer.summary().items()}
+    unreached = sorted(name for name in SPANS | (CLI_SPANS if case.is_cli else set()) if not calls.get(name))
+    assert unreached == [], f"spans never recorded: {unreached}"

@@ -171,8 +171,14 @@ class TestCmdRun:
 
     def test_contract_violation_exits_3_with_trace(self, tmp_path):
         class BadSleeper(FixedPriorityScheduler):
+            vcpus = []
+
+            def allocate(self, vcpu):
+                self.vcpus.append(vcpu)
+                return super().allocate(vcpu)
+
             def schedule(self):
-                for v in self._vcpus.values():
+                for v in self.vcpus:
                     if v.run_state.value == "sleeping":
                         return v
                 return super().schedule()
@@ -570,6 +576,7 @@ class TestCmdSweep:
         ("vms.x.id", "sweep key 'vms.x.id': bad index 'x'"),
         ("vms.0.workload", "sweep key 'vms.0.workload': not a numeric field"),
         ("gic_boot_init", "sweep key 'gic_boot_init': not a numeric field"),
+        ("nope.x", "sweep key 'nope.x': no component 'nope'"),
     ])
     def test_bad_index_or_non_numeric_leaf_exits_2(self, tmp_path, capsys, key, message):
         cfg = write_manifest(tmp_path, fp_manifest([1], [[{"compute": MS}]], MS, gic_boot_init=True))
@@ -622,6 +629,14 @@ class TestMain:
         argv = ["--config", str(cfg), "--horizon-ns", "1000", "--out", str(tmp_path / "o")]
         assert main(argv + sweep) == 2
         assert capsys.readouterr().err == "configuration error: manifest is not valid UTF-8: byte 0: invalid start byte\n"
+
+    def test_sweep_of_missing_config_exits_4(self, tmp_path, capsys):
+        argv = ["--config", str(tmp_path / "nope.json"), "--horizon-ns", "1000", "--out", str(tmp_path / "o"),
+                "--sweep", "lr_count", "--values", "1"]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("io error: ") and "nope.json" in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("sweep", [[], ["--sweep", "lr_count", "--values", "1"]], ids=["run", "sweep"])
     def test_too_deeply_nested_config_exits_2(self, tmp_path, capsys, sweep):

@@ -1,4 +1,5 @@
 import copy
+import io
 import json
 import re
 
@@ -18,6 +19,9 @@ from hvsim import (
     validate_cost_model,
 )
 from hvsim.cli import main
+from hvsim.engine import Engine
+from hvsim.model import PAGE_SIZE, MemRegion
+from hvsim.trace import read_csv
 from hvsim.workloadgen import ZERO_COST, busy_workload, make_manifest, make_vm
 
 from oracles import layout_conflicts
@@ -303,13 +307,15 @@ def test_phys_irqs_and_compute_bounds_load():
     assert [seg.duration_ns for seg in spec.vms[1].workload.segments] == [0, 2**62 - 1]
 
 
-# Containers of the wrong JSON type, each once raised TypeError from the loader.
+# Containers of the wrong JSON type: each but sched_param once raised
+# TypeError from the loader.
 WRONG_CONTAINERS = {
     "phys_irqs": lambda m: m.update(phys_irqs=5),
     "scheduler.name": lambda m: m["scheduler"].update(name={}),
     "vms[0].irqs": lambda m: m["vms"][0].update(irqs=True),
     "vms[1].regions": lambda m: m["vms"][1].update(regions=None),
     "channels": lambda m: m.update(channels=3),
+    "scheduler.sched_param": lambda m: m["scheduler"].update(sched_param=[{"priority": 1}]),
 }
 
 
@@ -334,7 +340,9 @@ def test_container_of_wrong_type_cli_exits_2(where, tmp_path, capsys):
 
 # Values that once loaded: bool() coerced the two flags, int() read any
 # spelling of a VM id, a read kept a value the dump then dropped, and str()
-# turned any JSON value into a hyp_call payload.
+# turned any JSON value into a hyp_call payload.  The last four are values no
+# other test rejects: a boolean address, an empty region, a generate object
+# in place of a segment and an unknown fault policy.
 LOOSE_VALUES = {
     "gic_boot_init-string": lambda m: m.update(gic_boot_init="false"),
     "gic_boot_init-int": lambda m: m.update(gic_boot_init=0),
@@ -353,6 +361,10 @@ LOOSE_VALUES = {
     "hyp_call-true": lambda m: m["vms"][0].update(workload=[{"hyp_call": True}]),
     "hyp_call-object": lambda m: m["vms"][0].update(workload=[{"hyp_call": {"a": 1}}]),
     "hyp_call-number": lambda m: m["vms"][0].update(workload=[{"hyp_call": 1.5}]),
+    "ipa-true": lambda m: m["vms"][0]["regions"][0].update(ipa=True),
+    "len-zero": lambda m: m["vms"][0]["regions"][0].update(len="0x0"),
+    "generate-segment": lambda m: m["vms"][0].update(workload=[{"generate": {"kind": "busy"}}]),
+    "faults-dist_unmodeled": lambda m: m.update(faults={"dist_unmodeled": "warn"}),
 }
 LOOSE_MESSAGES = {
     "gic_boot_init": "gic_boot_init: expected true or false",
@@ -360,6 +372,10 @@ LOOSE_MESSAGES = {
     "sched_param": "scheduler.sched_param: bad VM id key",
     "mmio": "vms[0].workload[0].mmio.value: a read carries no value",
     "hyp_call": "vms[0].workload[0].hyp_call: expected a string or null, got ",
+    "ipa": "vms[0].regions[0].ipa: expected integer, got True",
+    "len": "vms[0].regions[0]: region at ipa 0x40000000: length must be > 0",
+    "generate": "vms[0].workload[0]: generated workload not expanded",
+    "faults": "faults.dist_unmodeled: must be fault or ignore, got 'warn'",
 }
 
 
@@ -425,6 +441,10 @@ CHANNEL_AND_PAGE_FAULTS = {
     "page-duplicate-id": (lambda m: m["shared_pages"][1].update(id=7), "shared_pages[1].id: duplicate id 7"),
     "page-undeclared": (lambda m: m["vms"][1]["shared_pages"][0].update(page=8),
                         "vms[1].shared_pages[0].page: shared page 8 not declared in shared_pages"),
+    "page-referenced-twice": (lambda m: m["vms"][0]["shared_pages"].append(dict(m["vms"][0]["shared_pages"][0])),
+                              "vms[0].shared_pages[2]: page 7 referenced twice"),
+    "page-ipa-unaligned": (lambda m: m["vms"][1]["shared_pages"][0].update(ipa="0x60001800"),
+                           "vms[1].shared_pages[0].ipa: 0x60001800 not 4KB aligned"),
     "channel-duplicate-id": (_second_channel(pages=[7]), "channels[1].id: duplicate channel id 5"),
     "channel-endpoints": (lambda m: m["channels"][0].update(endpoints=[1, 1]),
                           "channels[0].endpoints: must be two distinct VM ids, got 1,1"),
@@ -637,6 +657,26 @@ def test_custom_latency_has_no_reference_deviation():
     report = validate_cost_model(CostModel(hyp_call=1234), 912.0)
     row = {r.field: r for r in report.rows}["hyp_call"]
     assert row.reference_cycles is None and row.deviation is None
+
+
+# Library calls outside the loader that check their own arguments.
+ARGUMENT_REJECTIONS = {
+    "clock-zero": (lambda: validate_cost_model(CostModel(), 0), ConfigError, "clock_mhz must be > 0, got 0"),
+    "cost-bool": (lambda: CostModel(world_switch=True), ConfigError,
+                  "cost_model.world_switch must be a non-negative integer, got True"),
+    "region-perms": (lambda: MemRegion(0, 0, PAGE_SIZE, frozenset("rx")), ConfigError, "bad perms ['r', 'x']"),
+    "horizon-zero": (lambda: Engine(load_manifest(two_vm_manifest()), 0), ValueError, "horizon must be > 0"),
+    "csv-header": (lambda: read_csv(io.StringIO("time,actor\n0,hv\n")), ValueError,
+                   "unexpected trace header 'time,actor'"),
+}
+
+
+@pytest.mark.parametrize("case", ARGUMENT_REJECTIONS)
+def test_argument_rejection_text(case):
+    call, error, message = ARGUMENT_REJECTIONS[case]
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_report_renders():

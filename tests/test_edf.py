@@ -177,7 +177,7 @@ def test_budget_overrun_raises_contract_violation(fake_host):
     sched = EdfScheduler(fake_host, {0: EdfParam(period=10 * MS, budget=3 * MS)})
     vcpu = VcpuRecord(id=0, sched_param={"period_ns": 10 * MS, "budget_ns": 3 * MS})
     sched.init()
-    sched.allocate(vcpu)
+    vcpu.sched_state = sched.allocate(vcpu)
     sched.enque(vcpu)
     vcpu.total_consumed = 3 * MS + 1
     with pytest.raises(ContractViolation, match="vm 0 ran past its budget"):

@@ -263,8 +263,14 @@ class TestCompareTraces:
 class TestContractViolationAbort:
     def test_sleeping_return_aborts_with_trace(self):
         class ReturnsSleeper(FixedPriorityScheduler):
+            vcpus = []
+
+            def allocate(self, vcpu):
+                self.vcpus.append(vcpu)
+                return super().allocate(vcpu)
+
             def schedule(self):
-                for v in self._vcpus.values():
+                for v in self.vcpus:
                     if v.run_state.value == "sleeping":
                         return v
                 return super().schedule()
@@ -508,4 +514,4 @@ class TestBenchmarkHooks:
         kinds = {r.kind for r in res.records}
         assert {"phys_irq", "timer_fire", "hyp_call", "wfi_trap"} <= kinds
         assert res.records[-1].kind == "vm_pause" and res.records[-1].time == 5 * MS
-        assert seen == res.records[:-1]  # all but _final_fold's closing vm_pause
+        assert seen == res.records  # the closing vm_pause too

@@ -10,14 +10,19 @@ from __future__ import annotations
 
 import hashlib
 import io
+import random
 
 import pytest
 
+from hvsim import load_manifest
+from hvsim.engine import Engine
+from hvsim.model import VcpuRecord
 from hvsim.schedulers import SCHEDULERS, FixedPriorityScheduler, register
 from hvsim.trace import write_csv
 from hvsim.workloadgen import ZERO_COST, busy_workload, make_manifest, make_vm
 
 from conftest import assert_conserved, fp_manifest, records_of, rr_manifest, run_manifest
+from test_acceptance import _contract_manifest
 
 MS = 1_000_000
 US = 1_000
@@ -322,3 +327,23 @@ def test_edf_pins_reach_their_case():
     res = run_manifest(*edf_release_with_budget_timer())
     fires = [(r.time, r.detail) for r in records_of(res, "timer_fire")]
     assert (MS, "ids=7+8") in fires
+
+
+@pytest.mark.parametrize("sched", ["edf", "fp", "rr"])
+def test_trace_does_not_depend_on_where_vcpus_sit(sched):
+    """EDF and FP keep vCPUs in sets, which iterate in the order of the
+    vCPUs' identity hashes, that is of their addresses.  Runs whose vCPUs sit
+    elsewhere in memory must still write the same trace, under every shipped
+    table."""
+    spec = load_manifest(_contract_manifest(sched, random.Random(7919), 100 * MS))
+    kept, slots, digests = [], set(), set()
+    for pad in range(6):
+        # Throwaway vCPUs share the real ones' allocator size class, so each
+        # one kept alive moves where the next engine's vCPUs land.
+        kept.append([VcpuRecord(-1, None) for _ in range(pad)])
+        engine = Engine(spec, 100 * MS)
+        kept.append(engine)
+        slots.add(tuple(hash(v) % 8 for v in engine.vcpus))
+        digests.add(trace_sha256(engine.run()))
+    assert len(slots) > 1  # the vCPUs really hashed to different set slots
+    assert len(digests) == 1
