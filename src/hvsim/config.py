@@ -209,15 +209,10 @@ def _parse_vm(raw, index: int, sched_params: dict, page_pa: dict) -> VmSpec:
     for j, reg in enumerate(_list(raw["regions"], f"{where}.regions")):
         rw = f"{where}.regions[{j}]"
         _check_keys(reg, _REGION_KEYS, _REGION_KEYS, rw)
-        try:
-            regions.append(
-                MemRegion(
-                    ipa_base=parse_addr(reg["ipa"], f"{rw}.ipa"),
-                    pa_base=parse_addr(reg["pa"], f"{rw}.pa"),
-                    length=parse_addr(reg["len"], f"{rw}.len"),
-                    perms=_parse_perms(reg["perms"], f"{rw}.perms"),
-                )
-            )
+        ipa, pa, length = (parse_addr(reg[k], f"{rw}.{k}") for k in ("ipa", "pa", "len"))
+        perms = _parse_perms(reg["perms"], f"{rw}.perms")
+        try:  # MemRegion's own checks do not know the region's path
+            regions.append(MemRegion(ipa_base=ipa, pa_base=pa, length=length, perms=perms))
         except ConfigError as exc:
             raise ConfigError(f"{rw}: {exc}") from None
 

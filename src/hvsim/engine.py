@@ -20,7 +20,9 @@ runs at most one guest.  These rules decide the order, all test-pinned:
 Every record goes through `trace`, which extends one flat list by the
 record's six fields; `RunResult.records` is a `trace.Trace` over that list,
 a read-only sequence that builds each `TraceRecord` on access, folded once
-at the end.  Only `_fold_running` credits a guest with CPU time.
+at the end.  Only `_fold_running` credits a guest with CPU time.  A resume
+calls into the vGIC only while the VM has pending list registers, so each
+`guest_ack` call takes an interrupt.
 Inside `streaming(sink)` the list is a buffer: whenever it holds about
 `_BLOCK` records, at the end and before `SimulationAborted`, the engine
 calls `sink(records)` and then empties it, so memory does not grow with the
@@ -57,7 +59,7 @@ from .model import (
 )
 from .schedulers import get_plugin
 from .trace import MetricsReport, Trace, TraceRecord, metrics_from_trace
-from .vgic import DIST_MMIO_BASE, SPURIOUS_IRQ, Vgic
+from .vgic import DIST_MMIO_BASE, Vgic
 
 # Heap entries are (at, seq, kind, data), of these kinds (data: irq, timer id):
 EV_PHYS_IRQ = "phys_irq"
@@ -100,24 +102,22 @@ def streaming(sink: Callable[[Trace], None]):
 
 
 class _GuestCtx:
-    """Script cursor for one VM."""
+    """Script cursor for one VM: the current segment is segments[idx]."""
 
-    __slots__ = ("workload", "idx", "remaining", "parked")
+    __slots__ = ("segments", "loop", "idx", "remaining", "parked")
 
     def __init__(self, workload):
-        self.workload = workload
+        self.segments = workload.segments
+        self.loop = workload.loop
         self.idx = 0
         self.remaining: Time | None = None  # of the current compute segment
         self.parked = not workload.segments
 
-    def segment(self):
-        return self.workload.segments[self.idx]
-
     def advance(self) -> None:
         self.idx += 1
         self.remaining = None
-        if self.idx >= len(self.workload.segments):
-            if self.workload.loop:
+        if self.idx >= len(self.segments):
+            if self.loop:
                 self.idx = 0
             else:
                 self.parked = True
@@ -330,7 +330,7 @@ class Engine(SchedulerServices):
         else:
             self._timer_irq_at, self._timer_irqs_at = now, 1
         self._suspend()
-        ids = "+".join(map(str, batch))
+        ids = str(first) if len(batch) == 1 else "+".join(map(str, batch))
         self.charge("timer_fire", "interrupt_entry_exit", f"ids={ids}")
         for _ in batch:
             self.fw.set_reschedule_flag()
@@ -338,7 +338,7 @@ class Engine(SchedulerServices):
         self._resume()
 
     def _do_hyp_call(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
-        seg = ctx.segment()
+        seg = ctx.segments[ctx.idx]
         self._suspend()
         detail = f"vm={vcpu.id}"
         if seg.payload:
@@ -353,7 +353,7 @@ class Engine(SchedulerServices):
         self._end_trap(ctx)
 
     def _do_mmio(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
-        seg = ctx.segment()
+        seg = ctx.segments[ctx.idx]
         access = PERM_WRITE if seg.op == "write" else PERM_READ
         tr = self.memmap.translate(vcpu.id, seg.ipa, access)
         if tr.kind == KIND_PA:
@@ -393,7 +393,7 @@ class Engine(SchedulerServices):
         self._end_trap(ctx)
 
     def _do_ivc(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
-        seg = ctx.segment()
+        seg = ctx.segments[ctx.idx]
         ch = self.channels[seg.channel]
         op = seg.kind
         if op == "ivc_notify":
@@ -479,7 +479,7 @@ class Engine(SchedulerServices):
         d = self._now - self._run_start
         cur.total_consumed += d
         ctx = self._guest[cur.id]
-        if d and not ctx.parked and ctx.remaining is not None and ctx.segment().kind == "compute":
+        if d and not ctx.parked and ctx.remaining is not None and ctx.segments[ctx.idx].kind == "compute":
             ctx.remaining -= d
             if ctx.remaining < 0:
                 raise ContractViolation(f"vm {cur.id} ran past the end of its compute segment")
@@ -501,7 +501,8 @@ class Engine(SchedulerServices):
             cur = self.fw.current
             if cur is None:
                 return
-            self._deliver_pending(cur)
+            if self.vgic.cpu_if[cur.id].n_pending:
+                self._deliver_pending(cur)
             ctx = self._guest[cur.id]
             if ctx.parked:
                 self.trace("vm_park", self._actor[cur.id], "", 0, "script done")
@@ -515,7 +516,7 @@ class Engine(SchedulerServices):
             return
 
     def _set_step(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
-        seg = ctx.segment()
+        seg = ctx.segments[ctx.idx]
         now = self._now
         if seg.kind == "compute":
             if ctx.remaining is None:
@@ -527,12 +528,12 @@ class Engine(SchedulerServices):
 
     def _deliver_pending(self, vcpu: VcpuRecord) -> None:
         """A running guest takes its pending virtual interrupts: ACK then EOI,
-        directly against the virtual CPU interface, at zero hypervisor cost."""
+        directly against the virtual CPU interface, at zero hypervisor cost.
+        An EOI may refill a freed list register: loop until none is pending."""
         actor = self._actor[vcpu.id]
-        while True:
+        cpu_if = self.vgic.cpu_if[vcpu.id]
+        while cpu_if.n_pending:
             virq = self.vgic.guest_ack(vcpu.id)
-            if virq == SPURIOUS_IRQ:
-                return
             detail = f"virq={virq}"
             self.trace("guest_ack", actor, "", 0, detail)
             self.vgic.guest_eoi(vcpu.id, virq)

@@ -15,8 +15,9 @@ fixed.  Around every table operation the framework raises a guard cell it
 shares with its vCPUs, so a run-state write during an operation raises
 ContractViolation at the write and aborts the run (see model.VcpuRecord).
 Each schedule() call is checked to return None or an awake vCPU of this run.
-The trace details the dispatcher writes (vm=<id>, kind=...;flag=...) are
-built once per vCPU and checkpoint kind, not per call.
+The trace details the dispatcher writes (vm=<id>, kind=...;flag=...,
+from=...;to=...) are built once per vCPU, checkpoint kind and (old, new)
+dispatch pair, not per call.
 """
 
 from __future__ import annotations
@@ -110,6 +111,8 @@ class Framework:
         for v in self.vcpus:
             v._guard = self._guard
         self._vm_detail = {v.id: f"vm={v.id}" for v in self.vcpus}  # for the cb_* records
+        ids = {None: "-", **{v: str(v.id) for v in self.vcpus}}
+        self._dispatch_detail = {(o, n): f"from={ids[o]};to={ids[n]}" for o in ids for n in ids}
         self._actor = {v.id: str(v.id) for v in self.vcpus}
 
     # -- boot ------------------------------------------------------------
@@ -139,7 +142,8 @@ class Framework:
     # -- flag + checkpoints -----------------------------------------------
 
     def set_reschedule_flag(self) -> None:
-        self._require_init()
+        if not self._initialized:
+            raise ContractViolation("framework used before initialization")
         self.host.trace("flag_set")
         self.flag = True
 
@@ -150,7 +154,8 @@ class Framework:
         operations invoked while applying a decision may set it again, so the
         decision loop runs until the flag stays clear.
         """
-        self._require_init()
+        if not self._initialized:
+            raise ContractViolation("framework used before initialization")
         try:
             detail = _CHECKPOINT_DETAILS[kind][self.flag]
         except (KeyError, TypeError):
@@ -172,11 +177,11 @@ class Framework:
                 self._op("block", old)
             if chosen is None:
                 self.current = None
-                self.host.trace("dispatch", "hv", "", 0, self._switch_detail(old, None))
+                self.host.trace("dispatch", "hv", "", 0, self._dispatch_detail[old, None])
             else:
                 self.current = chosen
                 chosen._run_state = _RUNNING
-                self.host.charge("dispatch", "world_switch", self._switch_detail(old, chosen))
+                self.host.charge("dispatch", "world_switch", self._dispatch_detail[old, chosen])
         # A vCPU that went to sleep without a pending reschedule vacates the CPU.
         if self.current is not None and self.current._run_state is not _RUNNING:
             self.host.trace("cpu_idle", "hv", "", 0, f"vacated=vm{self.current.id}")
@@ -192,12 +197,6 @@ class Framework:
                 raise ContractViolation(f"schedule() returned vm {chosen.id} in state sleeping")
         self.host.trace("cb_schedule", "hv", "", 0, "vm=-" if chosen is None else self._vm_detail[chosen.id])
         return chosen
-
-    @staticmethod
-    def _switch_detail(old: VcpuRecord | None, new: VcpuRecord | None) -> str:
-        f = "-" if old is None else str(old.id)
-        t = "-" if new is None else str(new.id)
-        return f"from={f};to={t}"
 
     # -- sleep / wakeup -----------------------------------------------------
 

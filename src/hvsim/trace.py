@@ -257,6 +257,10 @@ def _switch_in(detail: str) -> int | None:
     return int(to)
 
 
+# The kinds Fold.feed counts besides cost windows; it skips every other record.
+_FOLDED = frozenset(("vm_start", "vm_pause", "dispatch", "deadline_miss", "guest_ack", "ivc_notify"))
+
+
 class Fold:
     """The metrics of one trace, fed its records in order in any number of
     blocks; `result()` closes a run still open at the end and reports.
@@ -299,6 +303,8 @@ class Fold:
                 if e > s:
                     overhead += e - s
                     add_busy((s, e))
+            if kind not in _FOLDED:
+                continue
             if kind == "vm_start":
                 open_vm, open_at = int(actor), time
             elif kind == "vm_pause":

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 from .model import DEFAULT_LR_COUNT, VmId
@@ -112,6 +113,9 @@ class MmioEffect:
 class ArrivalEffect(NamedTuple):
     outcome: str  # "injected" | "pending" | "dropped"
     target: VmId | None = None
+
+
+_arrival = partial(tuple.__new__, ArrivalEffect)  # an ArrivalEffect from 2 values, in C
 
 
 class Vgic:
@@ -229,11 +233,11 @@ class Vgic:
         """A physical interrupt fired; latch it and inject if possible."""
         target = self.irq_targets.get(irq)
         if target is None or irq < SGI_COUNT or irq >= N_INTERRUPTS:
-            return ArrivalEffect("dropped")
+            return _arrival(("dropped", None))
         self.pending[irq] = True
         if self._try_inject_hw(target, irq):
-            return ArrivalEffect("injected", target)
-        return ArrivalEffect("pending", target)
+            return _arrival(("injected", target))
+        return _arrival(("pending", target))
 
     def inject_soft(self, vm: VmId, virq: int) -> str:
         """Software virtual interrupt (inter-VM notification path).

@@ -379,6 +379,23 @@ LOOSE_MESSAGES = {
 }
 
 
+# A region field's parser names the field's full path; only MemRegion's own
+# checks, which know no path, get the region's path in front.
+REGION_MESSAGES = {
+    "ipa-true": "vms[0].regions[0].ipa: expected integer, got True",
+    "len-zero": "vms[0].regions[0]: region at ipa 0x40000000: length must be > 0",
+}
+
+
+@pytest.mark.parametrize("case", REGION_MESSAGES)
+def test_region_error_names_its_path_once(case):
+    m = two_vm_manifest()
+    LOOSE_VALUES[case](m)
+    with pytest.raises(ConfigError) as err:
+        load_manifest(m)
+    assert str(err.value) == REGION_MESSAGES[case]
+
+
 @pytest.mark.parametrize("case", LOOSE_VALUES)
 def test_loose_value_rejected(case):
     m = two_vm_manifest()

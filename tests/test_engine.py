@@ -1,5 +1,6 @@
 import gc
 import heapq
+import io
 import random
 import sys
 from types import SimpleNamespace
@@ -9,7 +10,8 @@ import pytest
 import hvsim.engine
 from hvsim import SimulationAborted, compare_traces, load_manifest
 from hvsim.schedulers import FixedPriorityScheduler, register, SCHEDULERS
-from hvsim.trace import Trace, TraceRecord, run_intervals
+from hvsim.trace import Trace, TraceRecord, run_intervals, write_csv
+from hvsim.vgic import SPURIOUS_IRQ
 from hvsim.workloadgen import ZERO_COST, busy_workload, edf_manifest, make_manifest
 
 from conftest import (
@@ -23,6 +25,7 @@ from conftest import (
     run_manifest,
 )
 from test_acceptance import _contract_manifest
+from test_trace import _irq_ivc_manifest
 
 INT_ONLY = dict(ZERO_COST, interrupt_entry_exit=7_480)
 MS = 1_000_000
@@ -515,3 +518,31 @@ class TestBenchmarkHooks:
         assert {"phys_irq", "timer_fire", "hyp_call", "wfi_trap"} <= kinds
         assert res.records[-1].kind == "vm_pause" and res.records[-1].time == 5 * MS
         assert seen == res.records  # the closing vm_pause too
+
+    @pytest.mark.parametrize("name", ["rr_no_irqs", "ivc_irqs"])
+    def test_wrapped_guest_ack_is_called_once_per_taken_interrupt(self, name):
+        """The benchmark wraps the vGIC's guest_ack on one engine; a resume
+        calls it only while the VM has an interrupt pending, so it never
+        answers 1023 and a run without interrupts never calls it."""
+        if name == "rr_no_irqs":
+            m, horizon = _trapping_rr_manifest(), 5 * MS
+            del m["phys_irqs"]
+        else:
+            m, horizon = _irq_ivc_manifest("hypcall_gated"), 50 * MS
+        spec = load_manifest(m)
+        engine = hvsim.engine.Engine(spec, horizon)
+        plain, acks = engine.vgic.guest_ack, []
+
+        def guest_ack(vm):
+            acks.append(plain(vm))
+            return acks[-1]
+
+        engine.vgic.guest_ack = guest_ack
+        res = engine.run()
+        taken = [int(r.detail.removeprefix("virq=")) for r in res.records if r.kind == "guest_ack"]
+        assert acks == taken and SPURIOUS_IRQ not in acks
+        assert bool(acks) == (name == "ivc_irqs")
+        wrapped, unwrapped = io.StringIO(), io.StringIO()
+        write_csv(res.records, wrapped)
+        write_csv(hvsim.engine.run(spec, horizon).records, unwrapped)
+        assert wrapped.getvalue() == unwrapped.getvalue()

@@ -56,6 +56,16 @@ class TestInit:
         with pytest.raises(ContractViolation, match="before init"):
             fw.dispatch_checkpoint(END_OF_HYP_CALL)
 
+    @pytest.mark.parametrize("entry", ["set_reschedule_flag", "dispatch_checkpoint", "on_vm_sleep", "on_vm_wakeup"])
+    def test_every_entry_point_rejects_use_before_init(self, entry):
+        host, table, vcpus, fw = make_framework(1)
+        args = {"dispatch_checkpoint": (END_OF_HYP_CALL,), "on_vm_sleep": (vcpus[0],),
+                "on_vm_wakeup": (vcpus[0],)}.get(entry, ())
+        with pytest.raises(ContractViolation) as err:
+            getattr(fw, entry)(*args)
+        assert str(err.value) == "framework used before initialization"
+        assert host.records == [] and table.calls == [] and not fw.flag
+
 
 class TestDispatchCases:
     """The four (flag x same/different) dispatch combinations."""
