@@ -6,8 +6,13 @@
 # they should: EDF honours budgets, FP starves the low-priority VMs, RR
 # splits time evenly.
 
+import sys
+from pathlib import Path
+
 from hvsim import load_manifest, run
-from hvsim.workloadgen import ZERO_COST, busy_workload, make_manifest, make_vm
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from manifests import ZERO_COST, busy_workload, make_manifest, make_vm  # noqa: E402
 
 MS = 1_000_000
 HORIZON = 120 * MS

@@ -11,7 +11,6 @@ import json
 
 from hvsim import CostModel, load_manifest, run
 from hvsim.ivc import calibrate_tlb_flush, free_transfer_cost, gated_transfer_cost
-from hvsim.workloadgen import make_manifest
 
 MS = 1_000_000
 K = 6  # transfers
@@ -51,13 +50,13 @@ def manifest(variant):
             "workload": [],
         },
     ]
-    return make_manifest(
-        vms,
-        {"name": "fp", "sched_param": {"0": {"priority": 0}, "1": {"priority": 1}}},
-        shared_pages=[{"id": 0, "pa": "0x70000000"}],
-        channels=[{"id": 0, "endpoints": [0, 1], "pages": [0], "virqs": [100, 101],
-                   "variant": variant}],
-    )
+    return {
+        "scheduler": {"name": "fp", "sched_param": {"0": {"priority": 0}, "1": {"priority": 1}}},
+        "vms": vms,
+        "shared_pages": [{"id": 0, "pa": "0x70000000"}],
+        "channels": [{"id": 0, "endpoints": [0, 1], "pages": [0], "virqs": [100, 101],
+                      "variant": variant}],
+    }
 
 
 totals = {}

@@ -6,10 +6,13 @@
 
 import json
 import pathlib
+import sys
 import tempfile
 
 from hvsim.cli import cmd_sweep
-from hvsim.workloadgen import ZERO_COST, edf_manifest
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+from manifests import edf_manifest  # noqa: E402
 
 MS = 1_000_000
 PARAMS = [(10 * MS, 4 * MS), (20 * MS, 8 * MS), (40 * MS, 6 * MS)]  # U = 0.95
@@ -17,7 +20,7 @@ VALUES = [0, 25_840, 100_000, 500_000, 1_000_000, 2_000_000, 3_000_000]
 
 with tempfile.TemporaryDirectory() as td:
     cfg = pathlib.Path(td) / "tight.json"
-    cfg.write_text(json.dumps(edf_manifest(PARAMS, 40 * MS, cost_model=ZERO_COST)))
+    cfg.write_text(json.dumps(edf_manifest(PARAMS, 40 * MS)))
     out = pathlib.Path(td) / "sweep"
     rc = cmd_sweep(str(cfg), 40 * MS, str(out), "cost_model.world_switch", VALUES)
     assert rc == 0

@@ -18,7 +18,6 @@ whole trace; a streamed run (see `engine.streaming`) feeds it block by block.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -31,14 +30,13 @@ from typing import Iterable, NamedTuple
 from .model import Time
 
 CSV_HEADER = "time_ns,actor,kind,cost_field,cost_ns,detail"
-_FIELDS = CSV_HEADER.split(",")
 _CSV_FORMAT = "%s,%s,%s,%s,%s,%s"  # a record's fields in CSV_HEADER order
-_WIDTH = len(_FIELDS)  # slots per record in a Trace
+_WIDTH = len(CSV_HEADER.split(","))  # slots per record in a Trace
 _CSV_BLOCK = 512  # records (or timeline spans) formatted by one % in a writer
 _TIMELINE_SPAN = "%s %s 1\n%s %s 0\n"  # a run span's two timeline.dat lines: start, vm, end, vm
-# A record as TraceRecord.to_json writes it: keys sorted, strings escaped by
-# json's own escaper, so the fields go in (actor, cost_field, cost_ns, detail,
-# kind, time) order.
+# A record as json.dumps(..., sort_keys=True) writes it: strings escaped by
+# json's own escaper, keys sorted, so the fields go in (actor, cost_field,
+# cost_ns, detail, kind, time) order.
 _JSON_LINE = '{"actor": %s, "cost_field": %s, "cost_ns": %s, "detail": %s, "kind": %s, "time_ns": %s}\n'
 
 
@@ -49,12 +47,6 @@ class TraceRecord(NamedTuple):
     cost_field: str  # "" when no cost was charged
     cost_ns: Time
     detail: str
-
-    def to_csv(self) -> str:
-        return _CSV_FORMAT % self
-
-    def to_json(self) -> str:
-        return json.dumps(dict(zip(_FIELDS, self)), sort_keys=True)
 
 
 _record = partial(tuple.__new__, TraceRecord)  # a TraceRecord from 6 values, in C
@@ -106,11 +98,6 @@ def _rows(records: Iterable[TraceRecord]) -> Iterable[tuple]:
     return records
 
 
-def record_from_csv(line: str) -> TraceRecord:
-    time_s, actor, kind, cost_field, cost_s, detail = line.split(",", 5)
-    return TraceRecord(int(time_s), actor, kind, cost_field, int(cost_s), detail)
-
-
 def _blocks(records: Iterable[TraceRecord]) -> Iterable[list]:
     """The records' flat slots, _CSV_BLOCK records at a time: a writer formats
     each block with one %."""
@@ -132,11 +119,14 @@ def read_csv(fh) -> list[TraceRecord]:
     header = fh.readline().rstrip("\n")
     if header != CSV_HEADER:
         raise ValueError(f"unexpected trace header {header!r}")
-    return [record_from_csv(line.rstrip("\n")) for line in fh if line.strip()]
+    rows = (line.rstrip("\n").split(",", 5) for line in fh if line.strip())
+    return [TraceRecord(int(time_s), actor, kind, cost_field, int(cost_s), detail)
+            for time_s, actor, kind, cost_field, cost_s, detail in rows]
 
 
 def write_json(records: Iterable[TraceRecord], fh) -> None:
-    """One `TraceRecord.to_json` line per record, byte for byte."""
+    """One json.dumps(record as a dict, sort_keys=True) line per record, byte
+    for byte."""
     for slots in _blocks(records):
         time, actor, kind, cost_field, cost, detail = (slots[i::_WIDTH] for i in range(_WIDTH))
         rows = zip(map(_json_str, actor), map(_json_str, cost_field), cost,
@@ -162,8 +152,8 @@ def compare_traces(a: Sequence[TraceRecord], b: Sequence[TraceRecord]):
     trace) compares as None.
     """
     for i, (ra, rb) in enumerate(zip_longest(a, b)):
-        ra = None if ra is None else ra.to_csv()
-        rb = None if rb is None else rb.to_csv()
+        ra = None if ra is None else _CSV_FORMAT % ra
+        rb = None if rb is None else _CSV_FORMAT % rb
         if ra != rb:
             return i, ra, rb
     return None

@@ -15,7 +15,6 @@ engine's business; methods only report what happened.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
@@ -43,13 +42,8 @@ DIST_MMIO_BASE = 0x01C8_1000
 DIST_MMIO_SIZE = 0x1000
 
 
-class LrState(enum.Enum):
-    PENDING = "pending"
-    ACTIVE = "active"
-
-
-# Python 3.11 loads an enum member through its class ~5x slower than a global.
-_PENDING, _ACTIVE = LrState.PENDING, LrState.ACTIVE
+# A list register's state; fill, ack and eoi compare it by identity.
+_PENDING, _ACTIVE = "pending", "active"
 
 
 class VirtualCpuInterface:
@@ -63,7 +57,7 @@ class VirtualCpuInterface:
     def __init__(self, lr_count: int = DEFAULT_LR_COUNT):
         self.lrs: dict[int, list] = {}
         self.lr_count = lr_count
-        self.n_pending = 0  # entries in PENDING state; most ACKs find none
+        self.n_pending = 0  # entries in the pending state; most ACKs find none
 
     def fill(self, virq: int, priority: int, hw_link: int | None) -> str:
         """Try to make virq pending; returns "injected", "collapsed" or "full"."""
@@ -304,19 +298,3 @@ class Vgic:
                 if res == "injected":
                     injected.append(vm)
         return injected
-
-    # -- observability ----------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Full architectural state, for differential testing."""
-        return {
-            "enabled": tuple(self.enabled),
-            "pending": tuple(self.pending),
-            "active": tuple(self.active),
-            "priority": bytes(self.priority),
-            "ctlr": dict(self.ctlr),
-            "lrs": {
-                vm: tuple((virq, p, state.value, hw) for virq, (p, state, hw) in ci.lrs.items())
-                for vm, ci in self.cpu_if.items()
-            },
-        }

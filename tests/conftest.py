@@ -6,7 +6,7 @@ from hvsim import load_manifest, run
 from hvsim.framework import SchedulerTable
 from hvsim.schedulers import SCHEDULERS, FixedPriorityScheduler, register
 from hvsim.trace import run_intervals
-from hvsim.workloadgen import ZERO_COST, busy_workload, make_manifest, make_vm
+from manifests import busy_workload, fp_manifest
 
 
 def run_manifest(manifest, horizon):
@@ -37,23 +37,6 @@ def timeline_us(result):
         for t in range(s // 1000, e // 1000):
             tl[t] = vm
     return tl
-
-
-def fp_manifest(priorities, workloads, horizon, cost_model=ZERO_COST, **extra):
-    vms = [make_vm(i, w) for i, w in enumerate(workloads)]
-    scheduler = {
-        "name": "fp",
-        "sched_param": {str(i): {"priority": p} for i, p in enumerate(priorities)},
-    }
-    return make_manifest(vms, scheduler, cost_model=cost_model, **extra)
-
-
-def rr_manifest(n_vms, quantum_ns, horizon, cost_model=ZERO_COST, workloads=None, **extra):
-    if workloads is None:
-        workloads = [busy_workload(horizon) for _ in range(n_vms)]
-    vms = [make_vm(i, w) for i, w in enumerate(workloads)]
-    scheduler = {"name": "rr", "quantum_ns": quantum_ns}
-    return make_manifest(vms, scheduler, cost_model=cost_model, **extra)
 
 
 class SameInstantTimer(FixedPriorityScheduler):

@@ -1,15 +1,18 @@
 """Independent reference models.
 
 These deliberately do not share code with the package: the EDF oracle is a
-1-microsecond tick simulation, the interrupt-controller oracle keeps one
-tiny state machine per interrupt id, the metrics oracle is the original
-two-pass fold over a trace (it shares only the report containers), and the
-layout oracle compares every pair of spans a manifest declares.  All are
-compared against the package elsewhere; keep them dumb.
+1-microsecond tick simulation, the FP oracle is response-time analysis
+(Joseph & Pandya 1986), the interrupt-controller oracle keeps one tiny
+state machine per interrupt id, the trace writers format one record at a
+time, the metrics oracle is the original two-pass fold over a trace (it
+shares only the report containers), and the layout oracle compares every
+pair of spans a manifest declares.  All are compared against the package
+elsewhere; keep them dumb.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Iterable
 
 from hvsim.trace import MetricsReport, TraceRecord, VmMetrics
@@ -52,6 +55,38 @@ def edf_tick_timeline(params_us, horizon_us):
         if run >= 0:
             remaining[run] -= 1
     return timeline, misses
+
+
+# ---------------------------------------------------------------------------
+# Fixed-priority response-time analysis
+# ---------------------------------------------------------------------------
+
+
+def fp_response_times(params, inclusive=True):
+    """First-job response times under preemptive fixed priority at zero cost,
+    every task released together at 0 and then at each multiple of its period.
+
+    params: (period, budget) per task, highest priority first.  Each release
+    of a higher-priority task j in [0, R] delays task i by its budget:
+    R = C_i + sum_{j<i} (floor(R/T_j) + 1) * C_j.  A release at R itself
+    counts because the engine lets a compute end lose a same-instant tie.
+    inclusive=False gives the textbook ceil(R/T_j), which counts only the
+    releases in [0, R).  Returns the responses of the longest prefix of tasks
+    that each finish within their period: past a task that does not, its
+    releases pile up and the recurrence no longer describes it.
+    """
+    out = []
+    for i, (period, budget) in enumerate(params):
+        r, prev = budget, None
+        while r != prev and r <= period:
+            prev = r
+            r = budget + sum(
+                (r // t + 1 if inclusive else -(-r // t)) * c for t, c in params[:i]
+            )
+        if r > period:
+            return out
+        out.append(r)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +302,23 @@ class OracleGic:
                 hw = i if m.hw else None
                 out.append((i, m.lr_priority, m.lr, hw))
         return frozenset(out)
+
+
+# ---------------------------------------------------------------------------
+# Per-record trace writers
+# ---------------------------------------------------------------------------
+
+_TRACE_FIELDS = ("time_ns", "actor", "kind", "cost_field", "cost_ns", "detail")
+
+
+def record_csv(record: TraceRecord) -> str:
+    """One record's CSV line, without its newline."""
+    return ",".join(map(str, record))
+
+
+def record_json(record: TraceRecord) -> str:
+    """One record's JSON line, without its newline: its fields, keys sorted."""
+    return json.dumps(dict(zip(_TRACE_FIELDS, record)), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

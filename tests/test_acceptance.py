@@ -19,7 +19,8 @@ from hvsim.memmap import KIND_PA, MemoryMap
 from hvsim.model import MEASURED_LATENCIES
 from hvsim.trace import detail_field, run_intervals
 from hvsim.vgic import Vgic
-from hvsim.workloadgen import (
+
+from manifests import (
     ZERO_COST,
     busy_workload,
     edf_manifest,
@@ -28,9 +29,8 @@ from hvsim.workloadgen import (
     make_vm,
     random_edf_params,
 )
-
 from oracles import OracleGic, edf_tick_timeline
-from test_vgic import TARGETS, VIRQS, canonical, random_op
+from test_vgic import TARGETS, VIRQS, canonical, random_op, snapshot
 
 MS = 1_000_000
 US = 1_000
@@ -262,7 +262,7 @@ def test_c06_vgic_differential_10k_sequences():
             out = random_op(rng, model, oracle)
             if out[0] in ("r", "ack", "eoi"):
                 assert out[1] == out[2], (seq, step, out)
-        assert canonical(model.snapshot()) == oracle.snapshot(), seq
+        assert canonical(snapshot(model)) == oracle.snapshot(), seq
     print(f"\nPASS criterion 6: 10000 random sequences bit-exact vs per-interrupt oracle "
           f"({time.monotonic()-t0:.1f}s)")
 
@@ -357,7 +357,7 @@ def test_c07_isolation_suite():
         )
         for vm in spec.vms:
             gic.boot_enable(vm.id)
-        before = gic.snapshot()
+        before = snapshot(gic)
         writer = rng.randrange(len(spec.vms))
         # Every id another VM sees, shared ones included; the loader leaves none shared.
         others_visible = set()
@@ -369,7 +369,7 @@ def test_c07_isolation_suite():
         for _ in range(50):
             base = rng.choice((0x100, 0x180, 0x200, 0x280, 0x400))
             gic.mmio(writer, base + 4 * rng.randrange(4), True, rng.getrandbits(32))
-        after = gic.snapshot()
+        after = snapshot(gic)
         for irq in others_visible:
             for field in ("enabled", "pending", "active"):
                 if before[field][irq] != after[field][irq]:

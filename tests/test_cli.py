@@ -13,16 +13,9 @@ import hvsim.engine
 from hvsim.cli import cmd_run, cmd_sweep, main
 from hvsim.schedulers import SCHEDULERS, FixedPriorityScheduler, register
 from hvsim.trace import TraceRecord, metrics_from_trace, read_csv, run_intervals, write_csv, write_json
-from hvsim.workloadgen import ZERO_COST, busy_workload, edf_manifest, make_manifest, make_vm
 
-from conftest import (
-    BAD_SERVICE_CALLS,
-    bad_service_call_manifest,
-    bad_service_call_table,
-    fp_manifest,
-    rr_manifest,
-    run_manifest,
-)
+from conftest import BAD_SERVICE_CALLS, bad_service_call_manifest, bad_service_call_table, run_manifest
+from manifests import ZERO_COST, busy_workload, edf_manifest, fp_manifest, make_manifest, make_vm, rr_manifest
 from test_trace import RUNS as TRACE_RUNS
 
 MS = 1_000_000
@@ -297,6 +290,18 @@ class TestCmdRun:
         assert cmd_run(cfg, 5 * MS, str(tmp_path / "o1")) == 2
         assert "--seed" in capsys.readouterr().err
         assert cmd_run(cfg, 5 * MS, str(tmp_path / "o2"), seed=1) == 0
+
+    @pytest.mark.parametrize("index, vm_id", [(0, None), (1, 5)], ids=["no-id", "mismatched-id"])
+    def test_unseeded_generated_workload_named_by_index(self, tmp_path, capsys, index, vm_id):
+        m = fp_manifest([1, 2], [None, None], 5 * MS)
+        vm = m["vms"][index]
+        vm.update(id=vm_id, workload={"generate": {"kind": "busy"}})
+        if vm_id is None:
+            del vm["id"]
+        assert cmd_run(write_manifest(tmp_path, m), 5 * MS, str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: vms[{index}].workload: generated workload needs --seed\n"
+        )
 
     @pytest.mark.parametrize("manifest", MALFORMED_EXPANSION.values(), ids=MALFORMED_EXPANSION)
     def test_malformed_vms_or_generator_exits_2(self, tmp_path, capsys, manifest):

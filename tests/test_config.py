@@ -22,8 +22,8 @@ from hvsim.cli import main
 from hvsim.engine import Engine
 from hvsim.model import PAGE_SIZE, MemRegion
 from hvsim.trace import read_csv
-from hvsim.workloadgen import ZERO_COST, busy_workload, make_manifest, make_vm
 
+from manifests import ZERO_COST, busy_workload, make_manifest, make_vm
 from oracles import layout_conflicts
 
 

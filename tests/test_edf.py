@@ -7,7 +7,9 @@ from hvsim.engine import Engine
 from hvsim.model import ContractViolation, VcpuRecord
 from hvsim.schedulers import EdfParam, EdfScheduler
 from hvsim.trace import detail_field, run_intervals
-from hvsim.workloadgen import (
+
+from conftest import assert_conserved, records_of, run_manifest, timeline_us
+from manifests import (
     ZERO_COST,
     busy_workload,
     edf_manifest,
@@ -16,8 +18,6 @@ from hvsim.workloadgen import (
     make_vm,
     random_edf_params,
 )
-
-from conftest import assert_conserved, records_of, run_manifest, timeline_us
 from oracles import edf_tick_timeline
 
 MS = 1_000_000

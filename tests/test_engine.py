@@ -12,18 +12,16 @@ from hvsim import SimulationAborted, compare_traces, load_manifest
 from hvsim.schedulers import FixedPriorityScheduler, register, SCHEDULERS
 from hvsim.trace import Trace, TraceRecord, run_intervals, write_csv
 from hvsim.vgic import SPURIOUS_IRQ
-from hvsim.workloadgen import ZERO_COST, busy_workload, edf_manifest, make_manifest
 
 from conftest import (
     BAD_SERVICE_CALLS,
     assert_conserved,
     bad_service_call_manifest,
     bad_service_call_table,
-    fp_manifest,
     records_of,
-    rr_manifest,
     run_manifest,
 )
+from manifests import ZERO_COST, busy_workload, edf_manifest, fp_manifest, make_manifest, rr_manifest
 from test_acceptance import _contract_manifest
 from test_trace import _irq_ivc_manifest
 

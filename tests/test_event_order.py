@@ -19,9 +19,9 @@ from hvsim.engine import Engine
 from hvsim.model import VcpuRecord
 from hvsim.schedulers import SCHEDULERS, FixedPriorityScheduler, register
 from hvsim.trace import write_csv
-from hvsim.workloadgen import ZERO_COST, busy_workload, make_manifest, make_vm
 
-from conftest import assert_conserved, fp_manifest, records_of, rr_manifest, run_manifest
+from conftest import assert_conserved, records_of, run_manifest
+from manifests import ZERO_COST, busy_workload, fp_manifest, make_manifest, make_vm, rr_manifest
 from test_acceptance import _contract_manifest
 
 MS = 1_000_000

@@ -1,10 +1,14 @@
-from hvsim import compare_traces
-from hvsim.trace import run_intervals
+import random
 
-from conftest import assert_conserved, fp_manifest, run_manifest
-from hvsim.workloadgen import busy_workload
+from hvsim import compare_traces
+from hvsim.trace import detail_field, run_intervals
+
+from conftest import assert_conserved, records_of, run_manifest
+from manifests import busy_workload, fp_manifest
+from oracles import fp_response_times
 
 MS = 1_000_000
+US = 1_000
 
 
 def test_lowest_priority_value_wins():
@@ -63,3 +67,32 @@ def test_priority_scale_invariance():
             fp_manifest(prios, workloads, 20 * MS, phys_irqs=irqs), 20 * MS
         )
         assert compare_traces(base.records, other.records) is None
+
+
+def test_first_responses_equal_response_time_analysis():
+    """Rate-monotonic VMs at zero cost: VM i loops [compute C_i, wfi] and its
+    irq 32+i arrives at every multiple of T_i.  Each VM's first wfi_trap
+    comes exactly at its inclusive-release response time, also in the sets
+    where a higher-priority release lands on the instant a compute ends."""
+    rng = random.Random(0xF9)
+    checked = ties = 0
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        periods = [rng.randint(10, 100) * US for _ in range(n)]
+        budgets = [rng.randint(1, p // (n * US)) * US for p in periods]
+        horizon = max(periods) + US
+        workloads = [{"loop": True, "segments": [{"compute": c}, {"wfi": True}]} for c in budgets]
+        arrivals = sorted((t, 32 + i) for i, p in enumerate(periods) for t in range(p, horizon, p))
+        # A period is its VM's priority value; equal periods tie-break by id.
+        m = fp_manifest(periods, workloads, horizon,
+                        phys_irqs=[{"at_ns": t, "irq": irq} for t, irq in arrivals])
+        first = {}
+        for r in records_of(run_manifest(m, horizon), "wfi_trap"):
+            first.setdefault(int(detail_field(r.detail, "vm")), r.time)
+        order = sorted(range(n), key=lambda i: (periods[i], i))
+        params = [(periods[i], budgets[i]) for i in order]
+        responses = fp_response_times(params)
+        assert [first[i] for i in order[: len(responses)]] == responses, (periods, budgets)
+        checked += len(responses)
+        ties += sum(a != b for a, b in zip(responses, fp_response_times(params, inclusive=False)))
+    assert checked >= 600 and ties >= 10, (checked, ties)

@@ -3,9 +3,9 @@ import pytest
 from hvsim import ContractViolation, RunState, VcpuRecord, load_manifest
 from hvsim.engine import Engine
 from hvsim.framework import END_OF_HYP_CALL, END_OF_PHYSICAL_INTERRUPT, Framework
-from hvsim.workloadgen import ZERO_COST, make_manifest
 
 from conftest import FakeHost, RecordingTable
+from manifests import ZERO_COST, make_manifest
 
 MS = 1_000_000
 

@@ -3,9 +3,9 @@ import pytest
 from hvsim import ConfigError, CostModel, load_manifest
 from hvsim.ivc import calibrate_tlb_flush, free_transfer_cost, gated_transfer_cost
 from hvsim.model import DEFAULT_TLB_FLUSH_NS
-from hvsim.workloadgen import ZERO_COST, make_manifest
 
 from conftest import assert_conserved, records_of, run_manifest, total_cost
+from manifests import ZERO_COST, make_manifest
 
 MS = 1_000_000
 SHARED_IPA_A = 0x6000_0000

@@ -3,9 +3,9 @@ import pytest
 from hvsim import load_manifest
 from hvsim.memmap import KIND_FAULT, KIND_MMIO, KIND_PA, MemoryMap
 from hvsim.vgic import DIST_MMIO_BASE
-from hvsim.workloadgen import ZERO_COST, busy_workload, make_manifest
 
 from conftest import run_manifest
+from manifests import ZERO_COST, busy_workload, make_manifest
 
 
 def shared_manifest(variant="free_access"):

@@ -3,8 +3,8 @@ import pytest
 from hvsim import ConfigError, load_manifest
 from hvsim.trace import run_intervals
 
-from conftest import assert_conserved, records_of, rr_manifest, run_manifest
-from hvsim.workloadgen import ZERO_COST
+from conftest import assert_conserved, records_of, run_manifest
+from manifests import ZERO_COST, rr_manifest
 
 MS = 1_000_000
 

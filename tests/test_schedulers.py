@@ -8,7 +8,8 @@ import pytest
 from hvsim import ConfigError, load_manifest, run
 from hvsim.cli import main
 from hvsim.schedulers import SCHEDULERS, FixedPriorityScheduler, register
-from hvsim.workloadgen import ZERO_COST, busy_workload, make_manifest, make_vm
+
+from manifests import ZERO_COST, busy_workload, make_manifest, make_vm
 
 MS = 1_000_000
 

@@ -22,7 +22,7 @@ from hvsim.trace import (
     write_csv,
     write_json,
 )
-from hvsim.workloadgen import make_manifest, make_vm
+from manifests import make_manifest, make_vm
 from test_acceptance import _contract_manifest, _ivc_acceptance_manifest
 
 MS = 1_000_000
@@ -264,8 +264,8 @@ def test_trace_writers_equal_list_path(edf_run, n):
     trace = trace_of(records)
     assert len(trace) == n
     expected = {
-        write_csv: CSV_HEADER + "\n" + "".join(r.to_csv() + "\n" for r in records),
-        write_json: "".join(r.to_json() + "\n" for r in records),
+        write_csv: CSV_HEADER + "\n" + "".join(oracles.record_csv(r) + "\n" for r in records),
+        write_json: "".join(oracles.record_json(r) + "\n" for r in records),
     }
     for write, text in expected.items():
         from_trace, from_list = io.StringIO(), io.StringIO()
@@ -287,7 +287,7 @@ def test_write_json_escapes_like_to_json():
     for written in (records, trace_of(records)):
         fh = io.StringIO()
         write_json(written, fh)
-        assert fh.getvalue() == "".join(r.to_json() + "\n" for r in records)
+        assert fh.getvalue() == "".join(oracles.record_json(r) + "\n" for r in records)
 
 
 def test_trace_fold_equals_oracle_and_list_path(edf_run):
@@ -300,4 +300,4 @@ def test_trace_fold_equals_oracle_and_list_path(edf_run):
     spans = run_intervals(trace, horizon)
     assert spans == run_intervals(records, horizon) == oracles.run_intervals(records, horizon)
     assert compare_traces(trace, records) is None
-    assert compare_traces(trace, records[:-1]) == (len(records) - 1, records[-1].to_csv(), None)
+    assert compare_traces(trace, records[:-1]) == (len(records) - 1, oracles.record_csv(records[-1]), None)
