@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 
 from .model import (
     DEFAULT_LR_COUNT,
@@ -60,6 +62,7 @@ _VM_KEYS = {"id", "regions", "irqs", "virqs", "shared_pages", "workload"}
 _REGION_KEYS = {"ipa", "pa", "len", "perms"}
 _IRQ_KEYS = {"at_ns", "irq"}
 _GIC_IDS = 1024  # a scripted arrival may name any of the 1024 GIC interrupt ids
+_irq_event = partial(tuple.__new__, IrqEvent)  # an IrqEvent from (at, irq), in C
 
 
 def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -196,6 +199,21 @@ def _interrupt_ids(raw, where: str) -> frozenset[int]:
     if len(ids) != len(raw):
         raise ConfigError(f"{where}: duplicate interrupt ids")
     return ids
+
+
+def _irq_events(raw: list) -> tuple[IrqEvent, ...] | None:
+    """phys_irqs settled in column passes: each entry an exact dict of exactly
+    at_ns and irq, each column exact ints in range.  None if a pass fails."""
+    if not (set(map(type, raw)) <= {dict} and set(map(len, raw)) <= {2}):
+        return None
+    try:
+        ats, ids = list(map(itemgetter("at_ns"), raw)), list(map(itemgetter("irq"), raw))
+    except KeyError:  # two keys, but not these two
+        return None
+    if (set(map(type, ats)) <= {int} and 0 <= min(ats, default=0) and max(ats, default=0) < MAX_TIME
+            and set(map(type, ids)) <= {int} and 0 <= min(ids, default=0) and max(ids, default=0) < _GIC_IDS):
+        return tuple(map(_irq_event, zip(ats, ids)))
+    return None
 
 
 def _parse_vm(raw, index: int, sched_params: dict, page_pa: dict) -> VmSpec:
@@ -384,20 +402,15 @@ def load_manifest(data: dict) -> SystemSpec:
                 if vm.id not in channel_ends[seg.channel]:
                     raise ConfigError(f"{where}: vm {vm.id} is not an endpoint of channel {seg.channel}")
 
-    # The common case is settled by exact-type tests; anything else takes
-    # the general checks, which accept it or raise with the entry's path.
-    phys_irqs = []
-    for j, raw in enumerate(_list(data.get("phys_irqs", []), "phys_irqs")):
-        if type(raw) is dict and raw.keys() == _IRQ_KEYS:
-            at, irq = raw["at_ns"], raw["irq"]
-            if type(at) is int and type(irq) is int and 0 <= at < MAX_TIME and 0 <= irq < _GIC_IDS:
-                phys_irqs.append(IrqEvent(at, irq))
-                continue
-        where = f"phys_irqs[{j}]"
-        _check_keys(raw, _IRQ_KEYS, _IRQ_KEYS, where)
-        phys_irqs.append(
-            IrqEvent(_parse_int(raw["at_ns"], f"{where}.at_ns"), _parse_int(raw["irq"], f"{where}.irq", hi=_GIC_IDS))
-        )
+    raw_irqs = _list(data.get("phys_irqs", []), "phys_irqs")
+    phys_irqs = _irq_events(raw_irqs)
+    if phys_irqs is None:  # the per-entry checks accept the list or name its first bad entry
+        phys_irqs = []
+        for j, raw in enumerate(raw_irqs):
+            where = f"phys_irqs[{j}]"
+            _check_keys(raw, _IRQ_KEYS, _IRQ_KEYS, where)
+            phys_irqs.append(IrqEvent(_parse_int(raw["at_ns"], f"{where}.at_ns"),
+                                      _parse_int(raw["irq"], f"{where}.irq", hi=_GIC_IDS)))
 
     faults_raw = data.get("faults", {})
     _check_keys(faults_raw, {"stage2", "dist_unmodeled"}, set(), "faults")

@@ -22,7 +22,9 @@ record's six fields; `RunResult.records` is a `trace.Trace` over that list,
 a read-only sequence that builds each `TraceRecord` on access, folded once
 at the end.  Only `_fold_running` credits a guest with CPU time.  A resume
 calls into the vGIC only while the VM has pending list registers, so each
-`guest_ack` call takes an interrupt.
+`guest_ack` call takes an interrupt.  Scripted arrivals are staged at boot in
+one sort and reach the heap one at a time; an interrupt record's detail is
+built once per irq id, not once per record.
 Inside `streaming(sink)` the list is a buffer: whenever it holds about
 `_BLOCK` records, at the end and before `SimulationAborted`, the engine
 calls `sink(records)` and then empties it, so memory does not grow with the
@@ -43,6 +45,7 @@ from collections.abc import Callable, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from itertools import count, repeat
 
 from . import framework as fw_mod
 from .framework import Framework, SchedulerServices
@@ -146,6 +149,7 @@ class Engine(SchedulerServices):
             lr_count=spec.lr_count,
         )
         self.channels: dict[int, ChannelState] = {ch.id: ChannelState(ch) for ch in spec.channels}
+        self._virq_detail = {i: f"virq={i}" for vm in spec.vms for i in vm.assigned_irqs | vm.virqs}
 
         table_cls = get_plugin(spec.scheduler_name)
         self.fw = Framework(self, table_cls(self, table_cls.parse(spec)), self.vcpus)
@@ -246,11 +250,12 @@ class Engine(SchedulerServices):
         # Arrivals are numbered here, in manifest order, so that at one instant
         # they follow timers set in init/allocate and precede later timers;
         # only the earliest waits on the heap.
-        irqs, seq = self.spec.phys_irqs, self._seq
-        self._arrivals = iter(sorted(
-            (ev.at, seq + i, EV_PHYS_IRQ, ev.irq) for i, ev in enumerate(irqs, 1)
-        ))
-        self._seq += len(irqs)
+        ats, ids = tuple(zip(*self.spec.phys_irqs)) or ((), ())
+        self._arrivals = iter(sorted(zip(ats, count(self._seq + 1), repeat(EV_PHYS_IRQ), ids)))
+        self._seq += len(ats)
+        t = self.vgic.irq_targets  # each id's details: phys_irq, virq_inject, irq_latched, irq_dropped
+        self._irq_details = {i: (f"irq={i}", f"virq={i};target={t.get(i)};hw=1", f"irq={i};target={t.get(i)}",
+                                 f"irq={i};warning=unassigned") for i in set(ids)}
         self._next_arrival()
         self.fw.set_reschedule_flag()
         self.fw.dispatch_checkpoint(fw_mod.END_OF_HYP_CALL)
@@ -293,15 +298,16 @@ class Engine(SchedulerServices):
 
     def _do_phys_irq(self, irq: int) -> None:
         self._suspend()
-        self.charge("phys_irq", "interrupt_entry_exit", f"irq={irq}")
-        eff = self.vgic.phys_arrival(irq)
-        if eff.outcome == "injected":
-            self.trace("virq_inject", "hv", "", 0, f"virq={irq};target={eff.target};hw=1")
-            self._wake_if_sleeping(eff.target)
-        elif eff.outcome == "pending":
-            self.trace("irq_latched", "hv", "", 0, f"irq={irq};target={eff.target}")
+        arrived, injected, latched, dropped = self._irq_details[irq]
+        self.charge("phys_irq", "interrupt_entry_exit", arrived)
+        outcome, target = self.vgic.phys_arrival(irq)
+        if outcome == "injected":
+            self.trace("virq_inject", "hv", "", 0, injected)
+            self._wake_if_sleeping(target)
+        elif outcome == "pending":
+            self.trace("irq_latched", "hv", "", 0, latched)
         else:
-            self.trace("irq_dropped", detail=f"irq={irq};warning=unassigned")
+            self.trace("irq_dropped", "hv", "", 0, dropped)
         self.fw.dispatch_checkpoint(fw_mod.END_OF_PHYSICAL_INTERRUPT)
         self._resume()
 
@@ -534,7 +540,7 @@ class Engine(SchedulerServices):
         cpu_if = self.vgic.cpu_if[vcpu.id]
         while cpu_if.n_pending:
             virq = self.vgic.guest_ack(vcpu.id)
-            detail = f"virq={virq}"
+            detail = self._virq_detail[virq]
             self.trace("guest_ack", actor, "", 0, detail)
             self.vgic.guest_eoi(vcpu.id, virq)
             self.trace("guest_eoi", actor, "", 0, detail)

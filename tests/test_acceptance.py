@@ -500,7 +500,7 @@ def test_c10_byte_identical_reruns(tmp_path):
 # -- 11 ----------------------------------------------------------------------
 
 
-def test_c11_time_conservation_everywhere():
+def test_c11_time_conservation_everywhere(request):
     # awkward horizons: cuts mid-compute and mid-cost-window
     for horizon in (1, 999, 6_580 // 2 + MS, 7 * MS + 123):
         res = run(
@@ -510,6 +510,12 @@ def test_c11_time_conservation_everywhere():
             horizon,
         )
         _conserved(res)
-    assert _conservation_checks[0] >= 660, _conservation_checks[0]
+    # The floor counts the runs of the suites that check conservation, which
+    # run before this one; it binds in every session that selects them all.
+    counted = {test_c02_edf_optimality_500_random_sets, test_c03_edf_overload_always_misses,
+               test_c04_zero_cost_engine_equals_tick_oracle, test_c05_scheduler_contract_suite,
+               test_c08_ivc_cost_decomposition_and_calibrated_ratio, test_c09_overhead_monotonicity_via_sweep}
+    if counted <= {getattr(item, "function", None) for item in request.session.items}:
+        assert _conservation_checks[0] >= 660, _conservation_checks[0]
     print(f"\nPASS criterion 11: exact conservation on {_conservation_checks[0]} runs "
-          "(suites 2-9 plus boundary horizons)")
+          "(the selected suites plus boundary horizons)")

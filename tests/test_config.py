@@ -1,10 +1,12 @@
 import copy
+import dataclasses
 import io
 import json
 import re
+from enum import IntEnum
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hvsim import (
@@ -20,7 +22,7 @@ from hvsim import (
 )
 from hvsim.cli import main
 from hvsim.engine import Engine
-from hvsim.model import PAGE_SIZE, MemRegion
+from hvsim.model import PAGE_SIZE, IrqEvent, MemRegion
 from hvsim.trace import read_csv
 
 from manifests import ZERO_COST, busy_workload, make_manifest, make_vm
@@ -305,6 +307,72 @@ def test_phys_irqs_and_compute_bounds_load():
     spec = load_manifest(m)
     assert spec.phys_irqs == ((0, 0), (2**62 - 1, 1023))
     assert [seg.duration_ns for seg in spec.vms[1].workload.segments] == [0, 2**62 - 1]
+
+
+def per_entry_phys_irqs(entries):
+    """phys_irqs read one entry at a time by the documented rules: the
+    (at_ns, irq) pairs, or the ConfigError text of the first bad entry."""
+    events = []
+    for j, raw in enumerate(entries):
+        where = f"phys_irqs[{j}]"
+        if not isinstance(raw, dict):
+            return f"{where}: expected an object, got {type(raw).__name__}"
+        if set(raw) - {"at_ns", "irq"}:
+            return f"{where}: unknown keys {sorted(set(raw) - {'at_ns', 'irq'})}"
+        if {"at_ns", "irq"} - set(raw):
+            return f"{where}: missing keys {sorted({'at_ns', 'irq'} - set(raw))}"
+        for key, hi in (("at_ns", 2**62), ("irq", 1024)):
+            value = raw[key]
+            if isinstance(value, bool) or not isinstance(value, int):
+                return f"{where}.{key}: expected integer, got {value!r}"
+            if not 0 <= value < hi:
+                return f"{where}.{key}: value {value} out of range [0, {hi})"
+        events.append((raw["at_ns"], raw["irq"]))
+    return tuple(events)
+
+
+class _DictSubclass(dict):
+    pass
+
+
+class _Irq(IntEnum):
+    SPI = 33
+
+
+# Field values at and past each bound, and of each type the column passes
+# must hand to the per-entry checks.
+FIELD_VALUES = [0, 1023, 2**62 - 1, -1, 1024, 2**62, True, False, 1.0, 32.0, "5", None, _Irq.SPI]
+ODD_IRQS = [
+    5, None, 1.5, "at_ns", [1_000, 32],  # not objects
+    _DictSubclass(at_ns=5, irq=33),
+    {"at_ns": 5, "irq": 33, "prio": 0}, {"at_ns": 5}, {"irq": 33}, {},  # extra and missing keys
+    {"at": 5, "irq": 33}, {"at_ns": 5, "irq_id": 33},  # a swapped key
+    *({"at_ns": v, "irq": 33} for v in FIELD_VALUES),
+    *({"at_ns": 5, "irq": v} for v in FIELD_VALUES),
+    {"at_ns": -1, "irq": 1024},
+]
+VALID_IRQ = st.fixed_dictionaries({"at_ns": st.integers(0, 2**62 - 1), "irq": st.integers(0, 1023)})
+BASE_SPEC = load_manifest(two_vm_manifest())
+
+
+@settings(max_examples=400, deadline=None)
+@given(entries=st.lists(VALID_IRQ, max_size=6), index=st.integers(0, 6),
+       odd=st.lists(st.sampled_from(ODD_IRQS), min_size=1, max_size=1))
+@example(entries=[], index=0, odd=[])
+@example(entries=[{"at_ns": 0, "irq": 0}, {"at_ns": 2**62 - 1, "irq": 1023}], index=0, odd=[])
+def test_phys_irqs_load_as_read_per_entry(entries, index, odd):
+    """The loader's column passes and its per-entry checks agree with a
+    per-entry reading on every list: the same spec, or the same message."""
+    entries[index:index] = odd
+    expected = per_entry_phys_irqs(entries)
+    try:
+        spec = load_manifest(two_vm_manifest(phys_irqs=entries))
+    except ConfigError as exc:
+        assert str(exc) == expected
+        return
+    assert spec == dataclasses.replace(BASE_SPEC, phys_irqs=expected)
+    assert all(type(ev) is IrqEvent for ev in spec.phys_irqs)
+    assert [tuple(map(type, ev)) for ev in spec.phys_irqs] == [tuple(map(type, ev)) for ev in expected]
 
 
 # Containers of the wrong JSON type: each but sched_param once raised

@@ -23,6 +23,7 @@ from conftest import (
 )
 from manifests import ZERO_COST, busy_workload, edf_manifest, fp_manifest, make_manifest, rr_manifest
 from test_acceptance import _contract_manifest
+from test_ivc import ivc_manifest
 from test_trace import _irq_ivc_manifest
 
 INT_ONLY = dict(ZERO_COST, interrupt_entry_exit=7_480)
@@ -423,6 +424,38 @@ class TestDistributorAccess:
                 targets.append(writer)
         assert sorted(set(targets)) == ["0", "1", "2"]
         assert_conserved(res)
+
+
+def test_interrupt_details_cover_every_outcome():
+    """Each interrupt record's detail, built once per id, is the text the
+    record documents: for an injected id, a latched one (its VM's distributor
+    is off), an SGI id, an unassigned id and id 1023, and for ACK/EOI of an
+    owned irq and of a channel virq."""
+    a_script = [{"compute": MS}, {"ivc_notify": 0}, {"compute": MS}, {"wfi": True}]
+    b_script = [_dist_access(0x0, "write", 0), {"compute": 10 * MS}]
+    arrivals = [(MS // 2, 32), (3 * MS, 40), (3 * MS + 1, 5), (3 * MS + 2, 99), (3 * MS + 3, 1023),
+                (3 * MS + 4, 32)]
+    m = ivc_manifest(a_script, b_script)
+    m["phys_irqs"] = [{"at_ns": at, "irq": irq} for at, irq in arrivals]
+    res = run_manifest(m, 5 * MS)
+    owner = {32: 0, 40: 1}
+    outcomes = {32: ("virq_inject", f"virq=32;target={owner[32]};hw=1"),
+                40: ("irq_latched", f"irq=40;target={owner[40]}")}
+    records = list(res.records)
+    arrived, acked = [], []
+    for k, r in enumerate(records):
+        if r.kind == "phys_irq":
+            irq = arrivals[len(arrived)][1]
+            arrived.append(irq)
+            assert r.detail == f"irq={irq}"
+            dropped = ("irq_dropped", f"irq={irq};warning=unassigned")
+            assert (records[k + 1].kind, records[k + 1].detail) == outcomes.get(irq, dropped)
+        elif r.kind == "guest_ack":
+            assert (records[k + 1].kind, records[k + 1].detail) == ("guest_eoi", r.detail)
+            acked.append(r.detail)
+    assert arrived == [irq for _, irq in arrivals]
+    assert acked == [f"virq={v}" for v in (32, 101, 32)]
+    assert_conserved(res)
 
 
 def _trapping_rr_manifest():
