@@ -11,10 +11,11 @@ dispatcher only ever acts at two checkpoints (end of a hyp call, end of
 physical interrupt handling) and only when the flag is set.
 
 Tables own sched_state; run states are the framework's and sched_param is
-fixed.  Around every table operation the framework raises a guard cell it
-shares with its vCPUs, so a run-state write during an operation raises
-ContractViolation at the write and aborts the run (see model.VcpuRecord).
-Each schedule() call is checked to return None or an awake vCPU of this run.
+fixed.  Table methods are looked up per call and called directly, with a
+guard cell the vCPUs share set to the operation's name by assignment just
+before and to "" just after (or in the entry point's finally): a run-state
+write in an operation raises ContractViolation (see model.VcpuRecord).  Each
+schedule() result is checked to be None or an awake vCPU of this run.
 The trace details the dispatcher writes (vm=<id>, kind=...;flag=...,
 from=...;to=...) are built once per vCPU, checkpoint kind and (old, new)
 dispatch pair, not per call.
@@ -36,9 +37,7 @@ _CHECKPOINT_DETAILS = {k: (f"kind={k};flag=0", f"kind={k};flag=1") for k in CHEC
 # Python 3.11 loads an enum member through its class ~5x slower than a global.
 _RUNNING, _READY, _SLEEPING = RunState.RUNNING, RunState.READY, RunState.SLEEPING
 
-# A checkpoint re-evaluates the flag after applying each decision (table
-# operations may set it again); a scheduler that never converges is broken.
-_MAX_CHECKPOINT_ROUNDS = 64
+_MAX_CHECKPOINT_ROUNDS = 64  # decisions per checkpoint; a scheduler needing more never converges
 
 
 class SchedulerTable(abc.ABC):
@@ -110,10 +109,10 @@ class Framework:
         self._guard = [""]
         for v in self.vcpus:
             v._guard = self._guard
-        self._vm_detail = {v.id: f"vm={v.id}" for v in self.vcpus}  # for the cb_* records
-        ids = {None: "-", **{v: str(v.id) for v in self.vcpus}}
+        # Trace text by vCPU (None: no vCPU): actor, cb_* detail, dispatch detail.
+        self._actor = ids = {None: "-", **{v: str(v.id) for v in self.vcpus}}
+        self._vm_detail = {v: f"vm={i}" for v, i in ids.items()}
         self._dispatch_detail = {(o, n): f"from={ids[o]};to={ids[n]}" for o in ids for n in ids}
-        self._actor = {v.id: str(v.id) for v in self.vcpus}
 
     # -- boot ------------------------------------------------------------
 
@@ -121,21 +120,21 @@ class Framework:
         if self._initialized:
             raise ContractViolation("framework initialized twice")
         self._initialized = True
-        self.host.trace("cb_init")
-        self._op("init")
-        for v in self.vcpus:
-            self.host.trace("cb_allocate", "hv", "", 0, self._vm_detail[v.id])
-            v.sched_state = self._op("allocate", v)
-        for v in self.vcpus:
-            self.host.trace("cb_enque", "hv", "", 0, self._vm_detail[v.id])
-            self._op("enque", v)
-
-    def _op(self, name: str, *args):
-        """Call table operation `name` with run states guarded."""
-        guard = self._guard
-        guard[0] = name
+        trace, table, guard, vm_detail = self.host.trace, self.table, self._guard, self._vm_detail
+        trace("cb_init")
         try:
-            return getattr(self.table, name)(*args)
+            guard[0] = "init"
+            table.init()
+            for v in self.vcpus:
+                guard[0] = ""
+                trace("cb_allocate", "hv", "", 0, vm_detail[v])
+                guard[0] = "allocate"
+                v.sched_state = table.allocate(v)
+            for v in self.vcpus:
+                guard[0] = ""
+                trace("cb_enque", "hv", "", 0, vm_detail[v])
+                guard[0] = "enque"
+                table.enque(v)
         finally:
             guard[0] = ""
 
@@ -161,63 +160,72 @@ class Framework:
         except (KeyError, TypeError):
             raise ContractViolation(f"unknown checkpoint kind {kind!r}") from None
         self.host.trace("checkpoint", "hv", "", 0, detail)
-        rounds = 0
-        while self.flag:
-            rounds += 1
-            if rounds > _MAX_CHECKPOINT_ROUNDS:
-                raise ContractViolation("reschedule flag never settles (scheduler livelock)")
-            self.flag = False
-            chosen = self._call_schedule()
-            if chosen is self.current:
-                continue
-            old = self.current
-            if old is not None and old._run_state is _RUNNING:
-                old._run_state = _READY
-                self.host.trace("cb_block", "hv", "", 0, self._vm_detail[old.id])
-                self._op("block", old)
-            if chosen is None:
-                self.current = None
-                self.host.trace("dispatch", "hv", "", 0, self._dispatch_detail[old, None])
-            else:
-                self.current = chosen
-                chosen._run_state = _RUNNING
-                self.host.charge("dispatch", "world_switch", self._dispatch_detail[old, chosen])
+        if self.flag:
+            host, table, guard, vm_detail, rounds = self.host, self.table, self._guard, self._vm_detail, 0
+            try:
+                while self.flag:
+                    rounds += 1
+                    if rounds > _MAX_CHECKPOINT_ROUNDS:
+                        raise ContractViolation("reschedule flag never settles (scheduler livelock)")
+                    self.flag = False
+                    guard[0] = "schedule"
+                    chosen = table.schedule()
+                    guard[0] = ""
+                    if chosen is not None:
+                        # Every vCPU of this framework shares its guard cell.
+                        if getattr(chosen, "_guard", None) is not guard:
+                            raise ContractViolation(f"schedule() returned {chosen!r}: not a vCPU of this run")
+                        if chosen._run_state is _SLEEPING:
+                            raise ContractViolation(f"schedule() returned vm {chosen.id} in state sleeping")
+                    host.trace("cb_schedule", "hv", "", 0, vm_detail[chosen])
+                    old = self.current
+                    if chosen is old:
+                        continue
+                    if old is not None and old._run_state is _RUNNING:
+                        old._run_state = _READY
+                        host.trace("cb_block", "hv", "", 0, vm_detail[old])
+                        guard[0] = "block"
+                        table.block(old)
+                        guard[0] = ""
+                    self.current = chosen
+                    if chosen is None:
+                        host.trace("dispatch", "hv", "", 0, self._dispatch_detail[old, None])
+                    else:
+                        chosen._run_state = _RUNNING
+                        host.charge("dispatch", "world_switch", self._dispatch_detail[old, chosen])
+            finally:
+                guard[0] = ""
         # A vCPU that went to sleep without a pending reschedule vacates the CPU.
         if self.current is not None and self.current._run_state is not _RUNNING:
             self.host.trace("cpu_idle", "hv", "", 0, f"vacated=vm{self.current.id}")
             self.current = None
 
-    def _call_schedule(self) -> VcpuRecord | None:
-        chosen = self._op("schedule")
-        if chosen is not None:
-            # Every vCPU of this framework shares its guard cell.
-            if getattr(chosen, "_guard", None) is not self._guard:
-                raise ContractViolation(f"schedule() returned {chosen!r}: not a vCPU of this run")
-            if chosen._run_state is _SLEEPING:
-                raise ContractViolation(f"schedule() returned vm {chosen.id} in state sleeping")
-        self.host.trace("cb_schedule", "hv", "", 0, "vm=-" if chosen is None else self._vm_detail[chosen.id])
-        return chosen
-
     # -- sleep / wakeup -----------------------------------------------------
 
     def on_vm_sleep(self, vcpu: VcpuRecord) -> None:
-        self._require_init()
+        if not self._initialized:
+            raise ContractViolation("framework used before initialization")
         if vcpu._run_state is not _RUNNING:
             raise ContractViolation(f"sleep of vm {vcpu.id} which is {vcpu._run_state.value}")
         vcpu._run_state = _SLEEPING
-        self.host.trace("vm_sleep", self._actor[vcpu.id])
-        self.host.trace("cb_yield", "hv", "", 0, self._vm_detail[vcpu.id])
-        self._op("yield_")
+        self.host.trace("vm_sleep", self._actor[vcpu])
+        self.host.trace("cb_yield", "hv", "", 0, self._vm_detail[vcpu])
+        self._guard[0] = "yield_"
+        try:
+            self.table.yield_()
+        finally:
+            self._guard[0] = ""
 
     def on_vm_wakeup(self, vcpu: VcpuRecord) -> None:
-        self._require_init()
+        if not self._initialized:
+            raise ContractViolation("framework used before initialization")
         if vcpu._run_state is not _SLEEPING:
             raise ContractViolation(f"wakeup of vm {vcpu.id} which is {vcpu._run_state.value}")
         vcpu._run_state = _READY
-        self.host.trace("vm_wake", self._actor[vcpu.id])
-        self.host.trace("cb_unblock", "hv", "", 0, self._vm_detail[vcpu.id])
-        self._op("unblock", vcpu)
-
-    def _require_init(self) -> None:
-        if not self._initialized:
-            raise ContractViolation("framework used before initialization")
+        self.host.trace("vm_wake", self._actor[vcpu])
+        self.host.trace("cb_unblock", "hv", "", 0, self._vm_detail[vcpu])
+        self._guard[0] = "unblock"
+        try:
+            self.table.unblock(vcpu)
+        finally:
+            self._guard[0] = ""

@@ -259,10 +259,11 @@ class Fold:
     holds the run spans, clamped to the horizon, as flat (start, end, vm)
     ints.  Idle time is the horizon minus the union of busy spans (run spans
     and cost windows), so any double booking shows up as a conservation
-    failure.  The union is kept as closed disjoint intervals, one per idle
-    gap, plus the open one; a span that starts before the open interval
-    (none does in an engine trace) waits in a late list, and `result()`
-    merges everything by sort, so the union is exact for any record order.
+    failure.  The record pass adds each busy span to the union as it meets
+    it: closed disjoint intervals, one per idle gap, plus the open one; a
+    span that starts before the open interval (none does in an engine trace)
+    waits in a late list.  `result()` merges them all by sort, so the union
+    is exact for any record order.
     """
 
     def __init__(self, horizon: Time, vm_ids: Iterable[int]):
@@ -279,33 +280,39 @@ class Fold:
 
     def feed(self, records: Iterable[TraceRecord]) -> None:
         horizon, per_vm, switch_in = self.horizon, self.per_vm, self._switch_in
-        add_span = self.spans.extend
-        busy: list[Time] = []  # this block's busy spans, flat (start, end)
-        add_busy = busy.extend
-        overhead, ivc = self._overhead, self._ivc
-        open_vm, open_at = self._open_vm, self._open_at
+        add_span, add_closed, add_late = self.spans.extend, self._closed.extend, self._late.extend
+        overhead, ivc, open_vm, open_at = self._overhead, self._ivc, self._open_vm, self._open_at
+        cur_s, cur_e = self._cur_s, self._cur_e
         for time, actor, kind, _, cost, detail in _rows(records):
-            if cost:
-                s = time if time < horizon else horizon
+            if cost > 0 and time < horizon:  # a cost window, clamped to the horizon
                 e = time + cost
                 if e > horizon:
                     e = horizon
-                if e > s:
-                    overhead += e - s
-                    add_busy((s, e))
+                overhead += e - time
+                if time > cur_e:
+                    add_closed((cur_s, cur_e))
+                    cur_s, cur_e = time, e
+                elif time < cur_s:
+                    add_late((time, e))
+                elif e > cur_e:
+                    cur_e = e
             if kind not in _FOLDED:
                 continue
             if kind == "vm_start":
                 open_vm, open_at = int(actor), time
-            elif kind == "vm_pause":
-                if open_vm is not None:
-                    s = open_at if open_at < horizon else horizon
-                    e = time if time < horizon else horizon
-                    if e > s:
-                        per_vm[open_vm].cpu_time += e - s
-                        add_span((s, e, open_vm))
-                        add_busy((s, e))
-                    open_vm = None
+            elif kind == "vm_pause":  # closes a run span, clamped to the horizon
+                e = time if time < horizon else horizon
+                if open_vm is not None and e > open_at:
+                    per_vm[open_vm].cpu_time += e - open_at
+                    add_span((open_at, e, open_vm))
+                    if open_at > cur_e:
+                        add_closed((cur_s, cur_e))
+                        cur_s, cur_e = open_at, e
+                    elif open_at < cur_s:
+                        add_late((open_at, e))
+                    elif e > cur_e:
+                        cur_e = e
+                open_vm = None
             elif kind == "dispatch":
                 try:
                     vm = switch_in[detail]
@@ -320,19 +327,6 @@ class Fold:
             elif kind == "ivc_notify":
                 ivc += 1
         self._overhead, self._ivc, self._open_vm, self._open_at = overhead, ivc, open_vm, open_at
-        self._union(busy)
-
-    def _union(self, busy: list[Time]) -> None:
-        cur_s, cur_e = self._cur_s, self._cur_e
-        it = iter(busy)
-        for s, e in zip(it, it):
-            if s < cur_s:
-                self._late += (s, e)
-            elif s > cur_e:
-                self._closed += (cur_s, cur_e)
-                cur_s, cur_e = s, e
-            elif e > cur_e:
-                cur_e = e
         self._cur_s, self._cur_e = cur_s, cur_e
 
     def result(self) -> MetricsReport:
@@ -340,16 +334,13 @@ class Fold:
         if vm is not None and at < horizon:
             self.per_vm[vm].cpu_time += horizon - at
             self.spans += (at, horizon, vm)
-            self._union([at, horizon])
+            self._late += (at, horizon)
         self._open_vm = None
-        busy = self._closed + [self._cur_s, self._cur_e] + self._late
-        # Sorting by start alone is enough: the union does not depend on the
-        # order of spans that start together.
-        order = sorted(range(0, len(busy), 2), key=busy.__getitem__)
+        it = iter(self._closed + [self._cur_s, self._cur_e] + self._late)
+        busy = sorted(zip(it, it))
         covered = 0
-        cur_s = cur_e = busy[order[0]]
-        for k in order:
-            s, e = busy[k], busy[k + 1]
+        cur_s = cur_e = busy[0][0]
+        for s, e in busy:
             if s > cur_e:
                 covered += cur_e - cur_s
                 cur_s, cur_e = s, e

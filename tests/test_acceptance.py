@@ -3,7 +3,7 @@
 Each test covers one numbered acceptance criterion at its stated tolerance
 and prints one PASS line (run pytest with -s to see them).  Criterion 11
 (exact time conservation) is asserted on every run the other suites perform,
-through _conserved().
+through _conserved(), which counts the checks of each suite.
 """
 
 from __future__ import annotations
@@ -11,13 +11,14 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import Counter
 
 from hvsim import CostModel, load_manifest, run
 from hvsim.cli import cmd_run, cmd_sweep
 from hvsim.config import implied_clock_mhz, validate_cost_model
 from hvsim.memmap import KIND_PA, MemoryMap
 from hvsim.model import MEASURED_LATENCIES
-from hvsim.trace import detail_field, run_intervals
+from hvsim.trace import _rows, detail_field, run_intervals
 from hvsim.vgic import Vgic
 
 from manifests import (
@@ -35,19 +36,19 @@ from test_vgic import TARGETS, VIRQS, canonical, random_op, snapshot
 MS = 1_000_000
 US = 1_000
 
-_conservation_checks = [0]
+_conservation_checks: Counter[str] = Counter()  # by suite, "c02" ... "c11"
 
 
-def _conserved(result):
+def _conserved(result, suite):
     m = result.metrics
     busy = sum(v.cpu_time for v in m.per_vm.values()) + m.hypervisor_overhead_time
     assert busy + m.idle_time == result.horizon
-    _conservation_checks[0] += 1
+    _conservation_checks[suite] += 1
 
 
-def _run(manifest, horizon):
+def _run(manifest, horizon, suite):
     res = run(load_manifest(manifest), horizon)
-    _conserved(res)
+    _conserved(res, suite)
     return res
 
 
@@ -90,7 +91,7 @@ def test_c02_edf_optimality_500_random_sets():
     for _ in range(500):
         params = random_edf_params(rng, n_vms=(2, 6), utilization=(0.3, 1.0))
         horizon = hyperperiod_ns(params)
-        res = _run(edf_manifest(params, horizon), horizon)
+        res = _run(edf_manifest(params, horizon), horizon, "c02")
         total_misses += res.metrics.total_deadline_misses()
     elapsed = time.monotonic() - t0
     assert total_misses == 0
@@ -105,7 +106,7 @@ def test_c03_edf_overload_always_misses():
         params = random_edf_params(rng, utilization=(1.05, 1.5), overload=True)
         hp = hyperperiod_ns(params)
         horizon = hp + 2 * max(p for p, _ in params)
-        res = _run(edf_manifest(params, horizon), horizon)
+        res = _run(edf_manifest(params, horizon), horizon, "c03")
         miss_deadlines = [
             int(detail_field(r.detail, "deadline"))
             for r in res.records
@@ -124,7 +125,7 @@ def test_c04_zero_cost_engine_equals_tick_oracle():
     for _ in range(50):
         params = random_edf_params(rng, n_vms=(2, 5))
         horizon = hyperperiod_ns(params)
-        res = _run(edf_manifest(params, horizon), horizon)
+        res = _run(edf_manifest(params, horizon), horizon, "c04")
         got = [-1] * (horizon // 1000)
         for s, e, vm in run_intervals(res.records, horizon):
             assert s % 1000 == 0 and e % 1000 == 0
@@ -176,55 +177,60 @@ def _contract_manifest(scheduler, rng, horizon):
     return make_manifest(vms, sched, cost_model=ZERO_COST, phys_irqs=irq_events)
 
 
+_CALLBACK_KINDS = ("cb_init", "cb_allocate", "cb_enque", "cb_schedule", "cb_block", "cb_yield", "cb_unblock")
+_CONTRACT_KINDS = frozenset(_CALLBACK_KINDS + ("flag_set", "dispatch"))  # what the check reads
+
+
 def _check_callback_trace(records):
     """Callback legality, sleeping exclusion and flag conservation over one trace.
 
     Returns (callback_count, switches, flag_sets).  schedule() purity is
     enforced at run time by the dispatcher; reaching the end of the trace
-    means no violation was raised.
+    means no violation was raised.  Reads the six-slot rows of the records and
+    the detail of cb_* and dispatch records only.
     """
     allocated, enqueued = set(), set()
     state = {}
     callbacks = switches = flag_sets = 0
-    for r in records:
-        k = r.kind
-        if k.startswith("cb_"):
-            callbacks += 1
-        if k == "cb_allocate":
-            vm = int(detail_field(r.detail, "vm"))
-            assert vm not in allocated, "allocate twice"
-            allocated.add(vm)
-            state[vm] = "ready"
-        elif k == "cb_enque":
-            vm = int(detail_field(r.detail, "vm"))
-            assert vm in allocated, "enque before allocate"
-            enqueued.add(vm)
-        elif k == "cb_schedule":
-            v = detail_field(r.detail, "vm")
-            if v != "-":
-                assert int(v) in enqueued, "scheduled before enque"
-                assert state[int(v)] != "sleeping", "sleeping exclusion violated"
-        elif k == "cb_block":
-            vm = int(detail_field(r.detail, "vm"))
-            assert state[vm] == "running", "block of a non-running vcpu"
-            state[vm] = "ready"
-        elif k == "cb_yield":
-            vm = int(detail_field(r.detail, "vm"))
-            assert state[vm] == "running", "yield of a non-running vcpu"
-            state[vm] = "sleeping"
-        elif k == "cb_unblock":
-            vm = int(detail_field(r.detail, "vm"))
-            assert state[vm] == "sleeping", "unblock of a non-sleeping vcpu"
-            state[vm] = "ready"
-        elif k == "flag_set":
+    for _, _, k, _, _, detail in _rows(records):
+        if k not in _CONTRACT_KINDS:
+            continue
+        if k == "flag_set":
             flag_sets += 1
         elif k == "dispatch":
-            to = detail_field(r.detail, "to")
+            to = detail_field(detail, "to")
             if to != "-":
                 vm = int(to)
                 assert state[vm] == "ready", "dispatch of a non-ready vcpu"
                 state[vm] = "running"
                 switches += 1
+        else:
+            callbacks += 1
+            if k == "cb_init":
+                continue
+            v = detail_field(detail, "vm")
+            if k == "cb_schedule":
+                if v != "-":
+                    assert int(v) in enqueued, "scheduled before enque"
+                    assert state[int(v)] != "sleeping", "sleeping exclusion violated"
+                continue
+            vm = int(v)
+            if k == "cb_allocate":
+                assert vm not in allocated, "allocate twice"
+                allocated.add(vm)
+                state[vm] = "ready"
+            elif k == "cb_enque":
+                assert vm in allocated, "enque before allocate"
+                enqueued.add(vm)
+            elif k == "cb_block":
+                assert state[vm] == "running", "block of a non-running vcpu"
+                state[vm] = "ready"
+            elif k == "cb_yield":
+                assert state[vm] == "running", "yield of a non-running vcpu"
+                state[vm] = "sleeping"
+            elif k == "cb_unblock":
+                assert state[vm] == "sleeping", "unblock of a non-sleeping vcpu"
+                state[vm] = "ready"
     assert switches <= flag_sets, "more context switches than flag sets"
     return callbacks, switches, flag_sets
 
@@ -236,7 +242,7 @@ def test_c05_scheduler_contract_suite():
         callbacks = 0
         for seed in (1, 2):
             rng = random.Random(seed * 7919)
-            res = _run(_contract_manifest(scheduler, rng, horizon), horizon)
+            res = _run(_contract_manifest(scheduler, rng, horizon), horizon, "c05")
             got, _, _ = _check_callback_trace(res.records)
             callbacks += got
         assert callbacks >= 100_000, f"{scheduler}: only {callbacks} callback events"
@@ -427,8 +433,8 @@ def test_c08_ivc_cost_decomposition_and_calibrated_ratio():
     cm = CostModel()
     k = 8
     horizon = 100 * MS
-    free = _run(_ivc_acceptance_manifest("free_access", k), horizon)
-    gated = _run(_ivc_acceptance_manifest("hypcall_gated", k), horizon)
+    free = _run(_ivc_acceptance_manifest("free_access", k), horizon, "c08")
+    gated = _run(_ivc_acceptance_manifest("hypcall_gated", k), horizon, "c08")
     diff = gated.metrics.hypervisor_overhead_time - free.metrics.hypervisor_overhead_time
     assert diff == k * 2 * (cm.hyp_call + cm.tlb_flush)
 
@@ -468,7 +474,7 @@ def test_c09_overhead_monotonicity_via_sweep(tmp_path):
             + metrics["hypervisor_overhead_time_ns"]
         )
         assert busy + metrics["idle_time_ns"] == metrics["horizon_ns"]
-        _conservation_checks[0] += 1
+        _conservation_checks["c09"] += 1
     print(f"\nPASS criterion 9: deadline misses non-decreasing over world_switch sweep "
           f"{misses} ({time.monotonic()-t0:.1f}s)")
 
@@ -509,13 +515,13 @@ def test_c11_time_conservation_everywhere(request):
             ),
             horizon,
         )
-        _conserved(res)
-    # The floor counts the runs of the suites that check conservation, which
-    # run before this one; it binds in every session that selects them all.
-    counted = {test_c02_edf_optimality_500_random_sets, test_c03_edf_overload_always_misses,
-               test_c04_zero_cost_engine_equals_tick_oracle, test_c05_scheduler_contract_suite,
-               test_c08_ivc_cost_decomposition_and_calibrated_ratio, test_c09_overhead_monotonicity_via_sweep}
-    if counted <= {getattr(item, "function", None) for item in request.session.items}:
-        assert _conservation_checks[0] >= 660, _conservation_checks[0]
-    print(f"\nPASS criterion 11: exact conservation on {_conservation_checks[0]} runs "
+        _conserved(res, "c11")
+    # Each suite that checks conservation runs before this one; each that the
+    # session selected must have checked every one of its runs.
+    floors = {"c02": 500, "c03": 100, "c04": 50, "c05": 6, "c08": 2, "c09": 6}
+    selected = {item.name[5:8] for item in request.session.items if getattr(item, "module", None) is request.module}
+    short = {suite: _conservation_checks[suite] for suite in floors.keys() & selected
+             if _conservation_checks[suite] < floors[suite]}
+    assert short == {}, f"suites that checked conservation on too few runs: {short}"
+    print(f"\nPASS criterion 11: exact conservation on {sum(_conservation_checks.values())} runs "
           "(the selected suites plus boundary horizons)")

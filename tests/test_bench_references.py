@@ -6,7 +6,10 @@ the benchmark itself uses to build, run and check an operation, with the
 entry points that perfbench/tracing.py wraps for `run.py --trace 1`.  It must
 match perfbench/reference/ exactly: trace SHA-256, record count, metrics and
 the count of every record kind.  The traced run must also push onto the
-event heap and record the spans whose counts `--trace 1` divides by.
+event heap and record the spans whose counts `--trace 1` divides by, and
+each wrapped scheduler operation and checkpoint must be called exactly as
+often as the trace records it: a wrapper put on after the engine is built
+must see every call.
 """
 
 import sys
@@ -20,6 +23,10 @@ import tracing  # noqa: E402
 
 SPANS = {"config.load", "engine.run", "framework.checkpoint", "schedulers.schedule", "trace.build"}
 CLI_SPANS = {"cli.main", "trace.write"}
+# The record kind each traced call writes once per call.
+CALL_RECORDS = {"schedulers.schedule": "cb_schedule", "schedulers.block": "cb_block",
+                "schedulers.unblock": "cb_unblock", "schedulers.yield_": "cb_yield",
+                "framework.checkpoint": "checkpoint"}
 
 
 @pytest.mark.parametrize("workload", sorted(harness.WORKLOADS))
@@ -33,8 +40,11 @@ def test_default_seed_matches_reference(workload, tmp_path):
         outcome = case.run(api)
     digest = case.digest(outcome, keep_text=True)
     assert harness.check(case, digest, ref) == []
-    assert digest.kinds() == ref["kinds"]
+    kinds = digest.kinds()
+    assert kinds == ref["kinds"]
     assert tracer.heap_pushes > 0
     calls = {name: n for name, (n, _) in tracer.summary().items()}
     unreached = sorted(name for name in SPANS | (CLI_SPANS if case.is_cli else set()) if not calls.get(name))
     assert unreached == [], f"spans never recorded: {unreached}"
+    recorded = {span: kinds.get(kind, 0) for span, kind in CALL_RECORDS.items()}
+    assert {span: calls.get(span, 0) for span in CALL_RECORDS} == recorded

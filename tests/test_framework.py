@@ -370,25 +370,27 @@ def _drive_to(op, fw, vcpus):
 class TestRunStateGuard:
     """Run states are the framework's during every table operation."""
 
-    @pytest.mark.parametrize("op", ["block", "unblock", "yield_", "enque", "allocate"])
+    @pytest.mark.parametrize("op", ["init", "schedule", "block", "unblock", "yield_", "enque", "allocate"])
     def test_write_in_operation_rejected(self, op):
         vcpus = [VcpuRecord(id=0, sched_param=None), VcpuRecord(id=1, sched_param=None)]
-        fw = Framework(FakeHost(), _writes_run_state_in(op)(), vcpus)
-        with pytest.raises(ContractViolation, match=rf"{op}\(\) changed vCPU run states \(vm 0\)"):
+        table = _writes_run_state_in(op)()
+        if op == "init":  # init() is the first call: the table holds the vCPUs before it
+            table.vcpus = list(vcpus)
+        fw = Framework(FakeHost(), table, vcpus)
+        with pytest.raises(ContractViolation, match=rf"^{op}\(\) changed vCPU run states \(vm 0\)$"):
             _drive_to(op, fw, vcpus)
         assert vcpus[0].run_state is not RunState.RUNNING
 
-    def test_guard_lowered_after_a_raising_operation(self):
-        class Raiser(RecordingTable):
-            def block(self, vcpu):
-                raise RuntimeError("table bug")
+    @pytest.mark.parametrize("op", ["init", "allocate", "enque", "schedule", "block", "unblock", "yield_"])
+    def test_guard_lowered_after_a_raising_operation(self, op):
+        def raiser(self, *args):
+            raise RuntimeError("table bug")
 
         vcpus = [VcpuRecord(id=0, sched_param=None), VcpuRecord(id=1, sched_param=None)]
-        fw = Framework(FakeHost(), Raiser(), vcpus)
-        fw.initialize()
-        dispatch(fw, 0)
+        fw = Framework(FakeHost(), type("Raiser", (RecordingTable,), {op: raiser})(), vcpus)
         with pytest.raises(RuntimeError, match="table bug"):
-            dispatch(fw, 1)
+            _drive_to(op, fw, vcpus)
+        assert fw._guard == [""]
         vcpus[0].run_state = RunState.SLEEPING
         assert vcpus[0].run_state is RunState.SLEEPING
 
