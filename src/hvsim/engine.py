@@ -7,12 +7,15 @@ charges its cost-model field and ends at a dispatch checkpoint.
 
 The heap holds only timer expiries and scripted interrupt arrivals, keyed
 (time, insertion order).  The running guest's next step, a trap it reached
-or the end of its compute span, waits in one slot beside the heap: one CPU
-runs at most one guest.  These rules decide the order, all test-pinned:
+or the end of its compute run (adjacent compute segments are one run), waits
+in one slot beside the heap: one CPU runs at most one guest.  These rules
+decide the order, all test-pinned:
 
 - A trap the running guest reached (hyp call, wfi, mmio, channel op) wins a
-  same-instant tie with the heap head; a compute end loses it.  An event
-  overdue because a cost window ran past it runs first, in heap order.
+  same-instant tie with the heap head; a compute end loses it.  So a compute
+  end runs only once the head is later, and a trap it reaches runs in that
+  same step: the trap would win the next pass anyway.  An event overdue
+  because a cost window ran past it runs first, in heap order.
 - Scripted arrivals keep manifest order among themselves at the same instant.
 - At the same instant, arrivals come before timers set after boot; timers set
   in the scheduler's init or allocate come before arrivals.
@@ -26,9 +29,9 @@ calls into the vGIC only while the VM has pending list registers, so each
 one sort and reach the heap one at a time; an interrupt record's detail is
 built once per irq id, not once per record.
 Inside `streaming(sink)` the list is a buffer: whenever it holds about
-`_BLOCK` records, at the end and before `SimulationAborted`, the engine
-calls `sink(records)` and then empties it, so memory does not grow with the
-horizon.
+`_BLOCK` records (a step may run a few past), at the end and before
+`SimulationAborted`, the engine calls `sink(records)` and then empties it,
+so memory does not grow with the horizon.
 
 A run whose virtual time stops advancing is a scheduler contract violation:
 more than `_MAX_TIMER_IRQS_PER_INSTANT` timer interrupts at one instant end
@@ -105,21 +108,30 @@ def streaming(sink: Callable[[Trace], None]):
 
 
 class _GuestCtx:
-    """Script cursor for one VM: the current segment is segments[idx]."""
+    """Script cursor for one VM: the current entry is script[idx].  Each run
+    of adjacent compute segments is one `int`, its duration, and each trap
+    its `Segment`; runs do not merge across the loop wrap."""
 
-    __slots__ = ("segments", "loop", "idx", "remaining", "parked")
+    __slots__ = ("script", "loop", "idx", "remaining", "parked")
 
     def __init__(self, workload):
-        self.segments = workload.segments
+        self.script = script = []
+        for seg in workload.segments:
+            if seg.kind != "compute":
+                script.append(seg)
+            elif script and type(script[-1]) is int:
+                script[-1] += seg.duration_ns
+            else:
+                script.append(seg.duration_ns)
         self.loop = workload.loop
         self.idx = 0
-        self.remaining: Time | None = None  # of the current compute segment
-        self.parked = not workload.segments
+        self.remaining: Time | None = None  # of the current compute run
+        self.parked = not script
 
     def advance(self) -> None:
         self.idx += 1
         self.remaining = None
-        if self.idx >= len(self.segments):
+        if self.idx >= len(self.script):
             if self.loop:
                 self.idx = 0
             else:
@@ -134,7 +146,7 @@ class Engine(SchedulerServices):
             raise ValueError("horizon must be > 0")
         self.spec = spec
         self.horizon = horizon
-        self.cost = spec.cost_model
+        self._cost_ns = spec.cost_model.as_dict()  # by field name, for charge
         self._now: Time = 0
         self._flat: list = []  # six slots per record; see trace.Trace
         self.records = Trace(self._flat)
@@ -176,7 +188,7 @@ class Engine(SchedulerServices):
         self._flat.extend((self._now, actor, kind, cost_field, cost_ns, detail))
 
     def charge(self, kind: str, cost_field: str, detail="", actor: str = "hv") -> None:
-        cost = getattr(self.cost, cost_field)
+        cost = self._cost_ns[cost_field]
         self.trace(kind, actor, cost_field, cost, detail)
         self._now += cost
 
@@ -214,9 +226,11 @@ class Engine(SchedulerServices):
     # -- run -----------------------------------------------------------------
 
     def run(self) -> RunResult:
-        """Run once.  The framework and its table point back at the engine;
-        dropping the framework at the end breaks that cycle, so reference
-        counting frees the trace as soon as the caller drops the result."""
+        """Run once; a second call raises RuntimeError.  Dropping the framework,
+        which points back at the engine, breaks that cycle at the end, so
+        reference counting frees the trace once the caller drops the result."""
+        if self.fw is None:
+            raise RuntimeError("an Engine runs once")
         sink = self._sink = _STREAM_SINK.get()
         try:
             self._boot()
@@ -344,7 +358,7 @@ class Engine(SchedulerServices):
         self._resume()
 
     def _do_hyp_call(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
-        seg = ctx.segments[ctx.idx]
+        seg = ctx.script[ctx.idx]
         self._suspend()
         detail = f"vm={vcpu.id}"
         if seg.payload:
@@ -359,7 +373,7 @@ class Engine(SchedulerServices):
         self._end_trap(ctx)
 
     def _do_mmio(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
-        seg = ctx.segments[ctx.idx]
+        seg = ctx.script[ctx.idx]
         access = PERM_WRITE if seg.op == "write" else PERM_READ
         tr = self.memmap.translate(vcpu.id, seg.ipa, access)
         if tr.kind == KIND_PA:
@@ -399,7 +413,7 @@ class Engine(SchedulerServices):
         self._end_trap(ctx)
 
     def _do_ivc(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
-        seg = ctx.segments[ctx.idx]
+        seg = ctx.script[ctx.idx]
         ch = self.channels[seg.channel]
         op = seg.kind
         if op == "ivc_notify":
@@ -462,10 +476,12 @@ class Engine(SchedulerServices):
     # -- guest execution ------------------------------------------------------
 
     def _end_compute(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
-        self._fold_running()  # segment boundary: re-base the running span
-        ctx.remaining = 0
+        self._fold_running()  # compute-run boundary: re-base the running span
         ctx.advance()
-        self._continue_guest(vcpu, ctx)
+        if ctx.parked or type(entry := ctx.script[ctx.idx]) is int:  # script end or loop wrap
+            self._continue_guest(vcpu, ctx)
+        else:
+            _TRAPS[entry.kind](self, vcpu, ctx)  # it would win the loop's next pass
 
     def _continue_guest(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
         """After a zero-cost step: keep running, or park if the script ended."""
@@ -477,19 +493,17 @@ class Engine(SchedulerServices):
 
     def _fold_running(self) -> None:
         """Credit the running guest with CPU time up to now; re-base run_start.
-
-        Between two folds the guest executes exactly one compute span, so the
-        folded amount is also what the current compute segment consumed.
-        """
-        cur = self.fw.current
+        Guest time passes only in a compute run, so d > 0 means the current
+        entry is one, with `remaining` set, and d is what it consumed."""
         d = self._now - self._run_start
-        cur.total_consumed += d
-        ctx = self._guest[cur.id]
-        if d and not ctx.parked and ctx.remaining is not None and ctx.segments[ctx.idx].kind == "compute":
+        if d:
+            cur = self.fw.current
+            cur.total_consumed += d
+            ctx = self._guest[cur.id]
             ctx.remaining -= d
             if ctx.remaining < 0:
-                raise ContractViolation(f"vm {cur.id} ran past the end of its compute segment")
-        self._run_start = self._now
+                raise ContractViolation(f"vm {cur.id} ran past the end of its compute run")
+            self._run_start = self._now
 
     def _suspend(self) -> None:
         """Halt the running guest at the current instant (hyp entry)."""
@@ -522,15 +536,15 @@ class Engine(SchedulerServices):
             return
 
     def _set_step(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
-        seg = ctx.segments[ctx.idx]
+        entry = ctx.script[ctx.idx]
         now = self._now
-        if seg.kind == "compute":
+        if type(entry) is int:
             if ctx.remaining is None:
-                ctx.remaining = seg.duration_ns
+                ctx.remaining = entry
             at = now + ctx.remaining
             self._step = (at, at + 1, Engine._end_compute, vcpu, ctx)  # loses a tie at at
         else:
-            self._step = (now, now, _TRAPS[seg.kind], vcpu, ctx)  # wins a tie at now
+            self._step = (now, now, _TRAPS[entry.kind], vcpu, ctx)  # wins a tie at now
 
     def _deliver_pending(self, vcpu: VcpuRecord) -> None:
         """A running guest takes its pending virtual interrupts: ACK then EOI,

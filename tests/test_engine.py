@@ -488,6 +488,13 @@ def test_finished_run_leaves_no_cyclic_garbage(make):
         gc.enable()
 
 
+def test_an_engine_runs_once():
+    engine = hvsim.engine.Engine(load_manifest(_trapping_rr_manifest()), MS)
+    assert_conserved(engine.run())
+    with pytest.raises(RuntimeError, match="an Engine runs once"):
+        engine.run()
+
+
 @pytest.mark.skipif(sys.implementation.name != "cpython", reason="counts CPython's gen-0 allocations")
 def test_trace_keeps_no_gc_tracked_object_per_record():
     """The trace is one flat list, so a run allocates far fewer objects the

@@ -10,15 +10,18 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hvsim import load_manifest
 from hvsim.engine import Engine
 from hvsim.model import VcpuRecord
 from hvsim.schedulers import SCHEDULERS, FixedPriorityScheduler, register
-from hvsim.trace import write_csv
+from hvsim.trace import run_intervals, write_csv
 
 from conftest import assert_conserved, records_of, run_manifest
 from manifests import ZERO_COST, busy_workload, fp_manifest, make_manifest, make_vm, rr_manifest
@@ -347,3 +350,129 @@ def test_trace_does_not_depend_on_where_vcpus_sit(sched):
         digests.add(trace_sha256(engine.run()))
     assert len(slots) > 1  # the vCPUs really hashed to different set slots
     assert len(digests) == 1
+
+
+# -- compute runs -----------------------------------------------------------------
+
+SPLIT_HORIZON = 3 * MS
+SPLIT_ARRIVALS = 6  # at most this many split instants get an arrival
+SPLIT_SCHEDULERS = {
+    "edf": {"name": "edf", "sched_param": {"0": {"period_ns": MS, "budget_ns": 400 * US},
+                                            "1": {"period_ns": 2 * MS, "budget_ns": 600 * US}}},
+    "fp": {"name": "fp", "sched_param": {"0": {"priority": 1}, "1": {"priority": 2}}},
+    "rr": {"name": "rr", "quantum_ns": 200 * US},
+}
+_durations = st.integers(0, 150 * US)
+_trap = st.sampled_from([{"hyp_call": None}, {"wfi": True}])
+_middle = st.lists(st.one_of(_durations.map(lambda d: {"compute": d}), _trap), max_size=5)
+
+
+@st.composite
+def _split(draw, segments):
+    """segments with each compute split into adjacent pieces, some of them
+    zero-length, and the CPU offsets inside the script where a piece ends."""
+    out, offsets, done = [], set(), 0
+    for seg in segments:
+        if "compute" not in seg:
+            out.append(seg)
+            continue
+        d = seg["compute"]
+        cuts = sorted(draw(st.lists(st.integers(0, d), max_size=3)))
+        out += [{"compute": b - a} for a, b in zip([0] + cuts, cuts + [d])]
+        offsets.update(done + c for c in cuts)
+        done += d
+    return out, offsets
+
+
+def _instant(records, vm, offset):
+    """When vm has consumed offset ns of CPU in the run, or None."""
+    used = 0
+    for s, e, v in run_intervals(records, SPLIT_HORIZON):
+        if v == vm:
+            if used + e - s >= offset:
+                return s + offset - used
+            used += e - s
+    return None
+
+
+def _split_manifest(sched, cost_model, scripts, period):
+    workloads = [{"loop": True, "segments": scripts[0]}, {"loop": False, "segments": scripts[1]}]
+    irqs = [{"at_ns": t, "irq": 32 + i}
+            for i in (0, 1) for t in range(period * (i + 1), SPLIT_HORIZON, period)]
+    return make_manifest([make_vm(i, w) for i, w in enumerate(workloads)], SPLIT_SCHEDULERS[sched],
+                         cost_model=cost_model, phys_irqs=irqs)
+
+
+@pytest.mark.parametrize("cost_model", [ZERO_COST, None], ids=["zero_cost", "default_cost"])
+@pytest.mark.parametrize("sched", sorted(SPLIT_SCHEDULERS))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data(), period=st.integers(150 * US, 700 * US))
+def test_split_compute_runs_write_the_same_trace(sched, cost_model, data, period):
+    """Adjacent compute segments are one compute run: splitting them, into
+    zero-length pieces too, changes no byte of the trace and no metric, even
+    with an arrival exactly where a piece ends.  VM 0 loops with compute at
+    both ends of its script (the wrap is not merged); VM 1's script ends in
+    compute, after which the VM parks."""
+    whole = [
+        [{"compute": data.draw(st.integers(20 * US, 150 * US))}, *data.draw(_middle),
+         {"compute": data.draw(_durations)}],
+        [*data.draw(_middle), {"compute": data.draw(_durations)}],
+    ]
+    pieces, offsets = zip(*(data.draw(_split(s)) for s in whole))
+    manifest = _split_manifest(sched, cost_model, whole, period)
+    # Arrivals go on the split instants earliest first: each one moves only
+    # what happens after it, so the instants found before it still hold.
+    todo = {(vm, off) for vm in (0, 1) for off in offsets[vm] if off}
+    for _ in range(SPLIT_ARRIVALS):
+        records = run_manifest(manifest, SPLIT_HORIZON).records
+        found = [(t, vm, off) for vm, off in todo if (t := _instant(records, vm, off)) is not None]
+        if not found:
+            break
+        t, vm, off = min(found)
+        todo.discard((vm, off))
+        manifest["phys_irqs"].append({"at_ns": t, "irq": 32 + vm})
+    want = run_manifest(manifest, SPLIT_HORIZON)
+    # VM 0's loop unrolled past the horizon puts its last compute next to its
+    # first, where they are one run; as a loop they are two.
+    laps = SPLIT_HORIZON // sum(seg.get("compute", 0) for seg in whole[0]) + 2
+    for vm0 in {"loop": True, "segments": pieces[0]}, {"loop": False, "segments": pieces[0] * laps}:
+        split = json.loads(json.dumps(manifest))
+        split["vms"][0]["workload"] = vm0
+        split["vms"][1]["workload"]["segments"] = pieces[1]
+        got = run_manifest(split, SPLIT_HORIZON)
+        assert_conserved(got)
+        assert trace_sha256(got) == trace_sha256(want)
+        assert got.metrics.to_dict() == want.metrics.to_dict()
+
+
+def test_one_engine_step_per_compute_run(monkeypatch):
+    """Three adjacent computes end once per loop, and the hyp_call reached
+    there runs in the same step, without going back through the step slot."""
+    events = []
+    end_compute, set_step = Engine._end_compute, Engine._set_step
+
+    def counted_end(self, vcpu, ctx):
+        events.append("end")
+        end_compute(self, vcpu, ctx)
+
+    def counted_set(self, vcpu, ctx):
+        events.append("set")
+        set_step(self, vcpu, ctx)
+
+    monkeypatch.setattr(Engine, "_end_compute", counted_end)
+    monkeypatch.setattr(Engine, "_set_step", counted_set)
+    script = {"loop": True, "segments": [
+        {"compute": 30 * US}, {"compute": 50 * US}, {"compute": 20 * US}, {"hyp_call": None},
+    ]}
+    engine = Engine(load_manifest(fp_manifest([1], [script], horizon=2 * MS, cost_model=None)), 2 * MS)
+    plain = engine.trace
+
+    def trace(kind, *args, **kwargs):
+        events.append(kind)
+        plain(kind, *args, **kwargs)
+
+    engine.trace = trace
+    assert_conserved(engine.run())
+    ends = [i for i, e in enumerate(events) if e == "end"]
+    assert len(ends) == events.count("hyp_call") > 10
+    assert all(events[i + 1] == "vm_pause" and events[i + 2] == "hyp_call" for i in ends)
