@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
 from operator import itemgetter
 
 from .model import (
@@ -35,7 +34,7 @@ from .model import (
     ConfigError,
     CostModel,
     FaultPolicy,
-    IrqEvent,
+    IrqEvents,
     MemRegion,
     Segment,
     SharedPage,
@@ -62,7 +61,6 @@ _VM_KEYS = {"id", "regions", "irqs", "virqs", "shared_pages", "workload"}
 _REGION_KEYS = {"ipa", "pa", "len", "perms"}
 _IRQ_KEYS = {"at_ns", "irq"}
 _GIC_IDS = 1024  # a scripted arrival may name any of the 1024 GIC interrupt ids
-_irq_event = partial(tuple.__new__, IrqEvent)  # an IrqEvent from (at, irq), in C
 
 
 def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -201,18 +199,18 @@ def _interrupt_ids(raw, where: str) -> frozenset[int]:
     return ids
 
 
-def _irq_events(raw: list) -> tuple[IrqEvent, ...] | None:
-    """phys_irqs settled in column passes: each entry an exact dict of exactly
-    at_ns and irq, each column exact ints in range.  None if a pass fails."""
+def _irq_events(raw: list) -> IrqEvents | None:
+    """phys_irqs as IrqEvents over the columns, if column passes settle them
+    (exact dicts of exactly at_ns and irq, exact ints in range); else None."""
     if not (set(map(type, raw)) <= {dict} and set(map(len, raw)) <= {2}):
         return None
     try:
-        ats, ids = list(map(itemgetter("at_ns"), raw)), list(map(itemgetter("irq"), raw))
+        ats, ids = tuple(map(itemgetter("at_ns"), raw)), tuple(map(itemgetter("irq"), raw))
     except KeyError:  # two keys, but not these two
         return None
     if (set(map(type, ats)) <= {int} and 0 <= min(ats, default=0) and max(ats, default=0) < MAX_TIME
             and set(map(type, ids)) <= {int} and 0 <= min(ids, default=0) and max(ids, default=0) < _GIC_IDS):
-        return tuple(map(_irq_event, zip(ats, ids)))
+        return IrqEvents(ats, ids)
     return None
 
 
@@ -405,12 +403,13 @@ def load_manifest(data: dict) -> SystemSpec:
     raw_irqs = _list(data.get("phys_irqs", []), "phys_irqs")
     phys_irqs = _irq_events(raw_irqs)
     if phys_irqs is None:  # the per-entry checks accept the list or name its first bad entry
-        phys_irqs = []
+        ats, ids = [], []
         for j, raw in enumerate(raw_irqs):
             where = f"phys_irqs[{j}]"
             _check_keys(raw, _IRQ_KEYS, _IRQ_KEYS, where)
-            phys_irqs.append(IrqEvent(_parse_int(raw["at_ns"], f"{where}.at_ns"),
-                                      _parse_int(raw["irq"], f"{where}.irq", hi=_GIC_IDS)))
+            ats.append(_parse_int(raw["at_ns"], f"{where}.at_ns"))
+            ids.append(_parse_int(raw["irq"], f"{where}.irq", hi=_GIC_IDS))
+        phys_irqs = IrqEvents(tuple(ats), tuple(ids))
 
     faults_raw = data.get("faults", {})
     _check_keys(faults_raw, {"stage2", "dist_unmodeled"}, set(), "faults")
@@ -432,7 +431,7 @@ def load_manifest(data: dict) -> SystemSpec:
         scheduler_options=sched,
         shared_pages=tuple(SharedPage(pid, pa) for pid, pa in page_pa.items()),
         channels=tuple(channels),
-        phys_irqs=tuple(phys_irqs),
+        phys_irqs=phys_irqs,
         faults=faults,
         lr_count=_parse_int(data.get("lr_count", DEFAULT_LR_COUNT), "lr_count", lo=1, hi=64),
         gic_boot_init=_parse_bool(data.get("gic_boot_init", True), "gic_boot_init"),
@@ -528,7 +527,7 @@ def dump_config(spec: SystemSpec) -> dict:
             }
             for ch in spec.channels
         ],
-        "phys_irqs": [{"at_ns": e.at, "irq": e.irq} for e in spec.phys_irqs],
+        "phys_irqs": [{"at_ns": at, "irq": irq} for at, irq in zip(spec.phys_irqs.at, spec.phys_irqs.irq)],
         "faults": {"stage2": spec.faults.stage2, "dist_unmodeled": spec.faults.dist_unmodeled},
         "lr_count": spec.lr_count,
         "gic_boot_init": spec.gic_boot_init,

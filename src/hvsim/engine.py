@@ -26,8 +26,8 @@ a read-only sequence that builds each `TraceRecord` on access, folded once
 at the end.  Only `_fold_running` credits a guest with CPU time.  A resume
 calls into the vGIC only while the VM has pending list registers, so each
 `guest_ack` call takes an interrupt.  Scripted arrivals are staged at boot in
-one sort and reach the heap one at a time; an interrupt record's detail is
-built once per irq id, not once per record.
+one sort of the spec's `phys_irqs.at` and `.irq` columns and reach the heap
+one at a time; an interrupt record's detail is built once per irq id.
 Inside `streaming(sink)` the list is a buffer: whenever it holds about
 `_BLOCK` records (a step may run a few past), at the end and before
 `SimulationAborted`, the engine calls `sink(records)` and then empties it,
@@ -264,7 +264,7 @@ class Engine(SchedulerServices):
         # Arrivals are numbered here, in manifest order, so that at one instant
         # they follow timers set in init/allocate and precede later timers;
         # only the earliest waits on the heap.
-        ats, ids = tuple(zip(*self.spec.phys_irqs)) or ((), ())
+        ats, ids = self.spec.phys_irqs.at, self.spec.phys_irqs.irq
         self._arrivals = iter(sorted(zip(ats, count(self._seq + 1), repeat(EV_PHYS_IRQ), ids)))
         self._seq += len(ats)
         t = self.vgic.irq_targets  # each id's details: phys_irq, virq_inject, irq_latched, irq_dropped

@@ -2,10 +2,11 @@ import pytest
 
 from hvsim import ContractViolation, RunState, VcpuRecord, load_manifest
 from hvsim.engine import Engine
-from hvsim.framework import END_OF_HYP_CALL, END_OF_PHYSICAL_INTERRUPT, Framework
+from hvsim.framework import _MAX_CHECKPOINT_ROUNDS, END_OF_HYP_CALL, END_OF_PHYSICAL_INTERRUPT, Framework
+from hvsim.schedulers import SCHEDULERS, FixedPriorityScheduler, register
 
-from conftest import FakeHost, RecordingTable
-from manifests import ZERO_COST, make_manifest
+from conftest import FakeHost, RecordingTable, assert_conserved, run_manifest
+from manifests import ZERO_COST, busy_workload, fp_manifest, make_manifest
 
 MS = 1_000_000
 
@@ -140,6 +141,33 @@ class TestSleepWakeup:
         fw.on_vm_sleep(vcpus[0])
         fw.dispatch_checkpoint(END_OF_HYP_CALL)  # RecordingTable.yield_ sets no flag
         assert fw.current is None
+        assert host.records[-2:] == [("checkpoint", "hv", "", 0, "kind=end_of_hyp_call;flag=0"),
+                                     ("cpu_idle", "hv", "", 0, "vacated=vm0")]
+
+    def test_engine_run_with_a_yield_that_leaves_the_flag_clear(self):
+        """An FP table whose yield_ never sets the flag: each sleeper vacates
+        the CPU with a cpu_idle record, and the ready low-priority VM waits
+        until a wakeup sets the flag.  Time is still conserved."""
+
+        class QuietYield(FixedPriorityScheduler):
+            def yield_(self):
+                self._awake.discard(self._dispatched)
+                self._dispatched = None
+
+        m = fp_manifest([0, 1], [[{"compute": MS}, {"wfi": True}, {"compute": MS}], busy_workload(6 * MS)],
+                        6 * MS, cost_model=None, phys_irqs=[{"at_ns": 3 * MS, "irq": 32}])
+        m["scheduler"]["name"] = "quiet_yield"
+        register("quiet_yield", QuietYield)
+        try:
+            res = run_manifest(m, 6 * MS)
+        finally:
+            del SCHEDULERS["quiet_yield"]
+        idle = [r for r in res.records if r.kind == "cpu_idle"]
+        assert [r.detail for r in idle] == ["vacated=vm0", "vacated=vm0"]  # after the wfi, then the script's end
+        assert all(res.records[res.records.index(r) - 1].detail.endswith("flag=0") for r in idle)
+        assert res.metrics.per_vm[1].cpu_time == 0
+        assert res.metrics.per_vm[0].cpu_time == 2 * MS
+        assert_conserved(res)
 
     def test_wakeup_makes_ready_and_calls_unblock(self):
         host, table, vcpus, fw = make_framework(2)
@@ -297,6 +325,9 @@ class TestScheduleContracts:
             fw.dispatch_checkpoint(END_OF_HYP_CALL)
 
     def test_flag_storm_detected(self):
+        """A table whose schedule() always sets the flag gets exactly
+        _MAX_CHECKPOINT_ROUNDS decisions in one checkpoint, then the guard."""
+
         class Storm(RecordingTable):
             def __init__(self, fw_ref):
                 super().__init__()
@@ -304,7 +335,7 @@ class TestScheduleContracts:
 
             def schedule(self):
                 self.fw_ref[0].set_reschedule_flag()
-                return None
+                return super().schedule()  # None: the plan is empty
 
         host = FakeHost()
         fw_ref = []
@@ -315,6 +346,7 @@ class TestScheduleContracts:
         fw.set_reschedule_flag()
         with pytest.raises(ContractViolation, match="livelock"):
             fw.dispatch_checkpoint(END_OF_HYP_CALL)
+        assert table.calls.count(("schedule",)) == _MAX_CHECKPOINT_ROUNDS == 64
 
 
 class TestTimers:

@@ -4,7 +4,7 @@ from hvsim import ConfigError, load_manifest
 from hvsim.trace import run_intervals
 
 from conftest import assert_conserved, records_of, run_manifest
-from manifests import ZERO_COST, rr_manifest
+from manifests import ZERO_COST, busy_workload, rr_manifest
 
 MS = 1_000_000
 
@@ -82,4 +82,42 @@ def test_sleeper_wakes_through_idle_system():
     )
     res = run_manifest(m, 10 * MS)
     assert run_intervals(res.records, 10 * MS) == [(0, MS, 0), (5 * MS, 6 * MS, 0)]
+    assert_conserved(res)
+
+
+def test_sleep_mid_quantum_cancels_the_quantum_timer():
+    """vm0 sleeps 300 us into each quantum it gets.  The dispatch that
+    follows cancels that quantum's timer before it sets the next one, so only
+    timers of quanta that ran to their end fire."""
+    m = rr_manifest(
+        2, quantum_ns=MS, horizon=6 * MS,
+        workloads=[{"loop": True, "segments": [{"compute": 300_000}, {"wfi": True}]}, busy_workload(6 * MS)],
+        phys_irqs=[{"at_ns": 1_500_000, "irq": 32}, {"at_ns": 3_200_000, "irq": 32}],
+    )
+    res = run_manifest(m, 6 * MS)
+    timers = [(r.time, r.kind, r.detail) for r in records_of(res, "timer_set", "timer_cancel", "timer_fire")]
+    assert timers == [
+        (0, "timer_set", "id=1;at=1000000"),
+        (300_000, "timer_cancel", "id=1"),
+        (300_000, "timer_set", "id=2;at=1300000"),
+        (1_300_000, "timer_fire", "ids=2"),
+        (1_300_000, "timer_set", "id=3;at=2300000"),
+        (2_300_000, "timer_fire", "ids=3"),
+        (2_300_000, "timer_set", "id=4;at=3300000"),
+        (2_600_000, "timer_cancel", "id=4"),
+        (2_600_000, "timer_set", "id=5;at=3600000"),
+        (3_600_000, "timer_fire", "ids=5"),
+        (3_600_000, "timer_set", "id=6;at=4600000"),
+        (3_900_000, "timer_cancel", "id=6"),
+        (3_900_000, "timer_set", "id=7;at=4900000"),
+        (4_900_000, "timer_fire", "ids=7"),
+        (4_900_000, "timer_set", "id=8;at=5900000"),
+        (5_900_000, "timer_fire", "ids=8"),
+        (5_900_000, "timer_set", "id=9;at=6900000"),
+    ]
+    assert run_intervals(res.records, 6 * MS) == [  # a span ends at each hyp-mode entry
+        (0, 300_000, 0), (300_000, 1_300_000, 1), (1_300_000, 1_500_000, 1), (1_500_000, 2_300_000, 1),
+        (2_300_000, 2_600_000, 0), (2_600_000, 3_200_000, 1), (3_200_000, 3_600_000, 1),
+        (3_600_000, 3_900_000, 0), (3_900_000, 4_900_000, 1), (4_900_000, 5_900_000, 1), (5_900_000, 6 * MS, 1),
+    ]
     assert_conserved(res)
