@@ -24,10 +24,13 @@ Every record goes through `trace`, which extends one flat list by the
 record's six fields; `RunResult.records` is a `trace.Trace` over that list,
 a read-only sequence that builds each `TraceRecord` on access, folded once
 at the end.  Only `_fold_running` credits a guest with CPU time.  A resume
-calls into the vGIC only while the VM has pending list registers, so each
-`guest_ack` call takes an interrupt.  Scripted arrivals are staged at boot in
-one sort of the spec's `phys_irqs.at` and `.irq` columns and reach the heap
-one at a time; an interrupt record's detail is built once per irq id.
+takes the guest's interrupts itself, calling into the vGIC only while the VM
+has pending list registers, so each `guest_ack` call takes an interrupt.
+Scripted arrivals are sorted at boot from the spec's `phys_irqs.at` and `.irq`
+columns; the loop pushes each as the one before it pops.  Record details are
+built once per irq id and once per VM.  The interrupt, timer, wfi and hyp-call
+handlers charge in their own bodies; `charge` serves the dispatcher and the
+colder traps.
 Inside `streaming(sink)` the list is a buffer: whenever it holds about
 `_BLOCK` records (a step may run a few past), at the end and before
 `SimulationAborted`, the engine calls `sink(records)` and then empties it,
@@ -153,6 +156,7 @@ class Engine(SchedulerServices):
 
         self.vcpus = [VcpuRecord(id=vm.id, sched_param=vm.sched_param) for vm in spec.vms]
         self._actor = [str(v.id) for v in self.vcpus]  # trace actor by VM id
+        self._vm_detail = [f"vm={v.id}" for v in self.vcpus]  # a trap's detail by VM id
         self._guest = {vm.id: _GuestCtx(vm.workload) for vm in spec.vms}
         self.memmap = MemoryMap(spec)
         self.vgic = Vgic(
@@ -270,7 +274,9 @@ class Engine(SchedulerServices):
         t = self.vgic.irq_targets  # each id's details: phys_irq, virq_inject, irq_latched, irq_dropped
         self._irq_details = {i: (f"irq={i}", f"virq={i};target={t.get(i)};hw=1", f"irq={i};target={t.get(i)}",
                                  f"irq={i};warning=unassigned") for i in set(ids)}
-        self._next_arrival()
+        ev = next(self._arrivals, None)
+        if ev is not None:
+            heapq.heappush(self._queue, ev)
         self.fw.set_reschedule_flag()
         self.fw.dispatch_checkpoint(fw_mod.END_OF_HYP_CALL)
         self._resume()
@@ -278,6 +284,7 @@ class Engine(SchedulerServices):
     def _loop(self) -> None:
         q = self._queue
         armed = self._armed
+        arrivals = self._arrivals
         horizon = self.horizon
         flat = self._flat
         full = _BLOCK * 6 if self._sink is not None else sys.maxsize  # slots in a block
@@ -303,7 +310,9 @@ class Engine(SchedulerServices):
                 return
             self._now = now
             if kind == EV_PHYS_IRQ:
-                self._next_arrival()
+                ev = next(arrivals, None)  # stage the next arrival
+                if ev is not None:
+                    heapq.heappush(q, ev)
                 self._do_phys_irq(data)
             else:
                 self._do_timers(at, data)
@@ -313,7 +322,9 @@ class Engine(SchedulerServices):
     def _do_phys_irq(self, irq: int) -> None:
         self._suspend()
         arrived, injected, latched, dropped = self._irq_details[irq]
-        self.charge("phys_irq", "interrupt_entry_exit", arrived)
+        cost = self._cost_ns["interrupt_entry_exit"]
+        self.trace("phys_irq", "hv", "interrupt_entry_exit", cost, arrived)
+        self._now += cost
         outcome, target = self.vgic.phys_arrival(irq)
         if outcome == "injected":
             self.trace("virq_inject", "hv", "", 0, injected)
@@ -351,7 +362,9 @@ class Engine(SchedulerServices):
             self._timer_irq_at, self._timer_irqs_at = now, 1
         self._suspend()
         ids = str(first) if len(batch) == 1 else "+".join(map(str, batch))
-        self.charge("timer_fire", "interrupt_entry_exit", f"ids={ids}")
+        cost = self._cost_ns["interrupt_entry_exit"]
+        self.trace("timer_fire", "hv", "interrupt_entry_exit", cost, f"ids={ids}")
+        self._now += cost
         for _ in batch:
             self.fw.set_reschedule_flag()
         self.fw.dispatch_checkpoint(fw_mod.END_OF_PHYSICAL_INTERRUPT)
@@ -360,15 +373,19 @@ class Engine(SchedulerServices):
     def _do_hyp_call(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
         seg = ctx.script[ctx.idx]
         self._suspend()
-        detail = f"vm={vcpu.id}"
+        detail = self._vm_detail[vcpu.id]
         if seg.payload:
             detail += f";payload={seg.payload}"
-        self.charge("hyp_call", "hyp_call", detail)
+        cost = self._cost_ns["hyp_call"]
+        self.trace("hyp_call", "hv", "hyp_call", cost, detail)
+        self._now += cost
         self._end_trap(ctx)
 
     def _do_wfi(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
         self._suspend()
-        self.charge("wfi_trap", "hyp_call", f"vm={vcpu.id}")
+        cost = self._cost_ns["hyp_call"]
+        self.trace("wfi_trap", "hv", "hyp_call", cost, self._vm_detail[vcpu.id])
+        self._now += cost
         self.fw.on_vm_sleep(vcpu)
         self._end_trap(ctx)
 
@@ -468,8 +485,14 @@ class Engine(SchedulerServices):
         self._end_trap(ctx)
 
     def _end_trap(self, ctx: _GuestCtx) -> None:
-        """Leave hyp mode after a guest trap: next segment, checkpoint, resume."""
-        ctx.advance()
+        """Leave hyp mode after a guest trap: next segment, checkpoint, resume.
+        The cursor moves as in `_GuestCtx.advance`; at a trap `remaining` is None."""
+        ctx.idx += 1
+        if ctx.idx == len(ctx.script):
+            if ctx.loop:
+                ctx.idx = 0
+            else:
+                ctx.parked = True
         self.fw.dispatch_checkpoint(fw_mod.END_OF_HYP_CALL)
         self._resume()
 
@@ -521,18 +544,34 @@ class Engine(SchedulerServices):
             cur = self.fw.current
             if cur is None:
                 return
-            if self.vgic.cpu_if[cur.id].n_pending:
-                self._deliver_pending(cur)
-            ctx = self._guest[cur.id]
+            vm, vgic = cur.id, self.vgic
+            actor = self._actor[vm]
+            cpu_if = vgic.cpu_if[vm]
+            # The guest takes its pending interrupts, ACK then EOI, at zero
+            # cost; an EOI may refill a freed list register.
+            while cpu_if.n_pending:
+                virq = vgic.guest_ack(vm)
+                detail = self._virq_detail[virq]
+                self.trace("guest_ack", actor, "", 0, detail)
+                vgic.guest_eoi(vm, virq)
+                self.trace("guest_eoi", actor, "", 0, detail)
+            ctx = self._guest[vm]
             if ctx.parked:
-                self.trace("vm_park", self._actor[cur.id], "", 0, "script done")
+                self.trace("vm_park", actor, "", 0, "script done")
                 self.fw.on_vm_sleep(cur)
                 self.fw.dispatch_checkpoint(fw_mod.END_OF_HYP_CALL)
                 continue
             self._running = True
-            self._run_start = self._now
-            self.trace("vm_start", self._actor[cur.id])
-            self._set_step(cur, ctx)
+            self._run_start = now = self._now
+            self.trace("vm_start", actor)
+            entry = ctx.script[ctx.idx]  # as in _set_step
+            if type(entry) is int:
+                if ctx.remaining is None:
+                    ctx.remaining = entry
+                at = now + ctx.remaining
+                self._step = (at, at + 1, Engine._end_compute, cur, ctx)
+            else:
+                self._step = (now, now, _TRAPS[entry.kind], cur, ctx)
             return
 
     def _set_step(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
@@ -546,28 +585,10 @@ class Engine(SchedulerServices):
         else:
             self._step = (now, now, _TRAPS[entry.kind], vcpu, ctx)  # wins a tie at now
 
-    def _deliver_pending(self, vcpu: VcpuRecord) -> None:
-        """A running guest takes its pending virtual interrupts: ACK then EOI,
-        directly against the virtual CPU interface, at zero hypervisor cost.
-        An EOI may refill a freed list register: loop until none is pending."""
-        actor = self._actor[vcpu.id]
-        cpu_if = self.vgic.cpu_if[vcpu.id]
-        while cpu_if.n_pending:
-            virq = self.vgic.guest_ack(vcpu.id)
-            detail = self._virq_detail[virq]
-            self.trace("guest_ack", actor, "", 0, detail)
-            self.vgic.guest_eoi(vcpu.id, virq)
-            self.trace("guest_eoi", actor, "", 0, detail)
-
     def _wake_if_sleeping(self, vm_id: int) -> None:
         vcpu = self.vcpus[vm_id]
         if vcpu._run_state is _SLEEPING:
             self.fw.on_vm_wakeup(vcpu)
-
-    def _next_arrival(self) -> None:
-        ev = next(self._arrivals, None)
-        if ev is not None:
-            heapq.heappush(self._queue, ev)
 
     def _final_fold(self) -> None:
         """Pause a guest still running at the horizon, there."""

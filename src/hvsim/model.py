@@ -236,7 +236,10 @@ DEFAULT_LR_COUNT = 4  # list-register slots per VM when the manifest names none
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """Fully validated system configuration; VM count is fixed hereafter."""
+    """Fully validated system configuration; VM count is fixed hereafter.
+
+    A spec hashes only when its `sched_param` and `scheduler_options` values
+    do; a loaded EDF, FP or RR spec's are dicts, so `hash()` raises TypeError."""
 
     vms: tuple[VmSpec, ...]
     cost_model: CostModel

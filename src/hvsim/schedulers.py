@@ -99,11 +99,17 @@ class EdfScheduler(SchedulerTable):
         self._make_ready(vcpu)
 
     def schedule(self) -> VcpuRecord | None:
-        now = self.services.now()
-        self._cancel_timers()
+        services, timers = self.services, self._timers
+        now = services.now()
+        for timer_id in timers:
+            services.cancel_timer(timer_id)
+        timers.clear()
         dispatched = self._dispatched
         if dispatched is not None:
-            self._sync(dispatched)
+            st = dispatched.sched_state  # as in _sync
+            st.remaining = st.param.budget - (dispatched.total_consumed - st.mark)
+            if st.remaining < 0:
+                raise ContractViolation(f"vm {dispatched.id} ran past its budget")
         if now >= self._bound:
             self._sweep(now)
 
@@ -119,18 +125,18 @@ class EdfScheduler(SchedulerTable):
                     release = deadline
             elif winner is None or deadline < best or (deadline == best and vcpu.id < winner.id):
                 winner, best = vcpu, deadline
-        if winner is not None and winner is not dispatched:
+        if winner is not dispatched:
             self._ready.discard(winner)
         self._dispatched = winner
 
         if winner is not None:
             st = winner.sched_state
-            self._timers.append(self.services.register_timer(now + st.remaining))
+            timers.append(services.register_timer(now + st.remaining))
             if st.deadline < now + st.remaining:
                 # Budget cannot finish in time: a miss is coming; check at the line.
-                self._timers.append(self.services.register_timer(st.deadline))
+                timers.append(services.register_timer(st.deadline))
         if release is not None:
-            self._timers.append(self.services.register_timer(release))
+            timers.append(services.register_timer(release))
         return winner
 
     def yield_(self) -> None:
@@ -138,7 +144,10 @@ class EdfScheduler(SchedulerTable):
         self.services.set_flag()
 
     def block(self, vcpu: VcpuRecord) -> None:
-        self._sync(vcpu)
+        st = vcpu.sched_state  # as in _sync
+        st.remaining = st.param.budget - (vcpu.total_consumed - st.mark)
+        if st.remaining < 0:
+            raise ContractViolation(f"vm {vcpu.id} ran past its budget")
         self._make_ready(vcpu)
         self.services.set_flag()
 
@@ -185,11 +194,6 @@ class EdfScheduler(SchedulerTable):
     def _make_ready(self, vcpu: VcpuRecord) -> None:
         self._ready.add(vcpu)
         self._bound = min(self._bound, vcpu.sched_state.deadline)
-
-    def _cancel_timers(self) -> None:
-        for timer_id in self._timers:
-            self.services.cancel_timer(timer_id)
-        self._timers.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ silently ignored.  The views isolate only because the loader gives each
 interrupt id at most one VM, as an irq or as a virq.
 
 This module is a pure state machine.  Costs, wakeups and checkpoints are the
-engine's business; methods only report what happened.
+engine's business; methods only report what happened.  The three calls the
+engine makes per interrupt, `phys_arrival`, `guest_ack` and `guest_eoi`, do
+their list-register work in their own bodies, and an EOI drains latched
+interrupts only when one of the VM's visible interrupts is latched.
 """
 
 from __future__ import annotations
@@ -42,16 +45,17 @@ DIST_MMIO_BASE = 0x01C8_1000
 DIST_MMIO_SIZE = 0x1000
 
 
-# A list register's state; fill, ack and eoi compare it by identity.
+# A list register's state; fill, guest_ack and guest_eoi compare it by identity.
 _PENDING, _ACTIVE = "pending", "active"
 
 
 class VirtualCpuInterface:
-    """Per-VM virtual CPU interface: the list registers and the ACK/EOI path.
+    """Per-VM virtual CPU interface: the list registers.
 
     ``lrs`` maps each held virq to ``[priority, state, hw_link]``, at most
     ``lr_count`` entries, so a second injection of a held id collapses into
     it.  Which slot holds a virq is not modelled; nothing can observe it.
+    The ACK/EOI path is `Vgic.guest_ack` and `Vgic.guest_eoi`.
     """
 
     def __init__(self, lr_count: int = DEFAULT_LR_COUNT):
@@ -69,30 +73,6 @@ class VirtualCpuInterface:
         lrs[virq] = [priority, _PENDING, hw_link]
         self.n_pending += 1
         return "injected"
-
-    def ack(self) -> int:
-        """Take the highest-priority pending interrupt; 1023 when none."""
-        if not self.n_pending:
-            return SPURIOUS_IRQ
-        best = None
-        for virq, entry in self.lrs.items():
-            if entry[1] is _PENDING and (best is None or (entry[0], virq) < best):
-                best = (entry[0], virq)
-        self.lrs[best[1]][1] = _ACTIVE
-        self.n_pending -= 1
-        return best[1]
-
-    def eoi(self, virq: int) -> tuple[bool, int | None]:
-        """Complete virq; returns (ok, linked physical irq or None).
-
-        EOI of an interrupt that is not active is a no-op (the caller
-        records the warning).
-        """
-        entry = self.lrs.get(virq)
-        if entry is None or entry[1] is not _ACTIVE:
-            return False, None
-        del self.lrs[virq]
-        return True, entry[2]
 
 
 @dataclass
@@ -113,7 +93,8 @@ _arrival = partial(tuple.__new__, ArrivalEffect)  # an ArrivalEffect from 2 valu
 
 
 class Vgic:
-    """Distributor state plus one virtual CPU interface per VM.
+    """Distributor state plus one virtual CPU interface per VM, and the
+    ACK/EOI path against it.
 
     ctlr_enable is banked per VM: a guest toggling its own virtual
     distributor must never change what another VM observes.
@@ -229,8 +210,15 @@ class Vgic:
         if target is None or irq < SGI_COUNT or irq >= N_INTERRUPTS:
             return _arrival(("dropped", None))
         self.pending[irq] = True
-        if self._try_inject_hw(target, irq):
-            return _arrival(("injected", target))
+        if self.ctlr[target] and self.enabled[irq] and not self.active[irq]:
+            cpu_if = self.cpu_if[target]
+            lrs = cpu_if.lrs
+            if irq not in lrs and len(lrs) < cpu_if.lr_count:
+                lrs[irq] = [self.priority[irq], _PENDING, irq]
+                cpu_if.n_pending += 1
+                self.pending[irq] = False
+                self.active[irq] = True
+                return _arrival(("injected", target))
         return _arrival(("pending", target))
 
     def inject_soft(self, vm: VmId, virq: int) -> str:
@@ -249,25 +237,35 @@ class Vgic:
         return res
 
     def guest_ack(self, vm: VmId) -> int:
-        return self.cpu_if[vm].ack()
+        """Take the highest-priority pending interrupt; 1023 when none."""
+        cpu_if = self.cpu_if[vm]
+        if not cpu_if.n_pending:
+            return SPURIOUS_IRQ
+        best = None
+        for virq, entry in cpu_if.lrs.items():
+            if entry[1] is _PENDING and (best is None or (entry[0], virq) < best):
+                best = (entry[0], virq)
+        cpu_if.lrs[best[1]][1] = _ACTIVE
+        cpu_if.n_pending -= 1
+        return best[1]
 
     def guest_eoi(self, vm: VmId, virq: int) -> tuple[bool, list[VmId]]:
-        """Returns (ok, follow-up injections enabled by the freed LR)."""
-        ok, hw = self.cpu_if[vm].eoi(virq)
-        if not ok:
+        """Complete virq; returns (ok, follow-up injections enabled by the
+        freed LR).  EOI of an interrupt that is not active is a no-op (the
+        caller records the warning).  Only a latched visible interrupt can
+        follow up, so the drain runs only when one is."""
+        lrs = self.cpu_if[vm].lrs
+        entry = lrs.get(virq)
+        if entry is None or entry[1] is not _ACTIVE:
             return False, []
-        if hw is not None:
-            self.active[hw] = False  # linked physical EOI: re-arrival possible
-        return True, self._drain(vm)
-
-    def _try_inject_hw(self, vm: VmId, irq: int) -> bool:
-        if not (self.ctlr[vm] and self.enabled[irq] and not self.active[irq]):
-            return False
-        if self.cpu_if[vm].fill(irq, self.priority[irq], irq) != "injected":
-            return False
-        self.pending[irq] = False
-        self.active[irq] = True
-        return True
+        del lrs[virq]
+        if entry[2] is not None:
+            self.active[entry[2]] = False  # linked physical EOI: re-arrival possible
+        pending = self.pending
+        for irq in self._visible[vm]:
+            if pending[irq]:
+                return True, self._drain(vm)
+        return True, []
 
     def _drain(self, vm: VmId) -> list[VmId]:
         """Deliver latched interrupts that became injectable; (priority, id) order.
@@ -287,8 +285,10 @@ class Vgic:
             if self.irq_targets.get(irq) == vm:
                 if not (self.ctlr[vm] and self.enabled[irq] and not self.active[irq]):
                     continue  # not eligible
-                if not self._try_inject_hw(vm, irq):
+                if self.cpu_if[vm].fill(irq, self.priority[irq], irq) != "injected":
                     break
+                self.pending[irq] = False
+                self.active[irq] = True
                 injected.append(vm)
             else:  # a declared virq
                 res = self.cpu_if[vm].fill(irq, self.priority[irq], None)

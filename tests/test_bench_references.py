@@ -7,9 +7,9 @@ entry points that perfbench/tracing.py wraps for `run.py --trace 1`.  It must
 match perfbench/reference/ exactly: trace SHA-256, record count, metrics and
 the count of every record kind.  The traced run must also push onto the
 event heap and record the spans whose counts `--trace 1` divides by, and
-each wrapped scheduler operation and checkpoint must be called exactly as
-often as the trace records it: a wrapper put on after the engine is built
-must see every call.
+each wrapped scheduler operation, checkpoint and interrupt-path vGIC call
+must be called exactly as often as the trace records it: a wrapper put on
+after the engine is built must see every call.
 """
 
 import sys
@@ -26,7 +26,8 @@ CLI_SPANS = {"cli.main", "trace.write"}
 # The record kind each traced call writes once per call.
 CALL_RECORDS = {"schedulers.schedule": "cb_schedule", "schedulers.block": "cb_block",
                 "schedulers.unblock": "cb_unblock", "schedulers.yield_": "cb_yield",
-                "framework.checkpoint": "checkpoint"}
+                "framework.checkpoint": "checkpoint", "vgic.phys_arrival": "phys_irq",
+                "vgic.guest_ack": "guest_ack", "vgic.guest_eoi": "guest_eoi"}
 
 
 @pytest.mark.parametrize("workload", sorted(harness.WORKLOADS))

@@ -25,7 +25,7 @@ from hvsim.engine import Engine
 from hvsim.model import PAGE_SIZE, IrqEvent, IrqEvents, MemRegion, SystemSpec
 from hvsim.trace import read_csv
 
-from manifests import ZERO_COST, busy_workload, make_manifest, make_vm
+from manifests import ZERO_COST, busy_workload, edf_manifest, fp_manifest, make_manifest, make_vm, rr_manifest
 from oracles import layout_conflicts
 
 
@@ -396,6 +396,16 @@ def test_irq_events_hash_their_columns():
     bare = SystemSpec(vms=(), cost_model=CostModel(), scheduler_name="rr", scheduler_options=None)
     assert hash(dataclasses.replace(bare, phys_irqs=PAIRS)) == hash(dataclasses.replace(bare, phys_irqs=events))
     assert hash(bare) == hash(dataclasses.replace(bare, phys_irqs=[]))
+
+
+def test_a_loaded_spec_hashes_only_if_its_scheduler_values_do():
+    """As the SystemSpec docstring says: a loaded EDF, FP or RR spec holds
+    dict sched_params or scheduler options, so it does not hash."""
+    for manifest in (edf_manifest([(1_000_000, 500_000)], horizon_ns=1_000_000),
+                     fp_manifest([1], [busy_workload(1_000_000)], horizon=1_000_000),
+                     rr_manifest(1, quantum_ns=100_000, horizon=1_000_000)):
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(load_manifest(manifest))
 
 
 def test_irq_events_index_slice_and_iterate_as_irq_events():

@@ -113,6 +113,14 @@ class TestInterruptFlow:
         gic = make_gic()
         assert gic.phys_arrival(99).outcome == "dropped"
 
+    def test_arrival_bounds_are_the_first_non_sgi_and_the_interrupt_count(self):
+        """16 is the first id an arrival latches; 128 and above drop even when
+        a target map built by hand names them (the loader never does)."""
+        gic = Vgic({15: 0, 16: 0, 128: 0}, {0: frozenset()})
+        assert gic.phys_arrival(15).outcome == "dropped"
+        assert gic.phys_arrival(16) == ("pending", 0) and gic.pending[16]  # distributor off: latched
+        assert gic.phys_arrival(128).outcome == "dropped"
+
     def test_lr_overflow_queues_until_eoi(self):
         gic = make_gic(lr_count=1)
         assert gic.phys_arrival(40).outcome == "injected"
@@ -122,6 +130,25 @@ class TestInterruptFlow:
         ok, injected = gic.guest_eoi(1, 40)
         assert ok and injected == [1]  # freed slot drains 41
         assert lr_states(gic, 1) == {(41, "pending")}
+
+    def test_eoi_drains_only_when_a_visible_interrupt_is_latched(self):
+        """An EOI calls the drain only while one of the EOIing VM's own
+        interrupts is latched: another VM's latch is not a reason, and a
+        latch of its own is drained into the freed list register."""
+        gic = make_gic(lr_count=1)
+        drains = []
+        plain = gic._drain
+        gic._drain = lambda vm: drains.append(vm) or plain(vm)
+        gic.mmio(0, GICD_ICENABLER + 4, True, 1 << 0)  # disable 32: its arrival latches
+        assert gic.phys_arrival(32).outcome == "pending"
+        assert gic.phys_arrival(40).outcome == "injected"
+        assert gic.guest_ack(1) == 40
+        assert gic.guest_eoi(1, 40) == (True, []) and drains == []  # only vm0's 32 is latched
+        assert gic.phys_arrival(40).outcome == "injected"
+        assert gic.phys_arrival(41).outcome == "pending"  # the one LR holds 40
+        assert gic.guest_ack(1) == 40
+        assert gic.guest_eoi(1, 40) == (True, [1]) and drains == [1]
+        assert lr_states(gic, 1) == {(41, "pending")} and not gic.pending[41]
 
     def test_ack_takes_highest_priority_pending(self):
         gic = make_gic()
