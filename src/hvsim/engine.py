@@ -24,8 +24,9 @@ Every record goes through `trace`, which extends one flat list by the
 record's six fields; `RunResult.records` is a `trace.Trace` over that list,
 a read-only sequence that builds each `TraceRecord` on access, folded once
 at the end.  Only `_fold_running` credits a guest with CPU time.  A resume
-takes the guest's interrupts itself, calling into the vGIC only while the VM
-has pending list registers, so each `guest_ack` call takes an interrupt.
+takes the guest's interrupts itself, calling into the vGIC only while the VM's
+list registers hold an entry.  Only a resume ACKs, and it EOIs each interrupt
+at once, so every entry it meets is pending and each `guest_ack` takes one.
 Scripted arrivals are sorted at boot from the spec's `phys_irqs.at` and `.irq`
 columns; the loop pushes each as the one before it pops.  Record details are
 built once per irq id and once per VM.  The interrupt, timer, wfi and hyp-call
@@ -174,13 +175,14 @@ class Engine(SchedulerServices):
         self._seq = 0
         self._arrivals = iter(())  # scripted arrivals not yet on the heap
         # The running guest's next step, (at, until, handler, vcpu, ctx): it
-        # runs once the heap head is at or after until.
+        # runs once the heap head is at or after until.  Set exactly while a
+        # guest holds the CPU; the handler it runs suspends the guest or sets
+        # the next step.
         self._step = None
         self._timer_ids = 0  # the last timer id issued; ids count up from 1
         self._armed: set[int] = set()  # ids of timers neither fired nor cancelled
         self._timer_irq_at: Time = -1  # instant of the last timer interrupt
         self._timer_irqs_at = 0  # timer interrupts at that instant
-        self._running = False  # a guest holds the CPU
         self._run_start: Time = 0
 
     # -- host / scheduler services -----------------------------------------
@@ -296,7 +298,6 @@ class Engine(SchedulerServices):
                 at, _, handler, vcpu, ctx = step
                 if at >= horizon:
                     return
-                self._step = None
                 self._now = at
                 handler(self, vcpu, ctx)
                 continue
@@ -530,13 +531,11 @@ class Engine(SchedulerServices):
 
     def _suspend(self) -> None:
         """Halt the running guest at the current instant (hyp entry)."""
-        if not self._running:
+        if self._step is None:
             return
-        cur = self.fw.current
         self._fold_running()
         self._step = None
-        self.trace("vm_pause", self._actor[cur.id])
-        self._running = False
+        self.trace("vm_pause", self._actor[self.fw.current.id])
 
     def _resume(self) -> None:
         """Hand the CPU to whoever is Running now; park empty scripts."""
@@ -546,10 +545,10 @@ class Engine(SchedulerServices):
                 return
             vm, vgic = cur.id, self.vgic
             actor = self._actor[vm]
-            cpu_if = vgic.cpu_if[vm]
+            lrs = vgic.lrs[vm]
             # The guest takes its pending interrupts, ACK then EOI, at zero
             # cost; an EOI may refill a freed list register.
-            while cpu_if.n_pending:
+            while lrs:
                 virq = vgic.guest_ack(vm)
                 detail = self._virq_detail[virq]
                 self.trace("guest_ack", actor, "", 0, detail)
@@ -561,7 +560,6 @@ class Engine(SchedulerServices):
                 self.fw.on_vm_sleep(cur)
                 self.fw.dispatch_checkpoint(fw_mod.END_OF_HYP_CALL)
                 continue
-            self._running = True
             self._run_start = now = self._now
             self.trace("vm_start", actor)
             entry = ctx.script[ctx.idx]  # as in _set_step
@@ -592,7 +590,7 @@ class Engine(SchedulerServices):
 
     def _final_fold(self) -> None:
         """Pause a guest still running at the horizon, there."""
-        if self._running and self._run_start < self.horizon:
+        if self._step is not None and self._run_start < self.horizon:
             self._now = self.horizon
             self._suspend()
 

@@ -2,12 +2,19 @@
 
 The distributor has no hardware virtualization support, so guest accesses to
 it are trapped and emulated against this model; the per-VM CPU interface
-(list registers, ACK/EOI) is direct and never costs a trap.  A VM's list
-registers are a dict keyed by virq, capped at ``lr_count`` entries; slot
-order is not modelled.  Each VM sees a filtered view of the distributor:
-only its own interrupts are visible, writes touching anything else are
-silently ignored.  The views isolate only because the loader gives each
-interrupt id at most one VM, as an irq or as a virq.
+(list registers, ACK/EOI) is direct and never costs a trap.  Each VM sees a
+filtered view of the distributor: only its own interrupts are visible,
+writes touching anything else are silently ignored.  The views isolate only
+because the loader gives each interrupt id at most one VM, as an irq or as a
+virq.
+
+The list registers (LRs) are the only in-flight interrupt state.  A VM's LRs
+are the dict `lrs[vm]`, `virq -> [priority, state]`, capped at `lr_count`
+entries; slot order is not modelled.  An assigned irq is active exactly while
+its target's LRs hold it, and an entry is linked to its physical interrupt
+exactly when its id is an assigned irq, so the guest's EOI of it is the
+physical one.  The distributor keeps only the enable, latch and priority
+bits and the banked CTLR.
 
 This module is a pure state machine.  Costs, wakeups and checkpoints are the
 engine's business; methods only report what happened.  The three calls the
@@ -39,40 +46,21 @@ GICD_ITARGETSR = 0x800
 
 _N_WORDS = N_INTERRUPTS // 32
 _N_PRIO_WORDS = N_INTERRUPTS // 4
+# The set/clear banks: (offset, the bit array they act on, whether they set).
+_BIT_BANKS = (
+    (GICD_ISENABLER, "enabled", True),
+    (GICD_ICENABLER, "enabled", False),
+    (GICD_ISPENDR, "pending", True),
+    (GICD_ICPENDR, "pending", False),
+)
 
 # Guest-physical window the distributor occupies (trapped, never pass-through).
 DIST_MMIO_BASE = 0x01C8_1000
 DIST_MMIO_SIZE = 0x1000
 
 
-# A list register's state; fill, guest_ack and guest_eoi compare it by identity.
+# A list register's state; guest_ack and guest_eoi compare it by identity.
 _PENDING, _ACTIVE = "pending", "active"
-
-
-class VirtualCpuInterface:
-    """Per-VM virtual CPU interface: the list registers.
-
-    ``lrs`` maps each held virq to ``[priority, state, hw_link]``, at most
-    ``lr_count`` entries, so a second injection of a held id collapses into
-    it.  Which slot holds a virq is not modelled; nothing can observe it.
-    The ACK/EOI path is `Vgic.guest_ack` and `Vgic.guest_eoi`.
-    """
-
-    def __init__(self, lr_count: int = DEFAULT_LR_COUNT):
-        self.lrs: dict[int, list] = {}
-        self.lr_count = lr_count
-        self.n_pending = 0  # entries in the pending state; most ACKs find none
-
-    def fill(self, virq: int, priority: int, hw_link: int | None) -> str:
-        """Try to make virq pending; returns "injected", "collapsed" or "full"."""
-        lrs = self.lrs
-        if virq in lrs:
-            return "collapsed"
-        if len(lrs) >= self.lr_count:
-            return "full"
-        lrs[virq] = [priority, _PENDING, hw_link]
-        self.n_pending += 1
-        return "injected"
 
 
 @dataclass
@@ -93,8 +81,8 @@ _arrival = partial(tuple.__new__, ArrivalEffect)  # an ArrivalEffect from 2 valu
 
 
 class Vgic:
-    """Distributor state plus one virtual CPU interface per VM, and the
-    ACK/EOI path against it.
+    """Distributor state plus each VM's list registers, `lrs[vm]`, and the
+    ACK/EOI path against them.
 
     ctlr_enable is banked per VM: a guest toggling its own virtual
     distributor must never change what another VM observes.
@@ -110,10 +98,10 @@ class Vgic:
         self.declared_virqs = {vm: frozenset(v) for vm, v in declared_virqs.items()}
         self.enabled = [False] * N_INTERRUPTS
         self.pending = [False] * N_INTERRUPTS
-        self.active = [False] * N_INTERRUPTS
         self.priority = bytearray(N_INTERRUPTS)
         self.ctlr = {vm: False for vm in declared_virqs}
-        self.cpu_if = {vm: VirtualCpuInterface(lr_count) for vm in declared_virqs}
+        self.lrs: dict[VmId, dict[int, list]] = {vm: {} for vm in declared_virqs}
+        self.lr_count = lr_count
         self._visible = {
             vm: frozenset(i for i, t in self.irq_targets.items() if t == vm) | self.declared_virqs[vm]
             for vm in declared_virqs
@@ -140,14 +128,9 @@ class Vgic:
                 self.ctlr[vm] = bool(value & 1)
                 return MmioEffect(injections=self._drain(vm) if self.ctlr[vm] else [])
             return MmioEffect(read_value=int(self.ctlr[vm]))
-        if GICD_ISENABLER <= offset < GICD_ISENABLER + 4 * _N_WORDS:
-            return self._rw_bits(vm, (offset - GICD_ISENABLER) // 4, is_write, value, self.enabled, set_bits=True)
-        if GICD_ICENABLER <= offset < GICD_ICENABLER + 4 * _N_WORDS:
-            return self._rw_bits(vm, (offset - GICD_ICENABLER) // 4, is_write, value, self.enabled, set_bits=False)
-        if GICD_ISPENDR <= offset < GICD_ISPENDR + 4 * _N_WORDS:
-            return self._rw_bits(vm, (offset - GICD_ISPENDR) // 4, is_write, value, self.pending, set_bits=True)
-        if GICD_ICPENDR <= offset < GICD_ICPENDR + 4 * _N_WORDS:
-            return self._rw_bits(vm, (offset - GICD_ICPENDR) // 4, is_write, value, self.pending, set_bits=False)
+        for base, name, set_bits in _BIT_BANKS:
+            if base <= offset < base + 4 * _N_WORDS:
+                return self._rw_bits(vm, (offset - base) // 4, is_write, value, getattr(self, name), set_bits)
         if GICD_IPRIORITYR <= offset < GICD_IPRIORITYR + 4 * _N_PRIO_WORDS:
             return self._rw_priority(vm, (offset - GICD_IPRIORITYR) // 4, is_write, value)
         if GICD_ITARGETSR <= offset < GICD_ITARGETSR + 4 * _N_PRIO_WORDS:
@@ -205,20 +188,16 @@ class Vgic:
     # -- interrupt flow --------------------------------------------------
 
     def phys_arrival(self, irq: int) -> ArrivalEffect:
-        """A physical interrupt fired; latch it and inject if possible."""
+        """A physical interrupt fired; inject it if possible, else latch it."""
         target = self.irq_targets.get(irq)
         if target is None or irq < SGI_COUNT or irq >= N_INTERRUPTS:
             return _arrival(("dropped", None))
+        lrs = self.lrs[target]
+        if self.ctlr[target] and self.enabled[irq] and irq not in lrs and len(lrs) < self.lr_count:
+            lrs[irq] = [self.priority[irq], _PENDING]
+            self.pending[irq] = False
+            return _arrival(("injected", target))
         self.pending[irq] = True
-        if self.ctlr[target] and self.enabled[irq] and not self.active[irq]:
-            cpu_if = self.cpu_if[target]
-            lrs = cpu_if.lrs
-            if irq not in lrs and len(lrs) < cpu_if.lr_count:
-                lrs[irq] = [self.priority[irq], _PENDING, irq]
-                cpu_if.n_pending += 1
-                self.pending[irq] = False
-                self.active[irq] = True
-                return _arrival(("injected", target))
         return _arrival(("pending", target))
 
     def inject_soft(self, vm: VmId, virq: int) -> str:
@@ -230,37 +209,38 @@ class Vgic:
         """
         if virq not in self.declared_virqs[vm]:
             raise ValueError(f"virq {virq} not declared for vm {vm}")
-        res = self.cpu_if[vm].fill(virq, self.priority[virq], None)
-        if res == "full":
+        lrs = self.lrs[vm]
+        if virq in lrs:
+            return "collapsed"
+        if len(lrs) >= self.lr_count:
             self.pending[virq] = True
             return "pending"
-        return res
+        lrs[virq] = [self.priority[virq], _PENDING]
+        return "injected"
 
     def guest_ack(self, vm: VmId) -> int:
         """Take the highest-priority pending interrupt; 1023 when none."""
-        cpu_if = self.cpu_if[vm]
-        if not cpu_if.n_pending:
-            return SPURIOUS_IRQ
+        lrs = self.lrs[vm]
         best = None
-        for virq, entry in cpu_if.lrs.items():
+        for virq, entry in lrs.items():
             if entry[1] is _PENDING and (best is None or (entry[0], virq) < best):
                 best = (entry[0], virq)
-        cpu_if.lrs[best[1]][1] = _ACTIVE
-        cpu_if.n_pending -= 1
+        if best is None:
+            return SPURIOUS_IRQ
+        lrs[best[1]][1] = _ACTIVE
         return best[1]
 
     def guest_eoi(self, vm: VmId, virq: int) -> tuple[bool, list[VmId]]:
         """Complete virq; returns (ok, follow-up injections enabled by the
         freed LR).  EOI of an interrupt that is not active is a no-op (the
-        caller records the warning).  Only a latched visible interrupt can
-        follow up, so the drain runs only when one is."""
-        lrs = self.cpu_if[vm].lrs
+        caller records the warning).  Freeing an assigned irq's LR is its
+        physical EOI: it can arrive again.  Only a latched visible interrupt
+        can follow up, so the drain runs only when one is."""
+        lrs = self.lrs[vm]
         entry = lrs.get(virq)
         if entry is None or entry[1] is not _ACTIVE:
             return False, []
         del lrs[virq]
-        if entry[2] is not None:
-            self.active[entry[2]] = False  # linked physical EOI: re-arrival possible
         pending = self.pending
         for irq in self._visible[vm]:
             if pending[irq]:
@@ -270,31 +250,26 @@ class Vgic:
     def _drain(self, vm: VmId) -> list[VmId]:
         """Deliver latched interrupts that became injectable; (priority, id) order.
 
-        The drain stops at the first eligible interrupt that does not fit in
-        the LRs, so a lower-priority latched soft virq whose id the LRs hold
-        is not merged in that drain.  A set-enable or set-pending write drains
-        only when it changed a bit; a CTLR write that enables always drains.
+        An assigned irq the LRs hold, or that is not enabled, is skipped; a
+        declared virq the LRs hold merges into its entry.  Any other one
+        needs a free LR, and the drain stops at the first that finds none,
+        so a lower-priority latched virq that the LRs hold is not merged in
+        that drain.  A set-enable or set-pending write drains only when it
+        changed a bit; a CTLR write that enables always drains.
         """
-        cands = []
-        for irq in self._visible[vm]:
-            if self.pending[irq]:
-                cands.append((self.priority[irq], irq))
-        cands.sort()
+        pending, priority, lrs = self.pending, self.priority, self.lrs[vm]
+        on, enabled, targets = self.ctlr[vm], self.enabled, self.irq_targets
         injected = []
-        for _, irq in cands:
-            if self.irq_targets.get(irq) == vm:
-                if not (self.ctlr[vm] and self.enabled[irq] and not self.active[irq]):
-                    continue  # not eligible
-                if self.cpu_if[vm].fill(irq, self.priority[irq], irq) != "injected":
-                    break
-                self.pending[irq] = False
-                self.active[irq] = True
-                injected.append(vm)
-            else:  # a declared virq
-                res = self.cpu_if[vm].fill(irq, self.priority[irq], None)
-                if res == "full":
-                    break
-                self.pending[irq] = False
-                if res == "injected":
-                    injected.append(vm)
+        for _, irq in sorted((priority[irq], irq) for irq in self._visible[vm] if pending[irq]):
+            if irq in targets:
+                if irq in lrs or not (on and enabled[irq]):
+                    continue  # an assigned irq, active or not enabled
+            elif irq in lrs:
+                pending[irq] = False  # a held virq: merged
+                continue
+            if len(lrs) >= self.lr_count:
+                break
+            lrs[irq] = [priority[irq], _PENDING]
+            pending[irq] = False
+            injected.append(vm)
         return injected

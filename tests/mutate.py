@@ -20,7 +20,9 @@ checkout, so traces, demos and subprocesses all run it.  The unmutated
 module, unparsed the same way, must pass first.  A mutant survives when the
 selection passes; one that runs five times as long as the unmutated module
 (at least 30 s) counts as killed.
-Each survivor is printed with its line, and the exit code is 1 if any survive.
+Each survivor is printed with its line as it is found, each function's
+tally (``# <qualname>: N mutants, K survived, S s``) once its last mutant
+ran, and the exit code is 1 if any survive.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from itertools import groupby
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -141,13 +144,18 @@ def main(argv: list[str] | None = None) -> int:
         timeout = max(5 * clean_s, 30.0)
         print(f"# {relative}: the selection passes unmutated in {clean_s:.1f} s", flush=True)
         survivors = 0
-        for qualname, line, what, mutated in cases:
-            target.write_text(mutated)
-            passed, _ = _run_tests(workdir, tests, timeout)
-            if passed:
-                survivors += 1
-                text = source.splitlines()[line - 1].strip()
-                print(f"SURVIVED {relative}:{line} {qualname}: {what}    | {text}", flush=True)
+        for qualname, group in groupby(cases, key=lambda case: case[0]):
+            start, n, k = time.perf_counter(), 0, 0
+            for _, line, what, mutated in group:
+                target.write_text(mutated)
+                passed, _ = _run_tests(workdir, tests, timeout)
+                n += 1
+                if passed:
+                    k += 1
+                    text = source.splitlines()[line - 1].strip()
+                    print(f"SURVIVED {relative}:{line} {qualname}: {what}    | {text}", flush=True)
+            survivors += k
+            print(f"# {qualname}: {n} mutants, {k} survived, {time.perf_counter() - start:.0f} s", flush=True)
         print(f"# {len(cases)} mutants, {survivors} survived")
     return 1 if survivors else 0
 

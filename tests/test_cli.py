@@ -20,6 +20,8 @@ from test_trace import RUNS as TRACE_RUNS
 
 MS = 1_000_000
 GOLDEN = Path(__file__).parent / "data" / "golden_trace.csv"
+# What the same-instant timer livelock of a 1 ms FP run ends in, at zero cost.
+LIVELOCK_MESSAGE = "65 timer interrupts at 0 ns: virtual time does not advance (scheduler livelock)"
 
 
 def write_manifest(tmp_path, manifest, name="config.json"):
@@ -188,12 +190,13 @@ class TestCmdRun:
         text = (out / "trace.csv").read_text()
         assert "contract_violation" in text
 
-    def test_same_instant_livelock_exits_3_with_trace(self, tmp_path, same_instant_timer):
+    def test_same_instant_livelock_exits_3_with_trace(self, tmp_path, same_instant_timer, capsys):
         m = fp_manifest([1], [[{"compute": MS}]], MS)
         m["scheduler"]["name"] = same_instant_timer
         cfg = write_manifest(tmp_path, m)
         out = tmp_path / "out"
         assert cmd_run(cfg, MS, str(out)) == 3
+        assert capsys.readouterr().err == f"contract violation: {LIVELOCK_MESSAGE}\n"
         assert sorted(p.name for p in out.iterdir()) == ["trace.csv"]
         with open(out / "trace.csv") as fh:
             records = read_csv(fh)
@@ -560,8 +563,7 @@ class TestCmdSweep:
         out = tmp_path / "sweep"
         assert cmd_sweep(cfg, MS, str(out), "cost_model.interrupt_entry_exit", [0, 7_480]) == 0
         rows = (out / "summary.csv").read_text().splitlines()
-        assert rows[1].startswith("0,,,,contract violation: ")
-        assert "virtual time does not advance" in rows[1]
+        assert rows[1] == f"0,,,,contract violation: {LIVELOCK_MESSAGE}"
         assert rows[2].split(",")[4] == ""
         assert sorted(p.name for p in (out / "run_000").iterdir()) == ["trace.csv"]
         with open(out / "run_000" / "trace.csv") as fh:

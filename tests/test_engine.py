@@ -9,6 +9,7 @@ import pytest
 
 import hvsim.engine
 from hvsim import SimulationAborted, compare_traces, load_manifest
+from hvsim.model import ContractViolation
 from hvsim.schedulers import FixedPriorityScheduler, register, SCHEDULERS
 from hvsim.trace import Trace, TraceRecord, run_intervals, write_csv
 from hvsim.vgic import SPURIOUS_IRQ
@@ -303,6 +304,23 @@ def test_bad_service_call_aborts_with_trace(case):
         del SCHEDULERS["bad_call"]
     last = err.value.records[-1]
     assert (last.time, last.kind) == (MS, "contract_violation") and message in last.detail
+
+
+def test_service_range_checks_stop_at_their_bounds():
+    """Timer ids run from 1 to the last one issued and VM ids from 0 to the
+    last VM's: one step past either end is a contract violation."""
+    eng = hvsim.engine.Engine(load_manifest(fp_manifest([1, 2], [[], []], horizon=MS)), MS)
+    last = eng.register_timer(MS)
+    eng.cancel_timer(last)
+    for bad in (0, last + 1):
+        with pytest.raises(ContractViolation, match=f"^timer {bad} was never set$"):
+            eng.cancel_timer(bad)
+    eng.report_deadline_miss(0, MS)
+    eng.report_deadline_miss(1, MS)
+    for bad in (-1, 2):
+        with pytest.raises(ContractViolation, match=f"^deadline miss reported for unknown vm {bad}$"):
+            eng.report_deadline_miss(bad, MS)
+    assert [r.kind for r in eng.records] == ["timer_set", "timer_cancel", "deadline_miss", "deadline_miss"]
 
 
 class TestSameInstantLivelock:
