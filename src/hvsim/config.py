@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 
 from .model import (
@@ -120,25 +121,34 @@ def _parse_perms(value, where: str) -> frozenset[str]:
 # -- workload ---------------------------------------------------------------
 
 
-def _parse_segment(seg, where: str) -> Segment:
+_segment = partial(tuple.__new__, Segment)  # a Segment from its 7 fields, in C
+_WFI = Segment("wfi")
+_BARE_HYP_CALL = Segment("hyp_call")
+
+
+def _parse_segment(seg, workload: str, i: int) -> Segment:
+    """Segment i of the script at path `workload`; the segment's own path is
+    formatted only where a message or a path-taking parser needs it."""
     if not isinstance(seg, dict) or len(seg) != 1:
-        raise ConfigError(f"{where}: each segment is an object with exactly one key, got {seg!r}")
+        raise ConfigError(f"{workload}[{i}]: each segment is an object with exactly one key, got {seg!r}")
     (key, value), = seg.items()
     if key == "compute":
         if type(value) is not int or not 0 <= value < MAX_TIME:
-            value = _parse_int(value, f"{where}.compute")  # subclass, or raises
-        return Segment("compute", duration_ns=value)
+            value = _parse_int(value, f"{workload}[{i}].compute")  # subclass, or raises
+        return _segment(("compute", value, 0, "read", 0, 0, ""))
     if key == "hyp_call":
         if value is not None and not isinstance(value, str):
-            raise ConfigError(f"{where}.hyp_call: expected a string or null, got {value!r}")
-        payload = value or ""
-        if "\n" in payload or "\r" in payload:  # a trace record is one line
-            raise ConfigError(f"{where}.hyp_call: payload may not contain a line break")
-        return Segment("hyp_call", payload=payload)
+            raise ConfigError(f"{workload}[{i}].hyp_call: expected a string or null, got {value!r}")
+        if not value:
+            return _BARE_HYP_CALL
+        if "\n" in value or "\r" in value:  # a trace record is one line
+            raise ConfigError(f"{workload}[{i}].hyp_call: payload may not contain a line break")
+        return Segment("hyp_call", payload=value)
     if key == "wfi":
         if value is not True:
-            raise ConfigError(f"{where}.wfi: must be true")
-        return Segment("wfi")
+            raise ConfigError(f"{workload}[{i}].wfi: must be true")
+        return _WFI
+    where = f"{workload}[{i}]"
     if key == "mmio":
         _check_keys(value, {"ipa", "op", "value"}, {"ipa", "op"}, f"{where}.mmio")
         op = value["op"]
@@ -169,7 +179,7 @@ def _parse_workload(raw, where: str) -> Workload:
         raw = raw["segments"]
     if not isinstance(raw, list):
         raise ConfigError(f"{where}: expected a segment list")
-    segments = tuple(_parse_segment(s, f"{where}[{i}]") for i, s in enumerate(raw))
+    segments = tuple([_parse_segment(s, where, i) for i, s in enumerate(raw)])
     if loop and not any(s.kind == "compute" and s.duration_ns > 0 for s in segments):
         raise ConfigError(f"{where}: a looping script needs a compute segment with time > 0")
     return Workload(segments=segments, loop=loop)

@@ -114,7 +114,9 @@ def streaming(sink: Callable[[Trace], None]):
 class _GuestCtx:
     """Script cursor for one VM: the current entry is script[idx].  Each run
     of adjacent compute segments is one `int`, its duration, and each trap
-    its `Segment`; runs do not merge across the loop wrap."""
+    its `Segment`; runs do not merge across the loop wrap.  A `Segment` is a
+    `NamedTuple`, whose field reads cost more than a plain attribute's, so
+    only a trap's handler reads its fields."""
 
     __slots__ = ("script", "loop", "idx", "remaining", "parked")
 

@@ -118,8 +118,7 @@ class MemRegion:
         return self.ipa_base <= ipa < self.ipa_end
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """One step of a deterministic guest workload script."""
 
     kind: str

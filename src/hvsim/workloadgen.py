@@ -34,9 +34,10 @@ def _generate_segments(gen, rng: random.Random, horizon_ns: int, where: str):
     prob = gen.get("hyp_call_prob", 0.3)
     if isinstance(prob, bool) or not isinstance(prob, (int, float)) or not 0 <= prob <= 1:
         raise ConfigError(f"{where}.hyp_call_prob: expected a number in [0, 1], got {prob!r}")
+    lo, hi = max(1, mean // 2), 2 * mean + 1  # randint(lo, 2 * mean) is randrange(lo, hi)
     segments = []
     for _ in range(count):
-        segments.append({"compute": rng.randint(max(1, mean // 2), 2 * mean)})
+        segments.append({"compute": rng.randrange(lo, hi)})
         if rng.random() < prob:
             segments.append({"hyp_call": None})
     return {"loop": True, "segments": segments}

@@ -1,6 +1,9 @@
+import hashlib
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -13,6 +16,7 @@ import hvsim.engine
 from hvsim.cli import cmd_run, cmd_sweep, main
 from hvsim.schedulers import SCHEDULERS, FixedPriorityScheduler, register
 from hvsim.trace import TraceRecord, metrics_from_trace, read_csv, run_intervals, write_csv, write_json
+from hvsim.workloadgen import expand_generated
 
 from conftest import BAD_SERVICE_CALLS, bad_service_call_manifest, bad_service_call_table, run_manifest
 from manifests import ZERO_COST, busy_workload, edf_manifest, fp_manifest, make_manifest, make_vm, rr_manifest
@@ -39,6 +43,45 @@ def generated_manifest(gen, **vm_fields):
     m = fp_manifest([1], [None], 5 * MS)
     m["vms"][0].update(workload={"generate": gen}, **vm_fields)
     return m
+
+
+# SHA-256 of json.dumps(expand_generated(manifest, seed, 5 ms), sort_keys=True),
+# recorded while the generator drew with rng.randint: any change to the draw
+# sequence changes a script.  "mean-1" clamps the lower bound to 1.
+GENERATED_SCRIPTS = {
+    "defaults": (generated_manifest({"kind": "mixed"}), 7919,
+                 "79a17f8f7d8e86a9a0659002e5c49c628e78e956fd5842bcfa513869f48315a4"),
+    "mean-1": (generated_manifest({"kind": "mixed", "segments": 64, "mean_compute_ns": 1, "hyp_call_prob": 0.5}),
+               7919, "063ca1326afce7ddeb9cfc98af1533a005d2c11d941096618210b274b2f7b7de"),
+    "mean-3-prob-0": (generated_manifest({"kind": "mixed", "segments": 40, "mean_compute_ns": 3,
+                                          "hyp_call_prob": 0}),
+                      104729, "2ba68d16a97e09e6acdf26dc636db517574fd57aafe5590d28ddeacfeaefd8be"),
+    "prob-1": (generated_manifest({"kind": "mixed", "segments": 40, "mean_compute_ns": 1000, "hyp_call_prob": 1}),
+               1, "f36ef264c371b175074039e0837636d4dab27b895e13dc307078dcfd036f1d09"),
+    "three-vms": (rr_manifest(3, 100_000, 5 * MS, workloads=[
+        {"generate": {"kind": "mixed", "segments": 48, "mean_compute_ns": 300_000, "hyp_call_prob": 0.2}},
+        {"generate": {"kind": "busy"}},
+        {"generate": {"kind": "mixed", "mean_compute_ns": 2}},
+    ]), 104729, "4e06e68b0128c35a8b8859258f531b6ba3cef1a4b6b59eb1d159e49b06695f87"),
+}
+
+
+@pytest.mark.parametrize("case", GENERATED_SCRIPTS)
+def test_generated_scripts_are_pinned(case):
+    manifest, seed, digest = GENERATED_SCRIPTS[case]
+    text = json.dumps(expand_generated(manifest, seed, 5 * MS), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_hyp_call_follows_a_draw_strictly_below_its_probability():
+    rng = random.Random(7919 * 1_000_003)  # the generator's stream for vm 0 at seed 7919
+    compute = rng.randrange(500, 2001)
+    draw = rng.random()
+    for prob, script in ((draw, [{"compute": compute}]),
+                         (math.nextafter(draw, 1), [{"compute": compute}, {"hyp_call": None}])):
+        gen = {"kind": "mixed", "segments": 1, "mean_compute_ns": 1000, "hyp_call_prob": prob}
+        assert expand_generated(generated_manifest(gen), 7919, 5 * MS)["vms"][0]["workload"] == {
+            "loop": True, "segments": script}
 
 
 def run_python_process(*argv, interpreter_flags=()):
@@ -122,6 +165,7 @@ MALFORMED_EXPANSION = {
     "vms-entry-int": dict(fp_manifest([1], [None], 5 * MS), vms=[5]),
     "generate-int": generated_manifest(3),
     "busy-extra-key": generated_manifest({"kind": "busy", "bogus": 1}),
+    "busy-mixed-key": generated_manifest({"kind": "busy", "segments": 4}),
     "mixed-extra-key": generated_manifest(dict(MIXED, bogus=1)),
     "kind-missing": generated_manifest({"segments": 4}),
     "kind-list": generated_manifest({"kind": ["busy"]}),

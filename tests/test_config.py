@@ -301,6 +301,68 @@ def test_compute_rejection_text(case):
     assert str(err.value) == message
 
 
+# Exact messages for the other rejected segments, each the second segment of
+# vms[0]'s list workload; the "vms[1]" cases sit in vms[1]'s looping script.
+SEGMENT_REJECTIONS = {
+    "list": ([1], "vms[0].workload[1]: each segment is an object with exactly one key, got [1]"),
+    "two-keys": ({"compute": 5, "wfi": True}, "vms[0].workload[1]: each segment is an object "
+                                              "with exactly one key, got {'compute': 5, 'wfi': True}"),
+    "empty": ({}, "vms[0].workload[1]: each segment is an object with exactly one key, got {}"),
+    "wfi-false": ({"wfi": False}, "vms[0].workload[1].wfi: must be true"),
+    "wfi-1": ({"wfi": 1}, "vms[0].workload[1].wfi: must be true"),
+    "hyp_call-list": ({"hyp_call": [1, 2]}, "vms[0].workload[1].hyp_call: expected a string or null, got [1, 2]"),
+    "hyp_call-false": ({"hyp_call": False}, "vms[0].workload[1].hyp_call: expected a string or null, got False"),
+    "hyp_call-line-break": ({"hyp_call": "a\rb"},
+                            "vms[0].workload[1].hyp_call: payload may not contain a line break"),
+    "unknown-kind": ({"sleep": 5}, "vms[0].workload[1]: unknown segment kind 'sleep'"),
+    "generate": ({"generate": {"kind": "busy"}},
+                 "vms[0].workload[1]: generated workload not expanded; run through the CLI with --seed"),
+    "mmio-not-object": ({"mmio": 5}, "vms[0].workload[1].mmio: expected an object, got int"),
+    "mmio-missing-op": ({"mmio": {"ipa": 0}}, "vms[0].workload[1].mmio: missing keys ['op']"),
+    "mmio-op": ({"mmio": {"ipa": 0, "op": "rw"}}, "vms[0].workload[1].mmio.op: must be read or write, got 'rw'"),
+    "mmio-ipa": ({"mmio": {"ipa": "x", "op": "read"}},
+                 "vms[0].workload[1].mmio.ipa: cannot parse 'x' as an address"),
+    "mmio-value": ({"mmio": {"ipa": 0, "op": "write", "value": -1}},
+                   "vms[0].workload[1].mmio.value: value -1 out of range"),
+    "ivc_notify-negative": ({"ivc_notify": -1},
+                            "vms[0].workload[1].ivc_notify: value -1 out of range [0, 4611686018427387904)"),
+    "ivc_acquire-bool": ({"ivc_acquire": True}, "vms[0].workload[1].ivc_acquire: expected integer, got True"),
+    "ivc_release-unknown": ({"ivc_release": 3}, "vms[0].workload[1]: unknown channel 3"),
+    "vms[1]-wfi": ({"wfi": None}, "vms[1].workload[1].wfi: must be true"),
+    "vms[1]-unknown-kind": ({"wait": 1}, "vms[1].workload[1]: unknown segment kind 'wait'"),
+}
+WORKLOAD_REJECTIONS = {
+    "not-a-list": (5, "vms[0].workload: expected a segment list"),
+    "loop-without-time": ({"loop": True, "segments": [{"compute": 0}, {"wfi": True}]},
+                          "vms[0].workload: a looping script needs a compute segment with time > 0"),
+    "loop-bool": ({"loop": 1, "segments": []}, "vms[0].workload.loop: expected true or false, got 1"),
+    "segments-missing": ({"loop": True}, "vms[0].workload: missing keys ['segments']"),
+}
+
+
+@pytest.mark.parametrize("case", SEGMENT_REJECTIONS)
+def test_segment_rejection_text(case):
+    seg, message = SEGMENT_REJECTIONS[case]
+    m = two_vm_manifest()
+    if case.startswith("vms[1]"):
+        m["vms"][1]["workload"] = {"loop": True, "segments": [{"compute": 5}, seg]}
+    else:
+        m["vms"][0]["workload"] = [{"compute": 5}, seg]
+    with pytest.raises(ConfigError) as err:
+        load_manifest(m)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("case", WORKLOAD_REJECTIONS)
+def test_workload_rejection_text(case):
+    workload, message = WORKLOAD_REJECTIONS[case]
+    m = two_vm_manifest()
+    m["vms"][0]["workload"] = workload
+    with pytest.raises(ConfigError) as err:
+        load_manifest(m)
+    assert str(err.value) == message
+
+
 def test_phys_irqs_and_compute_bounds_load():
     m = two_vm_manifest(phys_irqs=[{"at_ns": 0, "irq": 0}, {"at_ns": 2**62 - 1, "irq": 1023}])
     m["vms"][1]["workload"] = [{"compute": 0}, {"compute": 2**62 - 1}]
@@ -550,6 +612,27 @@ def test_flags_and_mmio_write_value_round_trip():
     assert not spec.gic_boot_init and spec.vms[0].workload.loop
     assert spec.vms[0].workload.segments[1].value == 5
     assert load_config(dumps_config(spec)) == spec
+
+
+def test_every_segment_kind_loads_as_an_immutable_value_that_round_trips():
+    script = [{"compute": 5}, {"hyp_call": "a,b"}, {"hyp_call": None}, {"wfi": True},
+              {"mmio": {"ipa": "0x40000000", "op": "write", "value": 7}},
+              {"mmio": {"ipa": "0x40000000", "op": "read"}},
+              {"ivc_acquire": 5}, {"ivc_release": 5}, {"ivc_notify": 5}]
+    m = channel_manifest()
+    m["vms"][0]["workload"] = {"loop": True, "segments": script}
+    spec = load_manifest(m)
+    text = dumps_config(spec)
+    assert json.loads(text)["vms"][0]["workload"] == {"loop": True, "segments": script}
+    again = load_config(text)
+    assert again == spec and dumps_config(again) == text
+    segments = spec.vms[0].workload.segments
+    assert [seg.payload for seg in segments[1:3]] == ["a,b", ""] and segments[4].value == 7
+    for seg in segments:
+        with pytest.raises(AttributeError):
+            seg.kind = "compute"
+    assert load_manifest(m).vms[0].workload == spec.vms[0].workload
+    assert hash(load_manifest(m).vms[0].workload) == hash(spec.vms[0].workload)
 
 
 @pytest.mark.parametrize("text", ["{\n  broken\n}", "[1, 2]"])
