@@ -126,9 +126,10 @@ _WFI = Segment("wfi")
 _BARE_HYP_CALL = Segment("hyp_call")
 
 
-def _parse_segment(seg, workload: str, i: int) -> Segment:
+def _parse_segment(seg, workload: str, i: int, ivc: list) -> Segment:
     """Segment i of the script at path `workload`; the segment's own path is
-    formatted only where a message or a path-taking parser needs it."""
+    formatted only where a message or a path-taking parser needs it.  An
+    `ivc_*` segment also appends (i, channel) to ivc, for the channel check."""
     if not isinstance(seg, dict) or len(seg) != 1:
         raise ConfigError(f"{workload}[{i}]: each segment is an object with exactly one key, got {seg!r}")
     (key, value), = seg.items()
@@ -163,7 +164,9 @@ def _parse_segment(seg, workload: str, i: int) -> Segment:
             value=parse_addr(value.get("value", 0), f"{where}.mmio.value"),
         )
     if key in ("ivc_notify", "ivc_acquire", "ivc_release"):
-        return Segment(key, channel=_parse_int(value, f"{where}.{key}"))
+        channel = _parse_int(value, f"{where}.{key}")
+        ivc.append((i, channel))
+        return Segment(key, channel=channel)
     if key == "generate":
         raise ConfigError(
             f"{where}: generated workload not expanded; run through the CLI with --seed"
@@ -171,7 +174,7 @@ def _parse_segment(seg, workload: str, i: int) -> Segment:
     raise ConfigError(f"{where}: unknown segment kind {key!r}")
 
 
-def _parse_workload(raw, where: str) -> Workload:
+def _parse_workload(raw, where: str, ivc: list) -> Workload:
     loop = False
     if isinstance(raw, dict):
         _check_keys(raw, {"loop", "segments"}, {"segments"}, where)
@@ -179,7 +182,7 @@ def _parse_workload(raw, where: str) -> Workload:
         raw = raw["segments"]
     if not isinstance(raw, list):
         raise ConfigError(f"{where}: expected a segment list")
-    segments = tuple([_parse_segment(s, where, i) for i, s in enumerate(raw)])
+    segments = tuple([_parse_segment(s, where, i, ivc) for i, s in enumerate(raw)])
     if loop and not any(s.kind == "compute" and s.duration_ns > 0 for s in segments):
         raise ConfigError(f"{where}: a looping script needs a compute segment with time > 0")
     return Workload(segments=segments, loop=loop)
@@ -224,7 +227,7 @@ def _irq_events(raw: list) -> IrqEvents | None:
     return None
 
 
-def _parse_vm(raw, index: int, sched_params: dict, page_pa: dict) -> VmSpec:
+def _parse_vm(raw, index: int, sched_params: dict, page_pa: dict, ivc: list) -> VmSpec:
     where = f"vms[{index}]"
     _check_keys(raw, _VM_KEYS, {"id", "regions", "irqs", "workload"}, where)
     vm_id = _parse_int(raw["id"], f"{where}.id")
@@ -268,7 +271,7 @@ def _parse_vm(raw, index: int, sched_params: dict, page_pa: dict) -> VmSpec:
         regions=tuple(regions),
         assigned_irqs=irqs,
         sched_param=sched_params.get(vm_id),
-        workload=_parse_workload(raw["workload"], f"{where}.workload"),
+        workload=_parse_workload(raw["workload"], f"{where}.workload", ivc),
         shared_pages=tuple(shared),
         virqs=virqs,
     )
@@ -344,7 +347,9 @@ def load_manifest(data: dict) -> SystemSpec:
             raise ConfigError(f"{where}.pa: not 4KB aligned")
         page_pa[page_id] = pa
 
-    vms = tuple(_parse_vm(raw, i, sched_params, page_pa) for i, raw in enumerate(_list(data["vms"], "vms")))
+    raw_vms = _list(data["vms"], "vms")
+    ivc_refs = [[] for _ in raw_vms]  # per VM, (index, channel) of each ivc_* segment
+    vms = tuple(_parse_vm(raw, i, sched_params, page_pa, ivc_refs[i]) for i, raw in enumerate(raw_vms))
     for vm_id in sched_params:
         if not 0 <= vm_id < len(vms):
             raise ConfigError(f"scheduler.sched_param: no such VM {vm_id}")
@@ -401,14 +406,13 @@ def load_manifest(data: dict) -> SystemSpec:
         channel_ends[ch.id] = ch.endpoints
 
     # Channel-referenced ivc segments must come from an endpoint VM.
-    for vm in vms:
-        for i, seg in enumerate(vm.workload.segments):
-            if seg.kind.startswith("ivc_"):
-                where = f"vms[{vm.id}].workload[{i}]"
-                if seg.channel not in channel_ends:
-                    raise ConfigError(f"{where}: unknown channel {seg.channel}")
-                if vm.id not in channel_ends[seg.channel]:
-                    raise ConfigError(f"{where}: vm {vm.id} is not an endpoint of channel {seg.channel}")
+    for vm_id, refs in enumerate(ivc_refs):
+        for i, channel in refs:
+            where = f"vms[{vm_id}].workload[{i}]"
+            if channel not in channel_ends:
+                raise ConfigError(f"{where}: unknown channel {channel}")
+            if vm_id not in channel_ends[channel]:
+                raise ConfigError(f"{where}: vm {vm_id} is not an endpoint of channel {channel}")
 
     raw_irqs = _list(data.get("phys_irqs", []), "phys_irqs")
     phys_irqs = _irq_events(raw_irqs)

@@ -52,7 +52,7 @@ from collections.abc import Callable, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import count, cycle, repeat
 
 from . import framework as fw_mod
 from .framework import Framework, SchedulerServices
@@ -112,16 +112,20 @@ def streaming(sink: Callable[[Trace], None]):
 
 
 class _GuestCtx:
-    """Script cursor for one VM: the current entry is script[idx].  Each run
-    of adjacent compute segments is one `int`, its duration, and each trap
-    its `Segment`; runs do not merge across the loop wrap.  A `Segment` is a
+    """Script cursor for one VM.  A script's entries are its runs of adjacent
+    compute segments, each one `int`, its duration, and its traps, each its
+    `Segment`; runs do not merge across the loop wrap.  `entry` is the current
+    entry: what is left of a compute run, which `_fold_running` counts down, a
+    trap's `Segment`, or None once a non-looping script has ended.  `rest`
+    yields the entries after it, round and round for a looping script, and
+    every advance is `ctx.entry = next(ctx.rest, None)`.  A `Segment` is a
     `NamedTuple`, whose field reads cost more than a plain attribute's, so
     only a trap's handler reads its fields."""
 
-    __slots__ = ("script", "loop", "idx", "remaining", "parked")
+    __slots__ = ("entry", "rest")
 
     def __init__(self, workload):
-        self.script = script = []
+        script = []
         for seg in workload.segments:
             if seg.kind != "compute":
                 script.append(seg)
@@ -129,19 +133,8 @@ class _GuestCtx:
                 script[-1] += seg.duration_ns
             else:
                 script.append(seg.duration_ns)
-        self.loop = workload.loop
-        self.idx = 0
-        self.remaining: Time | None = None  # of the current compute run
-        self.parked = not script
-
-    def advance(self) -> None:
-        self.idx += 1
-        self.remaining = None
-        if self.idx >= len(self.script):
-            if self.loop:
-                self.idx = 0
-            else:
-                self.parked = True
+        self.rest = cycle(script) if workload.loop else iter(script)
+        self.entry = next(self.rest, None)
 
 
 class Engine(SchedulerServices):
@@ -374,7 +367,7 @@ class Engine(SchedulerServices):
         self._resume()
 
     def _do_hyp_call(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
-        seg = ctx.script[ctx.idx]
+        seg = ctx.entry
         self._suspend()
         detail = self._vm_detail[vcpu.id]
         if seg.payload:
@@ -393,7 +386,7 @@ class Engine(SchedulerServices):
         self._end_trap(ctx)
 
     def _do_mmio(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
-        seg = ctx.script[ctx.idx]
+        seg = ctx.entry
         access = PERM_WRITE if seg.op == "write" else PERM_READ
         tr = self.memmap.translate(vcpu.id, seg.ipa, access)
         if tr.kind == KIND_PA:
@@ -401,7 +394,7 @@ class Engine(SchedulerServices):
             self.trace(
                 "mmio_pass", self._actor[vcpu.id], "", 0, f"ipa={seg.ipa:#x};pa={tr.pa:#x};op={seg.op}"
             )
-            ctx.advance()
+            ctx.entry = next(ctx.rest, None)
             self._continue_guest(vcpu, ctx)
             return
         self._suspend()
@@ -433,7 +426,7 @@ class Engine(SchedulerServices):
         self._end_trap(ctx)
 
     def _do_ivc(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
-        seg = ctx.script[ctx.idx]
+        seg = ctx.entry
         ch = self.channels[seg.channel]
         op = seg.kind
         if op == "ivc_notify":
@@ -458,7 +451,7 @@ class Engine(SchedulerServices):
         if not ch.gated:
             # Free-access channels are always available: nothing to do, no trap.
             self.trace(op, self._actor[vcpu.id], "", 0, f"channel={ch.spec.id};variant=free_access;noop=1")
-            ctx.advance()
+            ctx.entry = next(ctx.rest, None)
             self._continue_guest(vcpu, ctx)
             return
 
@@ -488,14 +481,8 @@ class Engine(SchedulerServices):
         self._end_trap(ctx)
 
     def _end_trap(self, ctx: _GuestCtx) -> None:
-        """Leave hyp mode after a guest trap: next segment, checkpoint, resume.
-        The cursor moves as in `_GuestCtx.advance`; at a trap `remaining` is None."""
-        ctx.idx += 1
-        if ctx.idx == len(ctx.script):
-            if ctx.loop:
-                ctx.idx = 0
-            else:
-                ctx.parked = True
+        """Leave hyp mode after a guest trap: next entry, checkpoint, resume."""
+        ctx.entry = next(ctx.rest, None)
         self.fw.dispatch_checkpoint(fw_mod.END_OF_HYP_CALL)
         self._resume()
 
@@ -503,15 +490,15 @@ class Engine(SchedulerServices):
 
     def _end_compute(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
         self._fold_running()  # compute-run boundary: re-base the running span
-        ctx.advance()
-        if ctx.parked or type(entry := ctx.script[ctx.idx]) is int:  # script end or loop wrap
+        ctx.entry = entry = next(ctx.rest, None)
+        if entry is None or type(entry) is int:  # script end or loop wrap
             self._continue_guest(vcpu, ctx)
         else:
             _TRAPS[entry.kind](self, vcpu, ctx)  # it would win the loop's next pass
 
     def _continue_guest(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
         """After a zero-cost step: keep running, or park if the script ended."""
-        if ctx.parked:
+        if ctx.entry is None:
             self._suspend()
             self._resume()
         else:
@@ -520,14 +507,14 @@ class Engine(SchedulerServices):
     def _fold_running(self) -> None:
         """Credit the running guest with CPU time up to now; re-base run_start.
         Guest time passes only in a compute run, so d > 0 means the current
-        entry is one, with `remaining` set, and d is what it consumed."""
+        entry is one and d is what it consumed."""
         d = self._now - self._run_start
         if d:
             cur = self.fw.current
             cur.total_consumed += d
             ctx = self._guest[cur.id]
-            ctx.remaining -= d
-            if ctx.remaining < 0:
+            ctx.entry -= d
+            if ctx.entry < 0:
                 raise ContractViolation(f"vm {cur.id} ran past the end of its compute run")
             self._run_start = self._now
 
@@ -540,7 +527,7 @@ class Engine(SchedulerServices):
         self.trace("vm_pause", self._actor[self.fw.current.id])
 
     def _resume(self) -> None:
-        """Hand the CPU to whoever is Running now; park empty scripts."""
+        """Hand the CPU to whoever is Running now; park ended scripts."""
         while True:
             cur = self.fw.current
             if cur is None:
@@ -557,30 +544,21 @@ class Engine(SchedulerServices):
                 vgic.guest_eoi(vm, virq)
                 self.trace("guest_eoi", actor, "", 0, detail)
             ctx = self._guest[vm]
-            if ctx.parked:
+            if ctx.entry is None:
                 self.trace("vm_park", actor, "", 0, "script done")
                 self.fw.on_vm_sleep(cur)
                 self.fw.dispatch_checkpoint(fw_mod.END_OF_HYP_CALL)
                 continue
-            self._run_start = now = self._now
+            self._run_start = self._now
             self.trace("vm_start", actor)
-            entry = ctx.script[ctx.idx]  # as in _set_step
-            if type(entry) is int:
-                if ctx.remaining is None:
-                    ctx.remaining = entry
-                at = now + ctx.remaining
-                self._step = (at, at + 1, Engine._end_compute, cur, ctx)
-            else:
-                self._step = (now, now, _TRAPS[entry.kind], cur, ctx)
+            self._set_step(cur, ctx)
             return
 
     def _set_step(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
-        entry = ctx.script[ctx.idx]
+        entry = ctx.entry
         now = self._now
         if type(entry) is int:
-            if ctx.remaining is None:
-                ctx.remaining = entry
-            at = now + ctx.remaining
+            at = now + entry
             self._step = (at, at + 1, Engine._end_compute, vcpu, ctx)  # loses a tie at at
         else:
             self._step = (now, now, _TRAPS[entry.kind], vcpu, ctx)  # wins a tie at now

@@ -106,10 +106,7 @@ class EdfScheduler(SchedulerTable):
         timers.clear()
         dispatched = self._dispatched
         if dispatched is not None:
-            st = dispatched.sched_state  # as in _sync
-            st.remaining = st.param.budget - (dispatched.total_consumed - st.mark)
-            if st.remaining < 0:
-                raise ContractViolation(f"vm {dispatched.id} ran past its budget")
+            self._sync(dispatched)
         if now >= self._bound:
             self._sweep(now)
 
@@ -144,10 +141,7 @@ class EdfScheduler(SchedulerTable):
         self.services.set_flag()
 
     def block(self, vcpu: VcpuRecord) -> None:
-        st = vcpu.sched_state  # as in _sync
-        st.remaining = st.param.budget - (vcpu.total_consumed - st.mark)
-        if st.remaining < 0:
-            raise ContractViolation(f"vm {vcpu.id} ran past its budget")
+        self._sync(vcpu)
         self._make_ready(vcpu)
         self.services.set_flag()
 

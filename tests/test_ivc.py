@@ -249,3 +249,7 @@ class TestCalibration:
     def test_unreachable_ratio_rejected(self):
         with pytest.raises(ValueError, match="unreachable"):
             calibrate_tlb_flush(CostModel(), 1.0)
+
+    def test_ratio_reached_at_zero_flush_cost(self):
+        cm = CostModel(hyp_call=1, virtual_interrupt=1)
+        assert calibrate_tlb_flush(cm, 2.0) == 0

@@ -2,10 +2,10 @@ import pytest
 
 from hvsim import load_manifest
 from hvsim.memmap import KIND_FAULT, KIND_MMIO, KIND_PA, MemoryMap
-from hvsim.vgic import DIST_MMIO_BASE
+from hvsim.vgic import DIST_MMIO_BASE, DIST_MMIO_SIZE
 
 from conftest import run_manifest
-from manifests import ZERO_COST, busy_workload, make_manifest
+from manifests import ZERO_COST, busy_workload, fp_manifest, make_manifest
 
 
 def shared_manifest(variant="free_access"):
@@ -60,6 +60,18 @@ def test_linear_map_inside_region(memmap):
 def test_distributor_window_routes_to_mmio(memmap):
     tr = memmap.translate(0, DIST_MMIO_BASE + 0x100, "w")
     assert tr.kind == KIND_MMIO
+
+
+def test_region_from_the_distributor_window_end_is_memory():
+    """The window ends before DIST_MMIO_BASE + DIST_MMIO_SIZE: a region that
+    starts there is passed through, not trapped to the distributor."""
+    end = DIST_MMIO_BASE + DIST_MMIO_SIZE
+    m = fp_manifest([1], [[{"mmio": {"ipa": hex(end), "op": "read"}}]], horizon=1_000_000)
+    m["vms"][0]["regions"] = [{"ipa": hex(end), "pa": "0x40000000", "len": "0x1000", "perms": "rw"}]
+    tr = MemoryMap(load_manifest(m)).translate(0, end, "r")
+    assert tr.kind == KIND_PA and tr.pa == 0x4000_0000
+    res = run_manifest(m, 1_000_000)
+    assert [r.kind for r in res.records if r.kind.startswith(("mmio", "dist"))] == ["mmio_pass"]
 
 
 def test_unmapped_ipa_faults(memmap):
