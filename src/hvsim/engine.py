@@ -56,7 +56,6 @@ from itertools import count, cycle, repeat
 
 from . import framework as fw_mod
 from .framework import Framework, SchedulerServices
-from .ivc import ChannelState
 from .memmap import KIND_MMIO, KIND_PA, MemoryMap
 from .model import (
     ContractViolation,
@@ -65,6 +64,7 @@ from .model import (
     RunState,
     SystemSpec,
     Time,
+    VARIANT_GATED,
     VcpuRecord,
 )
 from .schedulers import get_plugin
@@ -160,7 +160,7 @@ class Engine(SchedulerServices):
             declared_virqs={vm.id: vm.virqs for vm in spec.vms},
             lr_count=spec.lr_count,
         )
-        self.channels: dict[int, ChannelState] = {ch.id: ChannelState(ch) for ch in spec.channels}
+        self.channels = {ch.id: ch for ch in spec.channels}
         self._virq_detail = {i: f"virq={i}" for vm in spec.vms for i in vm.assigned_irqs | vm.virqs}
 
         table_cls = get_plugin(spec.scheduler_name)
@@ -188,9 +188,9 @@ class Engine(SchedulerServices):
     def trace(self, kind: str, actor: str = "hv", cost_field="", cost_ns=0, detail="") -> None:
         self._flat.extend((self._now, actor, kind, cost_field, cost_ns, detail))
 
-    def charge(self, kind: str, cost_field: str, detail="", actor: str = "hv") -> None:
+    def charge(self, kind: str, cost_field: str, detail="") -> None:
         cost = self._cost_ns[cost_field]
-        self.trace(kind, actor, cost_field, cost, detail)
+        self.trace(kind, "hv", cost_field, cost, detail)
         self._now += cost
 
     def set_flag(self) -> None:
@@ -431,13 +431,13 @@ class Engine(SchedulerServices):
         op = seg.kind
         if op == "ivc_notify":
             self._suspend()
-            peer = ch.peer(vcpu.id)
+            i = 1 if ch.endpoints[0] == vcpu.id else 0  # the peer's index
+            peer, virq = ch.endpoints[i], ch.virqs[i]
             self.charge(
                 "ivc_notify",
                 "hyp_call",
-                detail=f"channel={ch.spec.id};from={vcpu.id};to={peer}",
+                detail=f"channel={ch.id};from={vcpu.id};to={peer}",
             )
-            virq = ch.notify_virq_for(peer)
             outcome = self.vgic.inject_soft(peer, virq)
             self.charge(
                 "virq_inject",
@@ -448,36 +448,38 @@ class Engine(SchedulerServices):
             self._end_trap(ctx)
             return
 
-        if not ch.gated:
+        if ch.variant != VARIANT_GATED:
             # Free-access channels are always available: nothing to do, no trap.
-            self.trace(op, self._actor[vcpu.id], "", 0, f"channel={ch.spec.id};variant=free_access;noop=1")
+            self.trace(op, self._actor[vcpu.id], "", 0, f"channel={ch.id};variant=free_access;noop=1")
             ctx.entry = next(ctx.rest, None)
             self._continue_guest(vcpu, ctx)
             return
 
-        # Acquire succeeds on a free gate, release only for the holder; either
-        # way a refused op still costs its hyp call.
+        # The gate's holder is the endpoint its pages are mapped into.  Acquire
+        # succeeds on a free gate, release only for the holder; either way a
+        # refused op still costs its hyp call.
         self._suspend()
+        mapped = self.memmap.mapped
+        holder = next((vm for vm in ch.endpoints if ch.pages[0] in mapped[vm]), None)
         acquire = op == "ivc_acquire"
-        where = f"channel={ch.spec.id};vm={vcpu.id}"
-        if ch.held_by != (None if acquire else vcpu.id):
-            holder = "-" if ch.held_by is None else ch.held_by
+        where = f"channel={ch.id};vm={vcpu.id}"
+        if holder != (None if acquire else vcpu.id):
+            who = "-" if holder is None else holder
             self.charge(
                 "ivc_busy",
                 "hyp_call",
-                detail=f"channel={ch.spec.id};op={op.removeprefix('ivc_')};vm={vcpu.id};held_by={holder}",
+                detail=f"channel={ch.id};op={op.removeprefix('ivc_')};vm={vcpu.id};held_by={who}",
             )
         else:
             self.charge(op, "hyp_call", detail=where)
             remap = self.memmap.map_shared_page if acquire else self.memmap.unmap_shared_page
-            for pid in ch.spec.pages:
+            for pid in ch.pages:
                 remap(vcpu.id, pid)
             self.charge(
                 "stage2_map" if acquire else "stage2_unmap",
                 "tlb_flush",
-                detail=f"{where};pages={len(ch.spec.pages)}",
+                detail=f"{where};pages={len(ch.pages)}",
             )
-            ch.held_by = vcpu.id if acquire else None
         self._end_trap(ctx)
 
     def _end_trap(self, ctx: _GuestCtx) -> None:

@@ -4,32 +4,13 @@ Two variants.  free_access maps the pages into both endpoints from boot and
 acquire/release are no-ops; notification is a hyp call that injects the
 peer's agreed virq.  hypcall_gated keeps the pages unmapped and hands them to
 one endpoint at a time: acquire and release each modify the stage-2 table,
-which costs a hyp call plus a TLB flush.
+which costs a hyp call plus a TLB flush.  The stage-2 map is the gate's only
+state, and `Engine._do_ivc` runs both variants; this module holds their costs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .model import VARIANT_GATED, ChannelSpec, CostModel, VmId
-
-
-@dataclass
-class ChannelState:
-    spec: ChannelSpec
-    held_by: VmId | None = None
-
-    @property
-    def gated(self) -> bool:
-        return self.spec.variant == VARIANT_GATED
-
-    def peer(self, vm: VmId) -> VmId:
-        a, b = self.spec.endpoints
-        return b if vm == a else a
-
-    def notify_virq_for(self, receiver: VmId) -> int:
-        a, _ = self.spec.endpoints
-        return self.spec.virqs[0] if receiver == a else self.spec.virqs[1]
+from .model import CostModel
 
 
 def free_transfer_cost(cm: CostModel) -> int:

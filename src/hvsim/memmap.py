@@ -4,9 +4,12 @@ Accesses inside an owned region pass through at zero hypervisor cost.  The
 distributor window routes to MMIO emulation.  Everything else is a stage-2
 fault.  A shared 4 KB page maps only at the IPA and with the perms its VM
 declares; the gated inter-VM channel variant grants and revokes access by
-mapping and unmapping it at runtime.  load_manifest's layout checks keep
-every VM's regions, shared pages and the distributor window disjoint, so at
-most one mapping covers any IPA.
+mapping and unmapping it at runtime.  The map is the gate's only state: a
+gated channel is held by the endpoint whose `mapped` holds its pages, since
+the loader gives each page at most one channel and only acquire and release
+remap a gated page.  load_manifest's layout checks keep every VM's regions,
+shared pages and the distributor window disjoint, so at most one mapping
+covers any IPA.
 """
 
 from __future__ import annotations

@@ -200,9 +200,12 @@ class FixedPriorityScheduler(SchedulerTable):
 
     Each vCPU's sched_state is its rank, (priority, VM id).  One set, _awake,
     holds every vCPU that is not asleep, the dispatched one included, so a
-    preempted VM needs no bookkeeping.  The flag is raised whenever a table
-    operation changes which vCPU ought to be running: when the dispatched VM
-    goes to sleep, or a VM wakes that outranks every awake one.
+    preempted VM needs no bookkeeping.  The flag is raised when a VM wakes
+    that outranks every awake one and, as in EDF and RR, whenever the
+    dispatched VM goes to sleep.  The sleeper is then always the best awake
+    vCPU: the dispatched one is after every schedule(), and before it can trap
+    only an unblock changes the awake set; one that outranks raises the flag,
+    so schedule() runs again before the guest resumes.
     """
 
     def __init__(self, services: SchedulerServices, priorities: dict[int, int]):
@@ -234,10 +237,9 @@ class FixedPriorityScheduler(SchedulerTable):
         return self._dispatched
 
     def yield_(self) -> None:
-        sleeper, self._dispatched = self._dispatched, None
-        if sleeper is not None and sleeper is self._should_run():
-            self.services.set_flag()
-        self._awake.discard(sleeper)
+        self._awake.discard(self._dispatched)
+        self._dispatched = None
+        self.services.set_flag()
 
     def block(self, vcpu: VcpuRecord) -> None:
         pass  # a preempted VM stays awake

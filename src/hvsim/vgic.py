@@ -14,7 +14,9 @@ entries; slot order is not modelled.  An assigned irq is active exactly while
 its target's LRs hold it, and an entry is linked to its physical interrupt
 exactly when its id is an assigned irq, so the guest's EOI of it is the
 physical one.  The distributor keeps only the enable, latch and priority
-bits and the banked CTLR.
+bits, a read-only CPU-target byte per interrupt and the banked CTLR.  Each
+register after CTLR is one row of `_BANKS`, a field per interrupt, and
+`mmio` reads or writes a word's visible fields by that row.
 
 This module is a pure state machine.  Costs, wakeups and checkpoints are the
 engine's business; methods only report what happened.  The three calls the
@@ -44,14 +46,19 @@ GICD_ICPENDR = 0x280
 GICD_IPRIORITYR = 0x400
 GICD_ITARGETSR = 0x800
 
-_N_WORDS = N_INTERRUPTS // 32
-_N_PRIO_WORDS = N_INTERRUPTS // 4
-# The set/clear banks: (offset, the bit array they act on, whether they set).
-_BIT_BANKS = (
-    (GICD_ISENABLER, "enabled", True),
-    (GICD_ICENABLER, "enabled", False),
-    (GICD_ISPENDR, "pending", True),
-    (GICD_ICPENDR, "pending", False),
+# A bank's write rule: set or clear the cells of the 1 bits, store each field,
+# or ignore the write.
+_SET, _CLEAR, _STORE, _IGNORE = "set", "clear", "store", "ignore"
+# The banks after GICD_CTLR, each a fixed-width field per interrupt (GICv2,
+# ARM IHI 0048B): (offset, bits per interrupt, backing array, write rule).
+# Retargeting writes are ignored: the assignment is static.
+_BANKS = (
+    (GICD_ISENABLER, 1, "enabled", _SET),
+    (GICD_ICENABLER, 1, "enabled", _CLEAR),
+    (GICD_ISPENDR, 1, "pending", _SET),
+    (GICD_ICPENDR, 1, "pending", _CLEAR),
+    (GICD_IPRIORITYR, 8, "priority", _STORE),
+    (GICD_ITARGETSR, 8, "_cpu_targets", _IGNORE),
 )
 
 # Guest-physical window the distributor occupies (trapped, never pass-through).
@@ -99,6 +106,8 @@ class Vgic:
         self.enabled = [False] * N_INTERRUPTS
         self.pending = [False] * N_INTERRUPTS
         self.priority = bytearray(N_INTERRUPTS)
+        # ITARGETSR's cells: CPU 0 for an assigned irq, none for a virq.
+        self._cpu_targets = bytes(irq in self.irq_targets for irq in range(N_INTERRUPTS))
         self.ctlr = {vm: False for vm in declared_virqs}
         self.lrs: dict[VmId, dict[int, list]] = {vm: {} for vm in declared_virqs}
         self.lr_count = lr_count
@@ -128,62 +137,34 @@ class Vgic:
                 self.ctlr[vm] = bool(value & 1)
                 return MmioEffect(injections=self._drain(vm) if self.ctlr[vm] else [])
             return MmioEffect(read_value=int(self.ctlr[vm]))
-        for base, name, set_bits in _BIT_BANKS:
-            if base <= offset < base + 4 * _N_WORDS:
-                return self._rw_bits(vm, (offset - base) // 4, is_write, value, getattr(self, name), set_bits)
-        if GICD_IPRIORITYR <= offset < GICD_IPRIORITYR + 4 * _N_PRIO_WORDS:
-            return self._rw_priority(vm, (offset - GICD_IPRIORITYR) // 4, is_write, value)
-        if GICD_ITARGETSR <= offset < GICD_ITARGETSR + 4 * _N_PRIO_WORDS:
-            if is_write:
-                return MmioEffect()  # static assignment: retargeting writes ignored
-            base = ((offset - GICD_ITARGETSR) // 4) * 4
-            word = 0
-            for k in range(4):
-                irq = base + k
-                if self.irq_targets.get(irq) == vm:
-                    word |= 0x01 << (8 * k)
-            return MmioEffect(read_value=word)
-        return MmioEffect(unmodeled=True)
-
-    def _rw_bits(self, vm, word_idx, is_write, value, bits, set_bits) -> MmioEffect:
-        base = word_idx * 32
-        vis = self._visible[vm]
+        for base, width, name, rule in _BANKS:
+            if base <= offset < base + width * N_INTERRUPTS // 8:
+                break
+        else:
+            return MmioEffect(unmodeled=True)
+        cells = getattr(self, name)
+        first = (offset - base) * 8 // width  # the word's first interrupt
+        # The word's visible fields: interrupt irq sits at bit (irq - first) * width.
+        fields = self._visible[vm].intersection(range(first, first + 32 // width))
         if not is_write:
             out = 0
-            for k in range(32):
-                irq = base + k
-                if irq in vis and bits[irq]:
-                    out |= 1 << k
+            for irq in fields:
+                out |= cells[irq] << (irq - first) * width
             return MmioEffect(read_value=out)
+        if rule is _STORE:
+            for irq in fields:
+                cells[irq] = value >> (irq - first) * 8 & 0xFF
+            return MmioEffect()
+        if rule is _IGNORE:
+            return MmioEffect()
+        # Writing 0 has no effect on a set/clear bank, and SGIs never change.
+        on = rule is _SET
         changed = False
-        for k in range(32):
-            irq = base + k
-            if not (value >> k) & 1:
-                continue  # writing 0 has no effect on set/clear registers
-            if irq not in vis or irq < SGI_COUNT:
-                continue  # silently ignore other VMs' interrupts
-            if bits[irq] != set_bits:
-                bits[irq] = set_bits
+        for irq in fields:
+            if value >> (irq - first) & 1 and irq >= SGI_COUNT and cells[irq] != on:
+                cells[irq] = on
                 changed = True
-        if changed and set_bits:
-            return MmioEffect(injections=self._drain(vm))
-        return MmioEffect()
-
-    def _rw_priority(self, vm, word_idx, is_write, value) -> MmioEffect:
-        base = word_idx * 4
-        vis = self._visible[vm]
-        if not is_write:
-            out = 0
-            for k in range(4):
-                irq = base + k
-                if irq in vis:
-                    out |= self.priority[irq] << (8 * k)
-            return MmioEffect(read_value=out)
-        for k in range(4):
-            irq = base + k
-            if irq in vis:
-                self.priority[irq] = (value >> (8 * k)) & 0xFF
-        return MmioEffect()
+        return MmioEffect(injections=self._drain(vm) if changed and on else [])
 
     # -- interrupt flow --------------------------------------------------
 

@@ -75,8 +75,11 @@ def test_region_from_the_distributor_window_end_is_memory():
 
 
 def test_unmapped_ipa_faults(memmap):
-    tr = memmap.translate(2, 0x6000_0000, "r")
-    assert tr.kind == KIND_FAULT and tr.reason == "unmapped"
+    # vm2 declares no shared page, and 0x40004000 is the first byte past vm0's
+    # region, where nothing else is mapped.
+    for vm, ipa in ((2, 0x6000_0000), (0, 0x4000_4000)):
+        tr = memmap.translate(vm, ipa, "r")
+        assert tr.kind == KIND_FAULT and tr.reason == "unmapped"
 
 
 def test_permission_fault(memmap):

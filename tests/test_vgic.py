@@ -98,6 +98,21 @@ class TestRegisters:
         assert not any(gic.pending[:16])
         assert gic.phys_arrival(3).outcome == "dropped"
 
+    def test_first_non_sgi_is_writable_and_the_last_sgi_is_not(self):
+        """A VM owning irqs 15 and 16 (a target map built by hand; the loader
+        never assigns an SGI) sets and clears 16 through the bit banks, while
+        the same writes leave SGI 15 alone."""
+        gic = Vgic({15: 0, 16: 0}, {0: frozenset()})
+        both = (1 << 15) | (1 << 16)
+        gic.mmio(0, GICD_ISENABLER, True, both)
+        gic.mmio(0, GICD_ISPENDR, True, both)  # distributor off: 16 stays latched
+        assert gic.enabled[15:17] == gic.pending[15:17] == [False, True]
+        assert gic.mmio(0, GICD_ISPENDR, False).read_value == 1 << 16
+        gic.enabled[15] = gic.pending[15] = True
+        gic.mmio(0, GICD_ICENABLER, True, both)
+        gic.mmio(0, GICD_ICPENDR, True, both)
+        assert gic.enabled[15:17] == gic.pending[15:17] == [True, False]
+
 
 class TestInterruptFlow:
     def test_arrival_injects_into_target(self):
