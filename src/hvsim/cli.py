@@ -1,7 +1,9 @@
 """Command-line front end: run a manifest, or sweep one numeric field.
 
 A run streams its trace: each block of records the engine hands over is
-written and folded into the metrics, then dropped.
+written and folded into the metrics, and the run spans the fold closes are
+written to timeline.dat; then all of it is dropped, so a run's memory does
+not grow with its horizon.
 
 Exit codes: 0 clean run, 2 configuration error, 3 scheduler contract
 violation (the partial trace is still written), 4 I/O error, also one
@@ -18,7 +20,7 @@ from pathlib import Path
 from . import engine, workloadgen
 from .config import load_manifest, parse_json
 from .model import ConfigError, SystemSpec
-from .trace import CSV_HEADER, Fold, MetricsReport, write_csv, write_json, write_timeline
+from .trace import CSV_HEADER, TIMELINE_HEADER, Fold, MetricsReport, write_csv, write_json, write_timeline
 from .trace import run_intervals  # noqa: F401  perfbench's tracing wraps hvsim.cli.run_intervals
 
 EXIT_OK = 0
@@ -40,32 +42,44 @@ def _expand(text: str, horizon_ns: int, seed) -> dict:
 
 
 def _run(spec: SystemSpec, horizon_ns: int, out_dir: Path, fmt: str) -> MetricsReport:
-    """Run spec, streaming its trace into out_dir, then write metrics.json and
-    timeline.dat.  An aborted run raises SimulationAborted with its partial
-    trace written and nothing else; a failed write raises OSError, also from
-    inside the run."""
+    """Run spec, streaming its trace into out_dir and its run spans into
+    timeline.dat, then write metrics.json.  Each block's spans are written and
+    dropped as soon as the fold closes them, so memory does not grow with the
+    horizon.  timeline.dat is written under a temporary name and renamed once
+    metrics.json is written.  An aborted run raises SimulationAborted with its
+    partial trace written and nothing else; a failed write raises OSError,
+    also from inside the run."""
     out_dir.mkdir(parents=True, exist_ok=True)
     fold = Fold(horizon_ns, [vm.id for vm in spec.vms])
+    spans = fold.spans
     as_json = fmt == "json"
-    with open(out_dir / ("trace.json" if as_json else "trace.csv"), "w") as fh:
-        if not as_json:
-            fh.write(CSV_HEADER + "\n")
+    partial = out_dir / "timeline.dat.tmp"
+    try:
+        with open(partial, "w") as timeline, \
+                open(out_dir / ("trace.json" if as_json else "trace.csv"), "w") as fh:
+            timeline.write(TIMELINE_HEADER + "\n")
+            if not as_json:
+                fh.write(CSV_HEADER + "\n")
 
-        def sink(block):
-            if as_json:
-                write_json(block, fh)
-            else:
-                write_csv(block, fh, header=False)
-            fold.feed(block)
+            def sink(block):
+                if as_json:
+                    write_json(block, fh)
+                else:
+                    write_csv(block, fh, header=False)
+                fold.feed(block)
+                write_timeline(spans, timeline)
+                spans.clear()
 
-        with engine.streaming(sink):
-            engine.run(spec, horizon_ns)
-    metrics = fold.result()
-    with open(out_dir / "metrics.json", "w") as fh:
-        json.dump(metrics.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out_dir / "timeline.dat", "w") as fh:
-        write_timeline(fold.spans, fh)
+            with engine.streaming(sink):
+                engine.run(spec, horizon_ns)
+            metrics = fold.result()
+            write_timeline(spans, timeline)
+        with open(out_dir / "metrics.json", "w") as fh:
+            json.dump(metrics.to_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        partial.replace(out_dir / "timeline.dat")
+    finally:
+        partial.unlink(missing_ok=True)  # gone already unless the run failed
     return metrics
 
 

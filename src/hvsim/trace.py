@@ -11,9 +11,10 @@ it is read.  The writers read a `Trace`'s slots directly; every reader also
 takes a plain list of records, such as `read_csv` returns.
 
 `Fold` is the one metrics fold: it takes the records in blocks, in order,
-and keeps only counters, the run spans and the busy-time union, never the
-records.  `metrics_from_trace` and `run_intervals` are one `feed` over a
-whole trace; a streamed run (see `engine.streaming`) feeds it block by block.
+and keeps only counters, the run spans (which a streaming caller drains as
+it goes) and the busy-time union, never the records.  `metrics_from_trace`
+and `run_intervals` are one `feed` over a whole trace; a streamed run (see
+`engine.streaming`) feeds it block by block.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import Iterable, NamedTuple
 from .model import Time
 
 CSV_HEADER = "time_ns,actor,kind,cost_field,cost_ns,detail"
+TIMELINE_HEADER = "# time_ns vm_id state"  # timeline.dat's first line
 _CSV_FORMAT = "%s,%s,%s,%s,%s,%s"  # a record's fields in CSV_HEADER order
 _WIDTH = len(CSV_HEADER.split(","))  # slots per record in a Trace
 _CSV_BLOCK = 512  # records (or timeline spans) formatted by one % in a writer
@@ -135,9 +137,11 @@ def write_json(records: Iterable[TraceRecord], fh) -> None:
 
 
 def write_timeline(spans: list, fh) -> None:
-    """gnuplot columns time_ns vm_id state: per run span, state 1 at its
-    start and 0 at its end; spans are flat (start, end, vm), as `Fold.spans`."""
-    fh.write("# time_ns vm_id state\n")
+    """timeline.dat's lines for spans, in the gnuplot columns of
+    TIMELINE_HEADER, which the caller writes first: per run span, state 1 at
+    its start and 0 at its end.  Spans are flat (start, end, vm), as
+    `Fold.spans`; writing them in any number of calls, in order, gives the
+    same bytes."""
     step = 3 * _CSV_BLOCK
     for k in range(0, len(spans), step):
         block = spans[k : k + step]
@@ -257,12 +261,14 @@ class Fold:
 
     Per-VM counters cover vm_ids and any other VM the records name.  `spans`
     holds the run spans, clamped to the horizon, as flat (start, end, vm)
-    ints.  Idle time is the horizon minus the union of busy spans (run spans
-    and cost windows), so any double booking shows up as a conservation
-    failure.  The record pass adds each busy span to the union as it meets
-    it: closed disjoint intervals, one per idle gap, plus the open one; a
-    span that starts before the open interval (none does in an engine trace)
-    waits in a late list.  `result()` merges them all by sort, so the union
+    ints; a streaming caller may write them out and clear the list in place
+    between feeds, as the CLI does, and `result()` then adds only a span
+    still open at the end.  Idle time is the horizon minus the union of busy
+    spans (run spans and cost windows), so any double booking shows up as a
+    conservation failure.  The record pass adds each busy span to the union
+    as it meets it: closed disjoint intervals, one per idle gap, plus the open
+    one; a span that starts before the open interval (none does in an engine
+    trace) waits in a late list.  `result()` merges them all by sort, so the union
     is exact for any record order.
     """
 
