@@ -10,7 +10,7 @@
 import json
 
 from hvsim import CostModel, load_manifest, run
-from hvsim.ivc import calibrate_tlb_flush, free_transfer_cost, gated_transfer_cost
+from hvsim.model import calibrate_tlb_flush, free_transfer_cost, gated_transfer_cost
 
 MS = 1_000_000
 K = 6  # transfers

@@ -3,15 +3,7 @@ hypervisor with a pluggable VM-scheduling function table, a GICv2-subset
 virtual interrupt controller, stage-2 memory partitioning, and shared-memory
 inter-VM channels."""
 
-from .config import (
-    CostReport,
-    dump_config,
-    dumps_config,
-    implied_clock_mhz,
-    load_config,
-    load_manifest,
-    validate_cost_model,
-)
+from .config import dump_config, dumps_config, load_config, load_manifest
 from .engine import Engine, RunResult, SimulationAborted, run
 from .framework import (
     END_OF_HYP_CALL,
@@ -24,6 +16,7 @@ from .model import (
     ConfigError,
     ContractViolation,
     CostModel,
+    CostReport,
     MemRegion,
     RunState,
     Segment,
@@ -32,6 +25,8 @@ from .model import (
     VmSpec,
     Workload,
     ZERO_COST,
+    implied_clock_mhz,
+    validate_cost_model,
 )
 from .schedulers import SCHEDULERS, register
 from .trace import MetricsReport, Trace, TraceRecord, compare_traces, metrics_from_trace

@@ -13,21 +13,20 @@ Top level:
     lr_count       list-register slots per VM (default 4)
     gic_boot_init  pre-enable each VM's virtual distributor (default true)
 
-Addresses and lengths may be JSON integers, decimal strings, or 0x-hex
-strings.  All time quantities are integer nanoseconds.
+Addresses and lengths are JSON integers or strings spelled [0-9]+ or
+0[xX][0-9a-fA-F]+ (ASCII only).  All time quantities are integer nanoseconds.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import re
 from functools import partial
 from operator import itemgetter
 
 from .model import (
     DEFAULT_LR_COUNT,
     MAX_TIME,
-    MEASURED_LATENCIES,
     PAGE_SIZE,
     VARIANT_FREE,
     VARIANT_GATED,
@@ -62,6 +61,7 @@ _VM_KEYS = {"id", "regions", "irqs", "virqs", "shared_pages", "workload"}
 _REGION_KEYS = {"ipa", "pa", "len", "perms"}
 _IRQ_KEYS = {"at_ns", "irq"}
 _GIC_IDS = 1024  # a scripted arrival may name any of the 1024 GIC interrupt ids
+_ADDR = re.compile(r"[0-9]+|0[xX][0-9a-fA-F]+")  # the only spellings of an address string
 
 
 def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -87,9 +87,11 @@ def parse_addr(value, where: str) -> int:
     if isinstance(value, int):
         out = value
     elif isinstance(value, str):
-        try:
-            out = int(value, 16) if value.lower().startswith("0x") else int(value, 10)
-        except ValueError:
+        try:  # int() alone would also take signs, blanks, underscores and non-ASCII digits
+            if not _ADDR.fullmatch(value):
+                raise ValueError
+            out = int(value, 16 if value[1:2] in ("x", "X") else 10)
+        except ValueError:  # also a decimal string longer than int() converts
             raise ConfigError(f"{where}: cannot parse {value!r} as an address") from None
     else:
         raise ConfigError(f"{where}: expected integer or string, got {value!r}")
@@ -195,12 +197,8 @@ def _parse_cost_model(raw) -> CostModel:
     if raw is None:
         return CostModel()
     _check_keys(raw, set(CostModel.FIELDS), set(), "cost_model")
-    defaults = CostModel()
-    values = {
-        name: _parse_int(raw.get(name, getattr(defaults, name)), f"cost_model.{name}")
-        for name in CostModel.FIELDS
-    }
-    return CostModel(**values)
+    return CostModel(**{name: _parse_int(raw[name], f"cost_model.{name}")
+                        for name in CostModel.FIELDS if name in raw})
 
 
 def _interrupt_ids(raw, where: str) -> frozenset[int]:
@@ -551,67 +549,3 @@ def dump_config(spec: SystemSpec) -> dict:
 
 def dumps_config(spec: SystemSpec) -> str:
     return json.dumps(dump_config(spec), indent=2, sort_keys=True) + "\n"
-
-
-# -- cost-model consistency -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CostRow:
-    field: str
-    time_ns: int
-    cycles: float
-    reference_cycles: int | None  # None for fields without a measured row
-    deviation: float | None  # |cycles - reference| / reference
-
-
-@dataclass(frozen=True)
-class CostReport:
-    clock_mhz: float
-    rows: tuple[CostRow, ...]
-
-    def max_reference_deviation(self) -> float:
-        return max((r.deviation for r in self.rows if r.deviation is not None), default=0.0)
-
-    def consistent(self, tolerance: float = 0.001) -> bool:
-        """True when every measured row agrees with the clock within tolerance."""
-        return all(
-            r.deviation is not None and r.deviation <= tolerance
-            for r in self.rows
-            if r.reference_cycles is not None
-        )
-
-    def __str__(self) -> str:
-        lines = [f"clock {self.clock_mhz:.3f} MHz"]
-        for r in self.rows:
-            ref = "-" if r.reference_cycles is None else str(r.reference_cycles)
-            dev = "-" if r.deviation is None else f"{100 * r.deviation:.4f}%"
-            lines.append(
-                f"  {r.field:<22} {r.time_ns / 1000:8.2f} us  {r.cycles:10.1f} cyc"
-                f"  ref {ref:>6}  dev {dev}"
-            )
-        return "\n".join(lines)
-
-
-def implied_clock_mhz() -> float:
-    """Clock frequency implied by the measured (time, cycle) pairs."""
-    ratios = [cycles / (ns / 1000) for ns, cycles in MEASURED_LATENCIES.values()]
-    return sum(ratios) / len(ratios)
-
-
-def validate_cost_model(cm: CostModel, clock_mhz: float) -> CostReport:
-    """Report cycles = time x clock for each latency and, for fields with a
-    measured reference, the deviation from the reference cycle count."""
-    if clock_mhz <= 0:
-        raise ConfigError(f"clock_mhz must be > 0, got {clock_mhz}")
-    rows = []
-    for name in CostModel.FIELDS:
-        ns = getattr(cm, name)
-        cycles = ns * clock_mhz / 1000.0
-        ref = None
-        dev = None
-        if name in MEASURED_LATENCIES and ns == MEASURED_LATENCIES[name][0]:
-            ref = MEASURED_LATENCIES[name][1]
-            dev = abs(cycles - ref) / ref
-        rows.append(CostRow(name, ns, cycles, ref, dev))
-    return CostReport(clock_mhz=clock_mhz, rows=tuple(rows))

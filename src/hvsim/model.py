@@ -1,5 +1,6 @@
 """Core domain types: VM identity, static resource specs, vCPU runtime
-records, virtual time, and the hypervisor cost model.
+records, virtual time, and the hypervisor cost model with its consistency
+report and channel transfer costs.
 
 Everything except :class:`VcpuRecord` is immutable after configuration load;
 the simulation engine owns all mutable state and runs single-threaded.
@@ -41,7 +42,7 @@ class RunState(enum.Enum):
 
 # Microbenchmark latencies measured on a 912 MHz Cortex-A7 class board:
 # (nanoseconds, cycles).  The cycle column is what the cost-model consistency
-# report checks against; see config.validate_cost_model.
+# report checks against; see validate_cost_model below.
 MEASURED_LATENCIES = {
     "hyp_call": (6_580, 6_000),
     "world_switch": (25_840, 23_564),
@@ -49,10 +50,91 @@ MEASURED_LATENCIES = {
     "virtual_interrupt": (29_710, 27_094),
 }
 
+
+@dataclass(frozen=True)
+class CostRow:
+    field: str
+    time_ns: int
+    cycles: float
+    reference_cycles: int | None  # None for fields without a measured row
+    deviation: float | None  # |cycles - reference| / reference
+
+
+@dataclass(frozen=True)
+class CostReport:
+    clock_mhz: float
+    rows: tuple[CostRow, ...]
+
+    def max_reference_deviation(self) -> float:
+        return max((r.deviation for r in self.rows if r.deviation is not None), default=0.0)
+
+    def consistent(self, tolerance: float = 0.001) -> bool:
+        """True when every measured row agrees with the clock within tolerance."""
+        return all(r.deviation is not None and r.deviation <= tolerance
+                   for r in self.rows if r.reference_cycles is not None)
+
+    def __str__(self) -> str:
+        lines = [f"clock {self.clock_mhz:.3f} MHz"]
+        for r in self.rows:
+            ref = "-" if r.reference_cycles is None else str(r.reference_cycles)
+            dev = "-" if r.deviation is None else f"{100 * r.deviation:.4f}%"
+            lines.append(
+                f"  {r.field:<22} {r.time_ns / 1000:8.2f} us  {r.cycles:10.1f} cyc"
+                f"  ref {ref:>6}  dev {dev}"
+            )
+        return "\n".join(lines)
+
+
+def implied_clock_mhz() -> float:
+    """Clock frequency implied by the measured (time, cycle) pairs."""
+    ratios = [cycles / (ns / 1000) for ns, cycles in MEASURED_LATENCIES.values()]
+    return sum(ratios) / len(ratios)
+
+
+def validate_cost_model(cm: CostModel, clock_mhz: float) -> CostReport:
+    """Report cycles = time x clock for each latency and, for fields with a
+    measured reference, the deviation from the reference cycle count."""
+    if clock_mhz <= 0:
+        raise ConfigError(f"clock_mhz must be > 0, got {clock_mhz}")
+    rows = []
+    for name in CostModel.FIELDS:
+        ns = getattr(cm, name)
+        cycles = ns * clock_mhz / 1000.0
+        ref = dev = None
+        if name in MEASURED_LATENCIES and ns == MEASURED_LATENCIES[name][0]:
+            ref = MEASURED_LATENCIES[name][1]
+            dev = abs(cycles - ref) / ref
+        rows.append(CostRow(name, ns, cycles, ref, dev))
+    return CostReport(clock_mhz=clock_mhz, rows=tuple(rows))
+
+
 # Default TLB-flush cost.  Not a measurement: chosen so that the reference
-# gated inter-VM transfer costs 10x the free-access one (ivc.calibrate_tlb_flush
-# solves the same linear equation).
+# gated inter-VM transfer costs 10x the free-access one (calibrate_tlb_flush
+# below solves the same linear equation).
 DEFAULT_TLB_FLUSH_NS = 156_725
+
+
+def free_transfer_cost(cm: CostModel) -> int:
+    """Hypervisor cost of one free-access transfer: notify = hyp call + virq."""
+    return cm.hyp_call + cm.virtual_interrupt
+
+
+def gated_transfer_cost(cm: CostModel) -> int:
+    """One gated transfer adds an acquire/release pair around the notify."""
+    return free_transfer_cost(cm) + 2 * (cm.hyp_call + cm.tlb_flush)
+
+
+def calibrate_tlb_flush(cm: CostModel, target_ratio: float = 10.0) -> int:
+    """Solve for the tlb_flush cost that makes gated/free = target_ratio.
+
+    gated = free + 2*(hyp_call + tlb)  =>  tlb = (ratio-1)*free/2 - hyp_call.
+    The result is a model calibration, not a measured value.
+    """
+    free = free_transfer_cost(cm)
+    tlb = round((target_ratio - 1.0) * free / 2.0) - cm.hyp_call
+    if tlb < 0:
+        raise ValueError(f"target ratio {target_ratio} unreachable with {cm}")
+    return tlb
 
 
 @dataclass(frozen=True)
@@ -168,16 +250,20 @@ class SharedPage:
     pa: int
 
 
+# free_access maps a channel's pages into both endpoints from boot, and acquire
+# and release are no-ops.  hypcall_gated maps them into one endpoint at a time:
+# each acquire and release modifies stage 2, a hyp call plus a TLB flush.
 VARIANT_FREE = "free_access"
 VARIANT_GATED = "hypcall_gated"
 
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Inter-VM channel: shared pages plus per-endpoint notification virqs.
+    """Inter-VM channel: shared 4 KB pages plus per-endpoint notification virqs.
 
     virqs[i] is the interrupt delivered TO endpoints[i] when the peer
-    notifies.
+    notifies, by a hyp call under either variant.  `Engine._do_ivc` runs both
+    variants, and the stage-2 map is the gated one's only state.
     """
 
     id: int

@@ -15,9 +15,8 @@ from collections import Counter
 
 from hvsim import CostModel, load_manifest, run
 from hvsim.cli import cmd_run, cmd_sweep
-from hvsim.config import implied_clock_mhz, validate_cost_model
 from hvsim.memmap import KIND_PA, MemoryMap
-from hvsim.model import MEASURED_LATENCIES
+from hvsim.model import MEASURED_LATENCIES, implied_clock_mhz, validate_cost_model
 from hvsim.trace import _rows, detail_field, run_intervals
 from hvsim.vgic import Vgic
 

@@ -197,6 +197,22 @@ def test_sched_param_for_unknown_vm_rejected():
         load_manifest(m)
 
 
+def test_sched_param_for_the_vm_after_the_last_rejected():
+    m = two_vm_manifest()
+    m["scheduler"]["sched_param"]["2"] = {"priority": 3}
+    with pytest.raises(ConfigError) as err:
+        load_manifest(m)
+    assert str(err.value) == "scheduler.sched_param: no such VM 2"
+
+
+def test_address_at_the_time_bound_rejected():
+    m = two_vm_manifest()
+    m["vms"][0]["regions"][0]["ipa"] = 2**62
+    with pytest.raises(ConfigError) as err:
+        load_manifest(m)
+    assert str(err.value) == f"vms[0].regions[0].ipa: value {2**62} out of range"
+
+
 def test_virq_colliding_with_own_irq_rejected():
     m = two_vm_manifest()
     m["vms"][0]["virqs"] = [32]
@@ -527,9 +543,10 @@ def test_container_of_wrong_type_cli_exits_2(where, tmp_path, capsys):
 
 # Values that once loaded: bool() coerced the two flags, int() read any
 # spelling of a VM id, a read kept a value the dump then dropped, and str()
-# turned any JSON value into a hyp_call payload.  The last four are values no
-# other test rejects: a boolean address, an empty region, a generate object
-# in place of a segment and an unknown fault policy.
+# turned any JSON value into a hyp_call payload.  Four are values no other
+# test rejects: a boolean address, an empty region, a generate object in
+# place of a segment and an unknown fault policy.  The "addr" cases are
+# spellings that int() read as the region's own address, 0x40000000.
 LOOSE_VALUES = {
     "gic_boot_init-string": lambda m: m.update(gic_boot_init="false"),
     "gic_boot_init-int": lambda m: m.update(gic_boot_init=0),
@@ -552,6 +569,13 @@ LOOSE_VALUES = {
     "len-zero": lambda m: m["vms"][0]["regions"][0].update(len="0x0"),
     "generate-segment": lambda m: m["vms"][0].update(workload=[{"generate": {"kind": "busy"}}]),
     "faults-dist_unmodeled": lambda m: m.update(faults={"dist_unmodeled": "warn"}),
+    "addr-underscore": lambda m: m["vms"][0]["regions"][0].update(ipa="1_073_741_824"),
+    "addr-blanks": lambda m: m["vms"][0]["regions"][0].update(ipa=" 1073741824 "),
+    "addr-signed": lambda m: m["vms"][0]["regions"][0].update(ipa="+1073741824"),
+    "addr-newline": lambda m: m["vms"][0]["regions"][0].update(ipa="1073741824\n"),
+    "addr-hex-underscore": lambda m: m["vms"][0]["regions"][0].update(ipa="0x_40000000"),
+    "addr-arabic-indic-digits": lambda m: m["vms"][0]["regions"][0].update(
+        ipa="1073741824".translate({ord("0") + d: 0x660 + d for d in range(10)})),
 }
 LOOSE_MESSAGES = {
     "gic_boot_init": "gic_boot_init: expected true or false",
@@ -563,6 +587,7 @@ LOOSE_MESSAGES = {
     "len": "vms[0].regions[0]: region at ipa 0x40000000: length must be > 0",
     "generate": "vms[0].workload[0]: generated workload not expanded",
     "faults": "faults.dist_unmodeled: must be fault or ignore, got 'warn'",
+    "addr": "vms[0].regions[0].ipa: cannot parse ",
 }
 
 
@@ -673,6 +698,8 @@ CHANNEL_AND_PAGE_FAULTS = {
     "channel-duplicate-id": (_second_channel(pages=[7]), "channels[1].id: duplicate channel id 5"),
     "channel-endpoints": (lambda m: m["channels"][0].update(endpoints=[1, 1]),
                           "channels[0].endpoints: must be two distinct VM ids, got 1,1"),
+    "channel-endpoint-past-last-vm": (lambda m: m["channels"][0].update(endpoints=[2, 0]),
+                                      "channels[0].endpoints: must be two distinct VM ids, got 2,0"),
     "channel-endpoint-unknown": (lambda m: m["channels"][0].update(endpoints=[0, 2]),
                                  "channels[0].endpoints: must be two distinct VM ids, got 0,2"),
     "channel-variant": (lambda m: m["channels"][0].update(variant="open"), "channels[0].variant: unknown variant"),
@@ -876,6 +903,15 @@ def test_all_measured_rows_consistent_at_implied_clock():
 def test_zero_latency_reports_zero_cycles():
     report = validate_cost_model(CostModel(0, 0, 0, 0, 0, 0), 912.0)
     assert all(r.cycles == 0 for r in report.rows)
+
+
+def test_measured_rows_inconsistent_at_a_wrong_clock():
+    assert not validate_cost_model(CostModel(), 500.0).consistent()
+
+
+def test_consistency_tolerance_is_inclusive():
+    report = validate_cost_model(CostModel(), implied_clock_mhz())
+    assert report.consistent(report.max_reference_deviation())
 
 
 def test_custom_latency_has_no_reference_deviation():

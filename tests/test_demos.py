@@ -1,4 +1,5 @@
-"""Each demo prints the same bytes as the stdout stored under data/demos/."""
+"""Each demo prints the same bytes as the stdout stored under data/demos/,
+and README's layout names every module of the package."""
 
 from __future__ import annotations
 
@@ -12,6 +13,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 EXPECTED = Path(__file__).parent / "data" / "demos"
+
+
+def test_readme_layout_names_exactly_the_package_modules():
+    layout = (ROOT / "README.md").read_text().split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    package = layout.split("\n    src/hvsim/\n", 1)[1].split("\n    tests/", 1)[0]
+    named = [line.split()[0] for line in package.splitlines()]
+    assert sorted(named) == sorted(p.name for p in (ROOT / "src" / "hvsim").glob("*.py"))
 
 
 def test_every_demo_has_stored_stdout():
