@@ -33,10 +33,10 @@ print(f"  after vm1's ICENABLER write, irq 34 enabled = {gic.enabled[34]}")
 
 print("\nphysical irq 34 arrives:")
 eff = gic.phys_arrival(34)
-print(f"  outcome: {eff.outcome} into vm{eff.target} (list register filled, hw-linked)")
+print(f"  outcome: {eff} into vm{gic.irq_targets[34]} (list register filled, hw-linked)")
 
 print("\na second arrival while the first is still in flight stays latched:")
-print(f"  outcome: {gic.phys_arrival(34).outcome}")
+print(f"  outcome: {gic.phys_arrival(34)}")
 
 print("\nthe guest takes it with zero hypervisor involvement:")
 virq = gic.guest_ack(0)

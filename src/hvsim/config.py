@@ -459,6 +459,8 @@ def parse_json(text: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"manifest is not valid JSON: line {exc.lineno} col {exc.colno}: {exc.msg}") from None
+    except ValueError:  # an integer past the interpreter's digit limit (after JSONDecodeError, a subclass)
+        raise ConfigError("manifest holds an integer too long to decode") from None
     except RecursionError:
         raise ConfigError("manifest is nested too deeply to decode") from None
     if not isinstance(data, dict):

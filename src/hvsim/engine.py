@@ -78,11 +78,13 @@ EV_TIMER_FIRE = "timer_fire"
 _MAX_TIMER_IRQS_PER_INSTANT = 64
 _BLOCK = 512  # records a streamed run buffers before it calls the sink
 _SLEEPING = RunState.SLEEPING  # Python 3.11 loads an enum member ~5x slower than a global
+# Raised by a service other than now() with no framework: while the table is built, or after the run.
+_NO_FRAMEWORK = "{}() called with no framework attached: a scheduler table's constructor may call only now()"
 
 
 class SimulationAborted(RuntimeError):
-    """A contract violation ended the run; carries the trace so far (empty
-    for a streamed run, whose sink has had every record)."""
+    """A contract violation ended the run; carries the trace so far (empty if the
+    table's constructor broke one, or for a streamed run, whose sink has had every record)."""
 
     def __init__(self, message: str, records: Sequence[TraceRecord]):
         super().__init__(message)
@@ -164,6 +166,7 @@ class Engine(SchedulerServices):
         self._virq_detail = {i: f"virq={i}" for vm in spec.vms for i in vm.assigned_irqs | vm.virqs}
 
         table_cls = get_plugin(spec.scheduler_name)
+        self.fw = None  # while the table is built: its constructor may call only now()
         self.fw = Framework(self, table_cls(self, table_cls.parse(spec)), self.vcpus)
 
         self._queue: list[tuple] = []
@@ -194,9 +197,13 @@ class Engine(SchedulerServices):
         self._now += cost
 
     def set_flag(self) -> None:
+        if self.fw is None:
+            raise SimulationAborted(_NO_FRAMEWORK.format("set_flag"), self.records)
         self.fw.set_reschedule_flag()
 
     def register_timer(self, at: Time) -> int:
+        if self.fw is None:
+            raise SimulationAborted(_NO_FRAMEWORK.format("register_timer"), self.records)
         if type(at) is not int:
             raise ContractViolation(f"timer instant {at!r} is not an integer")
         if at < self._now:
@@ -211,6 +218,8 @@ class Engine(SchedulerServices):
 
     def cancel_timer(self, timer_id: int) -> None:
         """Stop a timer that has not fired yet; on a fired or cancelled one, do nothing."""
+        if self.fw is None:
+            raise SimulationAborted(_NO_FRAMEWORK.format("cancel_timer"), self.records)
         if type(timer_id) is not int or not 0 < timer_id <= self._timer_ids:
             raise ContractViolation(f"timer {timer_id!r} was never set")
         if timer_id in self._armed:
@@ -218,6 +227,8 @@ class Engine(SchedulerServices):
             self.trace("timer_cancel", "hv", "", 0, f"id={timer_id}")
 
     def report_deadline_miss(self, vm_id: int, deadline: Time) -> None:
+        if self.fw is None:
+            raise SimulationAborted(_NO_FRAMEWORK.format("report_deadline_miss"), self.records)
         if type(vm_id) is not int or not 0 <= vm_id < len(self.vcpus):
             raise ContractViolation(f"deadline miss reported for unknown vm {vm_id!r}")
         if type(deadline) is not int:
@@ -268,9 +279,9 @@ class Engine(SchedulerServices):
         ats, ids = self.spec.phys_irqs.at, self.spec.phys_irqs.irq
         self._arrivals = iter(sorted(zip(ats, count(self._seq + 1), repeat(EV_PHYS_IRQ), ids)))
         self._seq += len(ats)
-        t = self.vgic.irq_targets  # each id's details: phys_irq, virq_inject, irq_latched, irq_dropped
+        t = self.vgic.irq_targets  # each id's phys_irq, virq_inject, irq_latched, irq_dropped details, target
         self._irq_details = {i: (f"irq={i}", f"virq={i};target={t.get(i)};hw=1", f"irq={i};target={t.get(i)}",
-                                 f"irq={i};warning=unassigned") for i in set(ids)}
+                                 f"irq={i};warning=unassigned", t.get(i)) for i in set(ids)}
         ev = next(self._arrivals, None)
         if ev is not None:
             heapq.heappush(self._queue, ev)
@@ -317,11 +328,11 @@ class Engine(SchedulerServices):
 
     def _do_phys_irq(self, irq: int) -> None:
         self._suspend()
-        arrived, injected, latched, dropped = self._irq_details[irq]
+        arrived, injected, latched, dropped, target = self._irq_details[irq]
         cost = self._cost_ns["interrupt_entry_exit"]
         self.trace("phys_irq", "hv", "interrupt_entry_exit", cost, arrived)
         self._now += cost
-        outcome, target = self.vgic.phys_arrival(irq)
+        outcome = self.vgic.phys_arrival(irq)
         if outcome == "injected":
             self.trace("virq_inject", "hv", "", 0, injected)
             self._wake_if_sleeping(target)

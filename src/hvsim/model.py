@@ -9,9 +9,7 @@ the simulation engine owns all mutable state and runs single-threaded.
 from __future__ import annotations
 
 import enum
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from functools import partial
 from typing import Any, NamedTuple
 
 Time = int  # virtual nanoseconds
@@ -273,41 +271,13 @@ class ChannelSpec:
     variant: str = VARIANT_FREE
 
 
-class IrqEvent(NamedTuple):
-    """Externally scripted physical interrupt arrival."""
+class IrqEvents(NamedTuple):
+    """Scripted physical interrupt arrivals as two int columns in manifest
+    order: arrival i is irq[i] at at[i].  zip(*events) yields (at, irq)
+    pairs; `config.dump_config` writes them back as manifest entries."""
 
-    at: Time
-    irq: int
-
-
-_irq_event = partial(tuple.__new__, IrqEvent)  # an IrqEvent from (at, irq), in C
-
-
-class IrqEvents(Sequence):
-    """Scripted arrivals as two int tuples in manifest order, read-only: like
-    `trace.Trace`, it builds each `IrqEvent` on access; a slice is a list."""
-
-    __slots__ = ("at", "irq")
-
-    def __init__(self, at: tuple[Time, ...] = (), irq: tuple[int, ...] = ()):
-        self.at, self.irq = at, irq
-
-    def __len__(self) -> int:
-        return len(self.at)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(map(_irq_event, zip(self.at[index], self.irq[index])))
-        return _irq_event((self.at[index], self.irq[index]))
-
-    def __iter__(self):
-        return map(_irq_event, zip(self.at, self.irq))
-
-    def __eq__(self, other):  # the same pairs in the same order
-        return list(self) == list(other) if isinstance(other, (IrqEvents, tuple, list)) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.at, self.irq))
+    at: tuple[Time, ...] = ()
+    irq: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -332,14 +302,10 @@ class SystemSpec:
     scheduler_options: Any
     shared_pages: tuple[SharedPage, ...] = ()
     channels: tuple[ChannelSpec, ...] = ()
-    phys_irqs: IrqEvents = IrqEvents()  # any other sequence of (at, irq) pairs becomes one
+    phys_irqs: IrqEvents = IrqEvents()
     faults: FaultPolicy = FaultPolicy()
     lr_count: int = DEFAULT_LR_COUNT
     gic_boot_init: bool = True
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.phys_irqs, IrqEvents):
-            object.__setattr__(self, "phys_irqs", IrqEvents(*zip(*self.phys_irqs)))
 
 
 # The guard of a vCPU that no framework owns: never raised.

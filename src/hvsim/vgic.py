@@ -28,8 +28,6 @@ interrupts only when one of the VM's visible interrupts is latched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import NamedTuple
 
 from .model import DEFAULT_LR_COUNT, VmId
 
@@ -77,14 +75,6 @@ class MmioEffect:
     read_value: int | None = None
     unmodeled: bool = False
     injections: list[VmId] = field(default_factory=list)
-
-
-class ArrivalEffect(NamedTuple):
-    outcome: str  # "injected" | "pending" | "dropped"
-    target: VmId | None = None
-
-
-_arrival = partial(tuple.__new__, ArrivalEffect)  # an ArrivalEffect from 2 values, in C
 
 
 class Vgic:
@@ -168,18 +158,19 @@ class Vgic:
 
     # -- interrupt flow --------------------------------------------------
 
-    def phys_arrival(self, irq: int) -> ArrivalEffect:
-        """A physical interrupt fired; inject it if possible, else latch it."""
+    def phys_arrival(self, irq: int) -> str:
+        """A physical interrupt fired: "injected" into its target's LRs if it
+        fits, else "pending" (latched); "dropped" when no VM owns it."""
         target = self.irq_targets.get(irq)
         if target is None or irq < SGI_COUNT or irq >= N_INTERRUPTS:
-            return _arrival(("dropped", None))
+            return "dropped"
         lrs = self.lrs[target]
         if self.ctlr[target] and self.enabled[irq] and irq not in lrs and len(lrs) < self.lr_count:
             lrs[irq] = [self.priority[irq], _PENDING]
             self.pending[irq] = False
-            return _arrival(("injected", target))
+            return "injected"
         self.pending[irq] = True
-        return _arrival(("pending", target))
+        return "pending"
 
     def inject_soft(self, vm: VmId, virq: int) -> str:
         """Software virtual interrupt (inter-VM notification path).

@@ -247,9 +247,10 @@ class OracleGic:
 
     def phys_arrival(self, irq):
         if self.targets.get(irq) is None or irq < _SGI or irq >= _N:
-            return
+            return "dropped"
         self.irqs[irq].pending = True
         self._inject_hw(irq)
+        return "pending" if self.irqs[irq].pending else "injected"
 
     def inject_soft(self, vm, virq):
         m = self.irqs[virq]

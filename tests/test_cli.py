@@ -15,7 +15,7 @@ import hvsim.cli
 import hvsim.engine
 from hvsim.cli import cmd_run, cmd_sweep, main
 from hvsim.schedulers import SCHEDULERS, FixedPriorityScheduler, register
-from hvsim.trace import TraceRecord, metrics_from_trace, read_csv, run_intervals, write_csv, write_json
+from hvsim.trace import CSV_HEADER, TraceRecord, metrics_from_trace, read_csv, run_intervals, write_csv, write_json
 from hvsim.workloadgen import expand_generated
 
 from conftest import BAD_SERVICE_CALLS, bad_service_call_manifest, bad_service_call_table, run_manifest
@@ -247,6 +247,30 @@ class TestCmdRun:
         assert records[-1].kind == "contract_violation"
         assert "virtual time does not advance" in records[-1].detail
         assert {r.time for r in records} == {0}
+
+    @pytest.mark.parametrize("service, args", [
+        ("set_flag", ()), ("register_timer", (5,)), ("cancel_timer", (1,)), ("report_deadline_miss", (0, 5)),
+    ])
+    def test_service_called_by_a_table_constructor_exits_3(self, tmp_path, capsys, service, args):
+        """A table's constructor may call only now(): any other service ends
+        the run before its boot record, so the trace is its header alone."""
+        class CallsInConstructor(FixedPriorityScheduler):
+            def __init__(self, services, priorities):
+                super().__init__(services, priorities)
+                getattr(services, service)(*args)
+
+        register("calls_in_constructor", CallsInConstructor)
+        try:
+            m = fp_manifest([1], [[{"compute": MS}]], MS)
+            m["scheduler"]["name"] = "calls_in_constructor"
+            out = tmp_path / "out"
+            assert main(["--config", write_manifest(tmp_path, m), "--horizon-ns", str(MS), "--out", str(out)]) == 3
+        finally:
+            del SCHEDULERS["calls_in_constructor"]
+        assert capsys.readouterr().err == (f"contract violation: {service}() called with no framework attached: "
+                                           "a scheduler table's constructor may call only now()\n")
+        assert sorted(p.name for p in out.iterdir()) == ["trace.csv"]
+        assert (out / "trace.csv").read_text() == CSV_HEADER + "\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_contract_violation_partial_trace_reads_back(self, tmp_path, fmt):
@@ -710,6 +734,17 @@ class TestMain:
         argv = ["--config", str(cfg), "--horizon-ns", "1000", "--out", str(tmp_path / "o")]
         assert main(argv + sweep) == 2
         assert capsys.readouterr().err == "configuration error: manifest is nested too deeply to decode\n"
+
+    @pytest.mark.parametrize("sweep", [[], ["--sweep", "lr_count", "--values", "1"]], ids=["run", "sweep"])
+    def test_integer_too_long_to_decode_exits_2(self, tmp_path, capsys, sweep):
+        """json.loads raises a plain ValueError for an integer of more digits
+        than the interpreter converts (4300 by default)."""
+        cfg = tmp_path / "long.json"
+        cfg.write_text('{"scheduler": {"name": "rr"}, "vms": ' + "9" * 5000 + "}")
+        argv = ["--config", str(cfg), "--horizon-ns", "1000", "--out", str(tmp_path / "o")]
+        assert main(argv + sweep) == 2
+        assert capsys.readouterr().err == "configuration error: manifest holds an integer too long to decode\n"
+        assert not (tmp_path / "o").exists()
 
     def test_bad_horizon_rejected(self, tmp_path, capsys):
         cfg = write_manifest(tmp_path, small_edf_manifest())

@@ -22,7 +22,7 @@ from hvsim import (
 )
 from hvsim.cli import main
 from hvsim.engine import Engine
-from hvsim.model import PAGE_SIZE, IrqEvent, IrqEvents, MemRegion, SystemSpec
+from hvsim.model import PAGE_SIZE, IrqEvents, MemRegion, SystemSpec
 from hvsim.trace import read_csv
 
 from manifests import ZERO_COST, busy_workload, edf_manifest, fp_manifest, make_manifest, make_vm, rr_manifest
@@ -383,7 +383,7 @@ def test_phys_irqs_and_compute_bounds_load():
     m = two_vm_manifest(phys_irqs=[{"at_ns": 0, "irq": 0}, {"at_ns": 2**62 - 1, "irq": 1023}])
     m["vms"][1]["workload"] = [{"compute": 0}, {"compute": 2**62 - 1}]
     spec = load_manifest(m)
-    assert spec.phys_irqs == ((0, 0), (2**62 - 1, 1023))
+    assert spec.phys_irqs == IrqEvents(at=(0, 2**62 - 1), irq=(0, 1023))
     assert [seg.duration_ns for seg in spec.vms[1].workload.segments] == [0, 2**62 - 1]
 
 
@@ -448,32 +448,21 @@ def test_phys_irqs_load_as_read_per_entry(entries, index, odd):
     except ConfigError as exc:
         assert str(exc) == expected
         return
-    assert spec == dataclasses.replace(BASE_SPEC, phys_irqs=expected)
-    assert all(type(ev) is IrqEvent for ev in spec.phys_irqs)
-    assert [tuple(map(type, ev)) for ev in spec.phys_irqs] == [tuple(map(type, ev)) for ev in expected]
+    columns = IrqEvents(tuple(at for at, _ in expected), tuple(irq for _, irq in expected))
+    assert spec == dataclasses.replace(BASE_SPEC, phys_irqs=columns)
+    assert type(spec.phys_irqs) is IrqEvents and spec.phys_irqs == columns
     assert type(spec.phys_irqs.at) is tuple and type(spec.phys_irqs.irq) is tuple
-    assert spec.phys_irqs.at == tuple(at for at, _ in expected)
-    assert spec.phys_irqs.irq == tuple(irq for _, irq in expected)
-
-
-PAIRS = ((5, 33), (5, 32), (9, 33))  # arrivals as plain (at, irq) pairs, in manifest order
-
-
-def test_irq_events_compare_as_their_pairs():
-    events = IrqEvents((5, 5, 9), (33, 32, 33))
-    assert events == PAIRS and events == list(PAIRS) and events == IrqEvents(*zip(*PAIRS))
-    assert PAIRS == events and list(PAIRS) == events
-    assert events != PAIRS + ((10, 32),) and events != PAIRS[:2] and events != ((5, 33), (5, 32), (9, 34))
-    assert events != IrqEvents((5, 5, 9), (33, 32, 32)) and events != IrqEvents((5, 5), (33, 32))
-    assert events != {(5, 33), (5, 32), (9, 33)} and IrqEvents() == () and IrqEvents() != ((5, 33),)
+    assert [tuple(map(type, ev)) for ev in zip(*spec.phys_irqs)] == [tuple(map(type, ev)) for ev in expected]
 
 
 def test_irq_events_hash_their_columns():
-    events = IrqEvents((5, 5, 9), (33, 32, 33))
-    assert hash(events) == hash(IrqEvents(*zip(*PAIRS))) and hash(events) != hash(IrqEvents((5, 5, 9), (33, 32, 32)))
+    events, other = IrqEvents((5, 5, 9), (33, 32, 33)), IrqEvents((5, 5, 9), (33, 32, 32))
+    assert hash(events) == hash(((5, 5, 9), (33, 32, 33))) and hash(events) != hash(other)
     bare = SystemSpec(vms=(), cost_model=CostModel(), scheduler_name="rr", scheduler_options=None)
-    assert hash(dataclasses.replace(bare, phys_irqs=PAIRS)) == hash(dataclasses.replace(bare, phys_irqs=events))
-    assert hash(bare) == hash(dataclasses.replace(bare, phys_irqs=[]))
+    same = IrqEvents((5, 5, 9), (33, 32, 33))
+    assert hash(dataclasses.replace(bare, phys_irqs=same)) == hash(dataclasses.replace(bare, phys_irqs=events))
+    assert hash(dataclasses.replace(bare, phys_irqs=other)) != hash(dataclasses.replace(bare, phys_irqs=events))
+    assert hash(bare) == hash(dataclasses.replace(bare, phys_irqs=IrqEvents((), ())))
 
 
 def test_a_loaded_spec_hashes_only_if_its_scheduler_values_do():
@@ -484,30 +473,6 @@ def test_a_loaded_spec_hashes_only_if_its_scheduler_values_do():
                      rr_manifest(1, quantum_ns=100_000, horizon=1_000_000)):
         with pytest.raises(TypeError, match="unhashable type: 'dict'"):
             hash(load_manifest(manifest))
-
-
-def test_irq_events_index_slice_and_iterate_as_irq_events():
-    events = IrqEvents((5, 5, 9), (33, 32, 33))
-    assert len(events) == 3 and events[0] == (5, 33) and events[-1] == events[2] == IrqEvent(9, 33)
-    assert events[-3] == events[0] and type(events[1]) is IrqEvent and events[1].irq == 32
-    for index in (3, -4):
-        with pytest.raises(IndexError):
-            events[index]
-    assert events[1:] == [IrqEvent(5, 32), IrqEvent(9, 33)] and type(events[1:]) is list
-    assert events[::-1] == list(reversed(PAIRS)) and events[5:] == []
-    assert all(type(ev) is IrqEvent for ev in events) and list(events) == list(PAIRS)
-    assert (5, 32) in events and events.index((9, 33)) == 2 and events.count((5, 33)) == 1
-
-
-def test_spec_built_from_plain_pairs_runs_as_loaded():
-    entries = [{"at_ns": t, "irq": 32 + t % 2} for t in range(100_001, 1_000_000, 150_001)]
-    loaded = load_manifest(two_vm_manifest(phys_irqs=entries))
-    plain = dataclasses.replace(loaded, phys_irqs=[(e["at_ns"], e["irq"]) for e in entries])
-    assert type(plain.phys_irqs) is IrqEvents and plain == loaded
-    assert dumps_config(plain) == dumps_config(loaded)
-    res = run(plain, 1_000_000)
-    assert res.records == run(loaded, 1_000_000).records
-    assert len([r for r in res.records if r.kind == "phys_irq"]) == len(entries)
 
 
 # Containers of the wrong JSON type: each but sched_param once raised

@@ -1,9 +1,12 @@
 """Each demo prints the same bytes as the stdout stored under data/demos/,
-and README's layout names every module of the package."""
+README's layout names every module of the package, and every `hvsim.` name
+README spells resolves."""
 
 from __future__ import annotations
 
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +23,18 @@ def test_readme_layout_names_exactly_the_package_modules():
     package = layout.split("\n    src/hvsim/\n", 1)[1].split("\n    tests/", 1)[0]
     named = [line.split()[0] for line in package.splitlines()]
     assert sorted(named) == sorted(p.name for p in (ROOT / "src" / "hvsim").glob("*.py"))
+
+
+def test_readme_hvsim_names_resolve():
+    """Each `hvsim.…` dotted name in README.md, such as `hvsim.trace.Fold`,
+    imports and resolves, so a rename or a deletion cannot leave it behind."""
+    names = sorted(set(re.findall(r"`(hvsim(?:\.\w+)+)", (ROOT / "README.md").read_text())))
+    assert len(names) >= 10
+    for name in names:
+        try:
+            pkgutil.resolve_name(name)
+        except (ImportError, AttributeError) as exc:
+            pytest.fail(f"README names {name}, which does not resolve: {exc}")
 
 
 def test_every_demo_has_stored_stdout():

@@ -96,7 +96,7 @@ class TestRegisters:
         gic = make_gic()
         gic.mmio(0, GICD_ISPENDR, True, 0xFFFF)  # ids 0..15
         assert not any(gic.pending[:16])
-        assert gic.phys_arrival(3).outcome == "dropped"
+        assert gic.phys_arrival(3) == "dropped"
 
     def test_first_non_sgi_is_writable_and_the_last_sgi_is_not(self):
         """A VM owning irqs 15 and 16 (a target map built by hand; the loader
@@ -117,16 +117,14 @@ class TestRegisters:
 class TestInterruptFlow:
     def test_arrival_injects_into_target(self):
         gic = make_gic()
-        eff = gic.phys_arrival(40)
-        assert eff.outcome == "injected" and eff.target == 1
+        assert gic.phys_arrival(40) == "injected" and gic.irq_targets[40] == 1
         assert lr_states(gic, 1) == {(40, "pending")}
         assert not gic.pending[40]
 
     def test_arrival_while_disabled_latches_then_enable_injects(self):
         gic = make_gic()
         gic.mmio(1, GICD_ICENABLER + 4, True, 1 << 8)  # disable 40
-        eff = gic.phys_arrival(40)
-        assert eff.outcome == "pending"
+        assert gic.phys_arrival(40) == "pending"
         assert gic.pending[40] and lr_states(gic, 1) == set()
         eff2 = gic.mmio(1, GICD_ISENABLER + 4, True, 1 << 8)
         assert eff2.injections == [1]
@@ -134,20 +132,21 @@ class TestInterruptFlow:
 
     def test_unassigned_irq_dropped(self):
         gic = make_gic()
-        assert gic.phys_arrival(99).outcome == "dropped"
+        assert gic.phys_arrival(99) == "dropped"
 
     def test_arrival_bounds_are_the_first_non_sgi_and_the_interrupt_count(self):
         """16 is the first id an arrival latches; 128 and above drop even when
         a target map built by hand names them (the loader never does)."""
         gic = Vgic({15: 0, 16: 0, 128: 0}, {0: frozenset()})
-        assert gic.phys_arrival(15).outcome == "dropped"
-        assert gic.phys_arrival(16) == ("pending", 0) and gic.pending[16]  # distributor off: latched
-        assert gic.phys_arrival(128).outcome == "dropped"
+        assert gic.phys_arrival(15) == "dropped"
+        assert gic.phys_arrival(16) == "pending" and gic.pending[16]  # distributor off: latched
+        assert gic.irq_targets[16] == 0
+        assert gic.phys_arrival(128) == "dropped"
 
     def test_lr_overflow_queues_until_eoi(self):
         gic = make_gic(lr_count=1)
-        assert gic.phys_arrival(40).outcome == "injected"
-        assert gic.phys_arrival(41).outcome == "pending"  # LR full
+        assert gic.phys_arrival(40) == "injected"
+        assert gic.phys_arrival(41) == "pending"  # LR full
         assert gic.pending[41]
         assert gic.guest_ack(1) == 40
         ok, injected = gic.guest_eoi(1, 40)
@@ -163,12 +162,12 @@ class TestInterruptFlow:
         plain = gic._drain
         gic._drain = lambda vm: drains.append(vm) or plain(vm)
         gic.mmio(0, GICD_ICENABLER + 4, True, 1 << 0)  # disable 32: its arrival latches
-        assert gic.phys_arrival(32).outcome == "pending"
-        assert gic.phys_arrival(40).outcome == "injected"
+        assert gic.phys_arrival(32) == "pending"
+        assert gic.phys_arrival(40) == "injected"
         assert gic.guest_ack(1) == 40
         assert gic.guest_eoi(1, 40) == (True, []) and drains == []  # only vm0's 32 is latched
-        assert gic.phys_arrival(40).outcome == "injected"
-        assert gic.phys_arrival(41).outcome == "pending"  # the one LR holds 40
+        assert gic.phys_arrival(40) == "injected"
+        assert gic.phys_arrival(41) == "pending"  # the one LR holds 40
         assert gic.guest_ack(1) == 40
         assert gic.guest_eoi(1, 40) == (True, [1]) and drains == [1]
         assert lr_states(gic, 1) == {(41, "pending")} and not gic.pending[41]
@@ -204,13 +203,13 @@ class TestInterruptFlow:
         ok, _ = gic.guest_eoi(1, 40)
         assert ok
         assert lr_states(gic, 1) == set()
-        assert gic.phys_arrival(40).outcome == "injected"  # full cycle again
+        assert gic.phys_arrival(40) == "injected"  # full cycle again
 
     def test_arrival_while_active_waits_for_eoi(self):
         gic = make_gic()
         gic.phys_arrival(40)
         gic.guest_ack(1)
-        assert gic.phys_arrival(40).outcome == "pending"  # active blocks re-inject
+        assert gic.phys_arrival(40) == "pending"  # active blocks re-inject
         ok, injected = gic.guest_eoi(1, 40)
         assert ok and injected == [1]
 
@@ -239,7 +238,7 @@ class TestInterruptFlow:
 
     def test_soft_inject_into_full_lrs_waits_for_eoi(self):
         gic = make_gic(lr_count=1)
-        assert gic.phys_arrival(32).outcome == "injected"
+        assert gic.phys_arrival(32) == "injected"
         assert gic.inject_soft(0, 100) == "pending"  # the one LR holds 32
         assert gic.pending[100] and lr_states(gic, 0) == {(32, "pending")}
         assert gic.guest_ack(0) == 32
@@ -305,9 +304,7 @@ def random_op(rng, model, oracle):
                 o if o != "unmodeled" else "unmodeled")
     if choice < 0.65:
         irq = rng.choice(list(TARGETS) + [99])
-        model.phys_arrival(irq)
-        oracle.phys_arrival(irq)
-        return ("arrival",)
+        return ("arrival", model.phys_arrival(irq), oracle.phys_arrival(irq))
     if choice < 0.75:
         virq = 100 if vm == 0 else 101
         model.inject_soft(vm, virq)
@@ -334,9 +331,7 @@ def test_random_sequence_matches_oracle():
                 oracle.boot_enable(vm)
         for step in range(200):
             out = random_op(rng, model, oracle)
-            if out[0] == "r":
-                assert out[1] == out[2], (seq, step, out)
-            elif out[0] in ("ack", "eoi"):
+            if out[0] in ("r", "arrival", "ack", "eoi"):
                 assert out[1] == out[2], (seq, step, out)
         assert canonical(snapshot(model)) == oracle.snapshot(), seq
 
@@ -354,7 +349,7 @@ def test_random_sequence_at_lr_capacity_matches_oracle(lr_count):
                 oracle.boot_enable(vm)
         for step in range(30):
             out = random_op(rng, model, oracle)
-            if out[0] in ("r", "ack", "eoi"):
+            if out[0] in ("r", "arrival", "ack", "eoi"):
                 assert out[1] == out[2], (lr_count, seq, step, out)
         assert canonical(snapshot(model)) == oracle.snapshot(), (lr_count, seq)
 
