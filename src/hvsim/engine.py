@@ -21,17 +21,16 @@ decide the order, all test-pinned:
   in the scheduler's init or allocate come before arrivals.
 
 Every record goes through `trace`, which extends one flat list by the
-record's six fields; `RunResult.records` is a `trace.Trace` over that list,
-a read-only sequence that builds each `TraceRecord` on access, folded once
-at the end.  Only `_fold_running` credits a guest with CPU time.  A resume
+record's time, head and detail; `RunResult.records` is a `trace.Trace` over
+that list, a read-only sequence that builds each `TraceRecord` on access,
+folded once at the end.  Only `_fold_running` credits a guest with CPU time.  A resume
 takes the guest's interrupts itself, calling into the vGIC only while the VM's
 list registers hold an entry.  Only a resume ACKs, and it EOIs each interrupt
 at once, so every entry it meets is pending and each `guest_ack` takes one.
 Scripted arrivals are sorted at boot from the spec's `phys_irqs.at` and `.irq`
-columns; the loop pushes each as the one before it pops.  Record details are
-built once per irq id and once per VM.  The interrupt, timer, wfi and hyp-call
-handlers charge in their own bodies; `charge` serves the dispatcher and the
-colder traps.
+columns; the loop pushes each as the one before it pops.  Record heads are
+built once per cost model and once per VM id, details once per irq id and
+once per VM, and every charged record goes through `charge`.
 Inside `streaming(sink)` the list is a buffer: whenever it holds about
 `_BLOCK` records (a step may run a few past), at the end and before
 `SimulationAborted`, the engine calls `sink(records)` and then empties it,
@@ -68,7 +67,7 @@ from .model import (
     VcpuRecord,
 )
 from .schedulers import get_plugin
-from .trace import MetricsReport, Trace, TraceRecord, metrics_from_trace
+from .trace import HV, MetricsReport, Trace, TraceRecord, charged_heads, metrics_from_trace, vm_heads
 from .vgic import DIST_MMIO_BASE, Vgic
 
 # Heap entries are (at, seq, kind, data), of these kinds (data: irq, timer id):
@@ -143,17 +142,22 @@ class Engine(SchedulerServices):
     """One simulation run.  Also serves as the scheduler-services provider."""
 
     def __init__(self, spec: SystemSpec, horizon: Time):
+        # CPython 3.11 keeps an instance's attributes in a shared-key dict only
+        # up to 30 keys: with 36, each self.x read in the loop slowed and
+        # perfbench's trap_edf ran 7 % slower.  Keep under 30, with run() and _boot().
+        if type(horizon) is not int:
+            raise ValueError(f"horizon must be an int, got {horizon!r}")
         if horizon <= 0:
             raise ValueError("horizon must be > 0")
         self.spec = spec
         self.horizon = horizon
-        self._cost_ns = spec.cost_model.as_dict()  # by field name, for charge
+        self._charged = charged_heads(spec.cost_model)
         self._now: Time = 0
-        self._flat: list = []  # six slots per record; see trace.Trace
+        self._flat: list = []  # three slots per record; see trace.Trace
         self.records = Trace(self._flat)
 
         self.vcpus = [VcpuRecord(id=vm.id, sched_param=vm.sched_param) for vm in spec.vms]
-        self._actor = [str(v.id) for v in self.vcpus]  # trace actor by VM id
+        self._heads = [vm_heads(v.id) for v in self.vcpus]  # by VM id
         self._vm_detail = [f"vm={v.id}" for v in self.vcpus]  # a trap's detail by VM id
         self._guest = {vm.id: _GuestCtx(vm.workload) for vm in spec.vms}
         self.memmap = MemoryMap(spec)
@@ -188,12 +192,13 @@ class Engine(SchedulerServices):
     def now(self) -> Time:
         return self._now
 
-    def trace(self, kind: str, actor: str = "hv", cost_field="", cost_ns=0, detail="") -> None:
-        self._flat.extend((self._now, actor, kind, cost_field, cost_ns, detail))
+    def trace(self, head: str, detail="") -> None:
+        self._flat.extend((self._now, head, detail))
 
-    def charge(self, kind: str, cost_field: str, detail="") -> None:
-        cost = self._cost_ns[cost_field]
-        self.trace(kind, "hv", cost_field, cost, detail)
+    def charge(self, kind: str, detail="") -> None:
+        """Write a hypervisor record of kind charged its `trace.KINDS` field; advance the clock by that cost."""
+        head, cost = self._charged[kind]
+        self.trace(head, detail)
         self._now += cost
 
     def set_flag(self) -> None:
@@ -211,7 +216,7 @@ class Engine(SchedulerServices):
         self._timer_ids += 1
         timer_id = self._timer_ids
         self._armed.add(timer_id)
-        self.trace("timer_set", "hv", "", 0, f"id={timer_id};at={at}")
+        self.trace(HV["timer_set"], f"id={timer_id};at={at}")
         self._seq += 1
         heapq.heappush(self._queue, (at, self._seq, EV_TIMER_FIRE, timer_id))
         return timer_id
@@ -224,7 +229,7 @@ class Engine(SchedulerServices):
             raise ContractViolation(f"timer {timer_id!r} was never set")
         if timer_id in self._armed:
             self._armed.remove(timer_id)
-            self.trace("timer_cancel", "hv", "", 0, f"id={timer_id}")
+            self.trace(HV["timer_cancel"], f"id={timer_id}")
 
     def report_deadline_miss(self, vm_id: int, deadline: Time) -> None:
         if self.fw is None:
@@ -233,7 +238,7 @@ class Engine(SchedulerServices):
             raise ContractViolation(f"deadline miss reported for unknown vm {vm_id!r}")
         if type(deadline) is not int:
             raise ContractViolation(f"deadline {deadline!r} of vm {vm_id} is not an integer")
-        self.trace("deadline_miss", "hv", "", 0, f"vm={vm_id};deadline={deadline}")
+        self.trace(HV["deadline_miss"], f"vm={vm_id};deadline={deadline}")
 
     # -- run -----------------------------------------------------------------
 
@@ -250,7 +255,7 @@ class Engine(SchedulerServices):
             self._final_fold()
         except ContractViolation as exc:
             detail = str(exc).replace(",", ";").replace("\n", "\\n").replace("\r", "\\r")
-            self.trace("contract_violation", detail=detail)
+            self.trace(HV["contract_violation"], detail)
             if sink is not None:
                 self._hand_over()
             raise SimulationAborted(str(exc), self.records) from exc
@@ -268,7 +273,7 @@ class Engine(SchedulerServices):
         self._flat.clear()
 
     def _boot(self) -> None:
-        self.trace("boot", detail=f"scheduler={self.spec.scheduler_name};vms={len(self.vcpus)}")
+        self.trace(HV["boot"], f"scheduler={self.spec.scheduler_name};vms={len(self.vcpus)}")
         self.fw.initialize()
         if self.spec.gic_boot_init:
             for v in self.vcpus:
@@ -295,7 +300,7 @@ class Engine(SchedulerServices):
         arrivals = self._arrivals
         horizon = self.horizon
         flat = self._flat
-        full = _BLOCK * 6 if self._sink is not None else sys.maxsize  # slots in a block
+        full = _BLOCK * 3 if self._sink is not None else sys.maxsize  # slots in a block
         while True:
             if len(flat) >= full:
                 self._hand_over()
@@ -329,17 +334,15 @@ class Engine(SchedulerServices):
     def _do_phys_irq(self, irq: int) -> None:
         self._suspend()
         arrived, injected, latched, dropped, target = self._irq_details[irq]
-        cost = self._cost_ns["interrupt_entry_exit"]
-        self.trace("phys_irq", "hv", "interrupt_entry_exit", cost, arrived)
-        self._now += cost
+        self.charge("phys_irq", arrived)
         outcome = self.vgic.phys_arrival(irq)
         if outcome == "injected":
-            self.trace("virq_inject", "hv", "", 0, injected)
+            self.trace(HV["virq_inject"], injected)
             self._wake_if_sleeping(target)
         elif outcome == "pending":
-            self.trace("irq_latched", "hv", "", 0, latched)
+            self.trace(HV["irq_latched"], latched)
         else:
-            self.trace("irq_dropped", "hv", "", 0, dropped)
+            self.trace(HV["irq_dropped"], dropped)
         self.fw.dispatch_checkpoint(fw_mod.END_OF_PHYSICAL_INTERRUPT)
         self._resume()
 
@@ -369,9 +372,7 @@ class Engine(SchedulerServices):
             self._timer_irq_at, self._timer_irqs_at = now, 1
         self._suspend()
         ids = str(first) if len(batch) == 1 else "+".join(map(str, batch))
-        cost = self._cost_ns["interrupt_entry_exit"]
-        self.trace("timer_fire", "hv", "interrupt_entry_exit", cost, f"ids={ids}")
-        self._now += cost
+        self.charge("timer_fire", f"ids={ids}")
         for _ in batch:
             self.fw.set_reschedule_flag()
         self.fw.dispatch_checkpoint(fw_mod.END_OF_PHYSICAL_INTERRUPT)
@@ -383,16 +384,12 @@ class Engine(SchedulerServices):
         detail = self._vm_detail[vcpu.id]
         if seg.payload:
             detail += f";payload={seg.payload}"
-        cost = self._cost_ns["hyp_call"]
-        self.trace("hyp_call", "hv", "hyp_call", cost, detail)
-        self._now += cost
+        self.charge("hyp_call", detail)
         self._end_trap(ctx)
 
     def _do_wfi(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
         self._suspend()
-        cost = self._cost_ns["hyp_call"]
-        self.trace("wfi_trap", "hv", "hyp_call", cost, self._vm_detail[vcpu.id])
-        self._now += cost
+        self.charge("wfi_trap", self._vm_detail[vcpu.id])
         self.fw.on_vm_sleep(vcpu)
         self._end_trap(ctx)
 
@@ -402,9 +399,7 @@ class Engine(SchedulerServices):
         tr = self.memmap.translate(vcpu.id, seg.ipa, access)
         if tr.kind == KIND_PA:
             # Pass-through: no trap, no cost, the guest keeps running.
-            self.trace(
-                "mmio_pass", self._actor[vcpu.id], "", 0, f"ipa={seg.ipa:#x};pa={tr.pa:#x};op={seg.op}"
-            )
+            self.trace(self._heads[vcpu.id]["mmio_pass"], f"ipa={seg.ipa:#x};pa={tr.pa:#x};op={seg.op}")
             ctx.entry = next(ctx.rest, None)
             self._continue_guest(vcpu, ctx)
             return
@@ -418,18 +413,14 @@ class Engine(SchedulerServices):
                 detail += f";value={seg.value:#x}"
             elif eff.read_value is not None:
                 detail += f";value={eff.read_value:#x}"
-            self.charge("mmio_dist", "mmio_emulation", detail=detail)
+            self.charge("mmio_dist", detail)
             if eff.unmodeled and self.spec.faults.dist_unmodeled == "fault":
-                self.trace("dist_fault", detail=f"vm={vcpu.id};offset={offset:#x}")
+                self.trace(HV["dist_fault"], f"vm={vcpu.id};offset={offset:#x}")
             # The distributor drains only the writer, which is running here.
             for target in eff.injections:
-                self.trace("virq_inject", detail=f"target={target};hw=1;via=mmio")
+                self.trace(HV["virq_inject"], f"target={target};hw=1;via=mmio")
         else:  # stage-2 fault
-            self.charge(
-                "stage2_fault",
-                "hyp_call",
-                detail=f"vm={vcpu.id};ipa={seg.ipa:#x};access={access};reason={tr.reason}",
-            )
+            self.charge("stage2_fault", f"vm={vcpu.id};ipa={seg.ipa:#x};access={access};reason={tr.reason}")
             if self.spec.faults.stage2 == "halt":
                 raise ContractViolation(
                     f"halt on stage-2 fault: vm {vcpu.id} ipa {seg.ipa:#x} ({tr.reason})"
@@ -444,24 +435,16 @@ class Engine(SchedulerServices):
             self._suspend()
             i = 1 if ch.endpoints[0] == vcpu.id else 0  # the peer's index
             peer, virq = ch.endpoints[i], ch.virqs[i]
-            self.charge(
-                "ivc_notify",
-                "hyp_call",
-                detail=f"channel={ch.id};from={vcpu.id};to={peer}",
-            )
+            self.charge("ivc_notify", f"channel={ch.id};from={vcpu.id};to={peer}")
             outcome = self.vgic.inject_soft(peer, virq)
-            self.charge(
-                "virq_inject",
-                "virtual_interrupt",
-                detail=f"virq={virq};target={peer};outcome={outcome}",
-            )
+            self.charge("virq_inject", f"virq={virq};target={peer};outcome={outcome}")
             self._wake_if_sleeping(peer)
             self._end_trap(ctx)
             return
 
         if ch.variant != VARIANT_GATED:
             # Free-access channels are always available: nothing to do, no trap.
-            self.trace(op, self._actor[vcpu.id], "", 0, f"channel={ch.id};variant=free_access;noop=1")
+            self.trace(self._heads[vcpu.id][op], f"channel={ch.id};variant=free_access;noop=1")
             ctx.entry = next(ctx.rest, None)
             self._continue_guest(vcpu, ctx)
             return
@@ -476,21 +459,13 @@ class Engine(SchedulerServices):
         where = f"channel={ch.id};vm={vcpu.id}"
         if holder != (None if acquire else vcpu.id):
             who = "-" if holder is None else holder
-            self.charge(
-                "ivc_busy",
-                "hyp_call",
-                detail=f"channel={ch.id};op={op.removeprefix('ivc_')};vm={vcpu.id};held_by={who}",
-            )
+            self.charge("ivc_busy", f"channel={ch.id};op={op.removeprefix('ivc_')};vm={vcpu.id};held_by={who}")
         else:
-            self.charge(op, "hyp_call", detail=where)
+            self.charge(op, where)
             remap = self.memmap.map_shared_page if acquire else self.memmap.unmap_shared_page
             for pid in ch.pages:
                 remap(vcpu.id, pid)
-            self.charge(
-                "stage2_map" if acquire else "stage2_unmap",
-                "tlb_flush",
-                detail=f"{where};pages={len(ch.pages)}",
-            )
+            self.charge("stage2_map" if acquire else "stage2_unmap", f"{where};pages={len(ch.pages)}")
         self._end_trap(ctx)
 
     def _end_trap(self, ctx: _GuestCtx) -> None:
@@ -537,7 +512,7 @@ class Engine(SchedulerServices):
             return
         self._fold_running()
         self._step = None
-        self.trace("vm_pause", self._actor[self.fw.current.id])
+        self.trace(self._heads[self.fw.current.id]["vm_pause"])
 
     def _resume(self) -> None:
         """Hand the CPU to whoever is Running now; park ended scripts."""
@@ -546,24 +521,24 @@ class Engine(SchedulerServices):
             if cur is None:
                 return
             vm, vgic = cur.id, self.vgic
-            actor = self._actor[vm]
+            heads = self._heads[vm]
             lrs = vgic.lrs[vm]
             # The guest takes its pending interrupts, ACK then EOI, at zero
             # cost; an EOI may refill a freed list register.
             while lrs:
                 virq = vgic.guest_ack(vm)
                 detail = self._virq_detail[virq]
-                self.trace("guest_ack", actor, "", 0, detail)
+                self.trace(heads["guest_ack"], detail)
                 vgic.guest_eoi(vm, virq)
-                self.trace("guest_eoi", actor, "", 0, detail)
+                self.trace(heads["guest_eoi"], detail)
             ctx = self._guest[vm]
             if ctx.entry is None:
-                self.trace("vm_park", actor, "", 0, "script done")
+                self.trace(heads["vm_park"], "script done")
                 self.fw.on_vm_sleep(cur)
                 self.fw.dispatch_checkpoint(fw_mod.END_OF_HYP_CALL)
                 continue
             self._run_start = self._now
-            self.trace("vm_start", actor)
+            self.trace(heads["vm_start"])
             self._set_step(cur, ctx)
             return
 

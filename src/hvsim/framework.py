@@ -18,7 +18,7 @@ write in an operation raises ContractViolation (see model.VcpuRecord).  Each
 schedule() result is checked to be None or an awake vCPU of this run.
 The trace details the dispatcher writes (vm=<id>, kind=...;flag=...,
 from=...;to=...) are built once per vCPU, checkpoint kind and (old, new)
-dispatch pair, not per call.
+dispatch pair, not per call, and each record's head once per vCPU or kind.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import abc
 from typing import Iterable, Protocol
 
 from .model import ContractViolation, RunState, SystemSpec, Time, VcpuRecord
+from .trace import HV, vm_heads
 
 END_OF_HYP_CALL = "end_of_hyp_call"
 END_OF_PHYSICAL_INTERRUPT = "end_of_physical_interrupt"
@@ -98,7 +99,7 @@ class Framework:
     """Dispatcher state: the table, the vCPUs, the flag, the running vCPU."""
 
     def __init__(self, host, table: SchedulerTable, vcpus: Iterable[VcpuRecord]):
-        self.host = host  # needs: now(), charge(...), trace(...) with a str actor
+        self.host = host  # needs: now(), trace(head, detail) and charge(kind, detail)
         self.table = table
         self.vcpus = list(vcpus)
         self.flag = False
@@ -109,8 +110,9 @@ class Framework:
         self._guard = [""]
         for v in self.vcpus:
             v._guard = self._guard
-        # Trace text by vCPU (None: no vCPU): actor, cb_* detail, dispatch detail.
-        self._actor = ids = {None: "-", **{v: str(v.id) for v in self.vcpus}}
+        # Trace text by vCPU (None: no vCPU): heads, cb_* detail, dispatch detail.
+        self._heads = {v: vm_heads(v.id) for v in self.vcpus}
+        ids = {None: "-", **{v: str(v.id) for v in self.vcpus}}
         self._vm_detail = {v: f"vm={i}" for v, i in ids.items()}
         self._dispatch_detail = {(o, n): f"from={ids[o]};to={ids[n]}" for o in ids for n in ids}
 
@@ -121,18 +123,18 @@ class Framework:
             raise ContractViolation("framework initialized twice")
         self._initialized = True
         trace, table, guard, vm_detail = self.host.trace, self.table, self._guard, self._vm_detail
-        trace("cb_init")
+        trace(HV["cb_init"])
         try:
             guard[0] = "init"
             table.init()
             for v in self.vcpus:
                 guard[0] = ""
-                trace("cb_allocate", "hv", "", 0, vm_detail[v])
+                trace(HV["cb_allocate"], vm_detail[v])
                 guard[0] = "allocate"
                 v.sched_state = table.allocate(v)
             for v in self.vcpus:
                 guard[0] = ""
-                trace("cb_enque", "hv", "", 0, vm_detail[v])
+                trace(HV["cb_enque"], vm_detail[v])
                 guard[0] = "enque"
                 table.enque(v)
         finally:
@@ -143,7 +145,7 @@ class Framework:
     def set_reschedule_flag(self) -> None:
         if not self._initialized:
             raise ContractViolation("framework used before initialization")
-        self.host.trace("flag_set")
+        self.host.trace(HV["flag_set"])
         self.flag = True
 
     def dispatch_checkpoint(self, kind: str) -> None:
@@ -159,7 +161,7 @@ class Framework:
             detail = _CHECKPOINT_DETAILS[kind][self.flag]
         except (KeyError, TypeError):
             raise ContractViolation(f"unknown checkpoint kind {kind!r}") from None
-        self.host.trace("checkpoint", "hv", "", 0, detail)
+        self.host.trace(HV["checkpoint"], detail)
         if self.flag:
             host, table, guard, vm_detail, rounds = self.host, self.table, self._guard, self._vm_detail, 0
             try:
@@ -177,27 +179,27 @@ class Framework:
                             raise ContractViolation(f"schedule() returned {chosen!r}: not a vCPU of this run")
                         if chosen._run_state is _SLEEPING:
                             raise ContractViolation(f"schedule() returned vm {chosen.id} in state sleeping")
-                    host.trace("cb_schedule", "hv", "", 0, vm_detail[chosen])
+                    host.trace(HV["cb_schedule"], vm_detail[chosen])
                     old = self.current
                     if chosen is old:
                         continue
                     if old is not None and old._run_state is _RUNNING:
                         old._run_state = _READY
-                        host.trace("cb_block", "hv", "", 0, vm_detail[old])
+                        host.trace(HV["cb_block"], vm_detail[old])
                         guard[0] = "block"
                         table.block(old)
                         guard[0] = ""
                     self.current = chosen
                     if chosen is None:
-                        host.trace("dispatch", "hv", "", 0, self._dispatch_detail[old, None])
+                        host.trace(HV["dispatch"], self._dispatch_detail[old, None])
                     else:
                         chosen._run_state = _RUNNING
-                        host.charge("dispatch", "world_switch", self._dispatch_detail[old, chosen])
+                        host.charge("dispatch", self._dispatch_detail[old, chosen])
             finally:
                 guard[0] = ""
         # A vCPU that went to sleep without a pending reschedule vacates the CPU.
         if self.current is not None and self.current._run_state is not _RUNNING:
-            self.host.trace("cpu_idle", "hv", "", 0, f"vacated=vm{self.current.id}")
+            self.host.trace(HV["cpu_idle"], f"vacated=vm{self.current.id}")
             self.current = None
 
     # -- sleep / wakeup -----------------------------------------------------
@@ -208,8 +210,8 @@ class Framework:
         if vcpu._run_state is not _RUNNING:
             raise ContractViolation(f"sleep of vm {vcpu.id} which is {vcpu._run_state.value}")
         vcpu._run_state = _SLEEPING
-        self.host.trace("vm_sleep", self._actor[vcpu])
-        self.host.trace("cb_yield", "hv", "", 0, self._vm_detail[vcpu])
+        self.host.trace(self._heads[vcpu]["vm_sleep"])
+        self.host.trace(HV["cb_yield"], self._vm_detail[vcpu])
         self._guard[0] = "yield_"
         try:
             self.table.yield_()
@@ -222,8 +224,8 @@ class Framework:
         if vcpu._run_state is not _SLEEPING:
             raise ContractViolation(f"wakeup of vm {vcpu.id} which is {vcpu._run_state.value}")
         vcpu._run_state = _READY
-        self.host.trace("vm_wake", self._actor[vcpu])
-        self.host.trace("cb_unblock", "hv", "", 0, self._vm_detail[vcpu])
+        self.host.trace(self._heads[vcpu]["vm_wake"])
+        self.host.trace(HV["cb_unblock"], self._vm_detail[vcpu])
         self._guard[0] = "unblock"
         try:
             self.table.unblock(vcpu)

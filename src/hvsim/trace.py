@@ -5,10 +5,11 @@ every cost charge (naming its cost-model field), every state transition.
 Metrics are always recomputed from the trace so the two can never disagree.
 
 A run's records are a `Trace`: a read-only sequence of `TraceRecord`s stored
-as one flat list, six slots per record, so a long run keeps no object per
-record for the garbage collector to track.  Each `TraceRecord` is built when
-it is read.  The writers read a `Trace`'s slots directly; every reader also
-takes a plain list of records, such as `read_csv` returns.
+as one flat list, three slots per record: its time, its `head` (the constant
+CSV text `actor,kind,cost_field,cost_ns`, one string per record shape) and
+its detail, so a run keeps no object per record and a writer formats three
+slots per record.  Each `TraceRecord` is built when it is read.  Every reader
+also takes a plain list of records, such as `read_csv` returns.
 
 `Fold` is the one metrics fold: it takes the records in blocks, in order,
 and keeps only counters, the run spans (which a streaming caller drains as
@@ -22,7 +23,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, zip_longest
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import eq
@@ -32,14 +33,62 @@ from .model import Time
 
 CSV_HEADER = "time_ns,actor,kind,cost_field,cost_ns,detail"
 TIMELINE_HEADER = "# time_ns vm_id state"  # timeline.dat's first line
-_CSV_FORMAT = "%s,%s,%s,%s,%s,%s"  # a record's fields in CSV_HEADER order
-_WIDTH = len(CSV_HEADER.split(","))  # slots per record in a Trace
+_CSV_LINE = "%s,%s,%s\n"  # a record's time, head and detail
 _CSV_BLOCK = 512  # records (or timeline spans) formatted by one % in a writer
 _TIMELINE_SPAN = "%s %s 1\n%s %s 0\n"  # a run span's two timeline.dat lines: start, vm, end, vm
-# A record as json.dumps(..., sort_keys=True) writes it: strings escaped by
-# json's own escaper, keys sorted, so the fields go in (actor, cost_field,
-# cost_ns, detail, kind, time) order.
-_JSON_LINE = '{"actor": %s, "cost_field": %s, "cost_ns": %s, "detail": %s, "kind": %s, "time_ns": %s}\n'
+
+# Every record kind, with the cost-model field it is charged ("" if never).  README's
+# "Trace records" names each kind's actor and meaning, and which are charged on some paths only.
+KINDS = {
+    "boot": "", "cb_init": "", "cb_allocate": "", "cb_enque": "", "cb_schedule": "", "cb_block": "", "cb_yield": "",
+    "cb_unblock": "", "flag_set": "", "checkpoint": "", "dispatch": "world_switch", "cpu_idle": "", "vm_start": "",
+    "vm_pause": "", "vm_sleep": "", "vm_wake": "", "vm_park": "", "timer_set": "", "timer_cancel": "",
+    "timer_fire": "interrupt_entry_exit", "deadline_miss": "", "phys_irq": "interrupt_entry_exit",
+    "virq_inject": "virtual_interrupt", "irq_latched": "", "irq_dropped": "", "guest_ack": "", "guest_eoi": "",
+    "hyp_call": "hyp_call", "wfi_trap": "hyp_call", "mmio_pass": "", "mmio_dist": "mmio_emulation", "dist_fault": "",
+    "stage2_fault": "hyp_call", "ivc_notify": "hyp_call", "ivc_acquire": "hyp_call", "ivc_release": "hyp_call",
+    "ivc_busy": "hyp_call", "stage2_map": "tlb_flush", "stage2_unmap": "tlb_flush", "contract_violation": "",
+}
+# The kinds a VM writes as its own actor, uncharged; "hv" writes the others, and gated channel ops.
+VM_KINDS = ("vm_start", "vm_pause", "vm_sleep", "vm_wake", "vm_park", "guest_ack", "guest_eoi",
+            "mmio_pass", "ivc_acquire", "ivc_release")
+_FIELDS: dict[str, tuple] = {}  # each head made -> its (actor, kind, cost_field, cost_ns)
+
+
+@lru_cache(maxsize=None, typed=True)
+def head(actor: str, kind: str, cost_field: str = "", cost_ns: Time = 0) -> str:
+    """A record's CSV text `actor,kind,cost_field,cost_ns`, made once per
+    distinct fields, so records of one shape share one string.  Fields whose
+    commas spell another record's head raise ValueError."""
+    text, fields = "%s,%s,%s,%s" % (actor, kind, cost_field, cost_ns), (actor, kind, cost_field, cost_ns)
+    if _FIELDS.setdefault(text, fields) != fields:
+        raise ValueError(f"records {_FIELDS[text]!r} and {fields!r} share the head {text!r}")
+    return text
+
+
+HV = {kind: head("hv", kind) for kind in KINDS if kind not in VM_KINDS}  # the hypervisor's uncharged heads
+
+
+@lru_cache(maxsize=None)
+def vm_heads(vm: int) -> dict[str, str]:
+    """VM vm's head of each of VM_KINDS, by kind; one dict per id, which callers only read."""
+    return {kind: head(str(vm), kind) for kind in VM_KINDS}
+
+
+@lru_cache(maxsize=64)
+def charged_heads(cost_model) -> dict[str, tuple[str, Time]]:
+    """(head, cost_ns) of each kind the hypervisor is charged for at cost_model,
+    by kind; one dict per cost model, which callers only read."""
+    cost = cost_model.as_dict()
+    return {kind: (head("hv", kind, f, cost[f]), cost[f]) for kind, f in KINDS.items() if f}
+
+
+@lru_cache(maxsize=None)
+def _json_line(h: str) -> str:
+    """Head h's JSON line as json.dumps(record as a dict, sort_keys=True) writes
+    it, with %s for the detail, escaped by json's own escaper, and the time."""
+    a, k, f, c = (_json_str(v).replace("%", "%%") if type(v) is str else v for v in _FIELDS[h])
+    return f'{{"actor": {a}, "cost_field": {f}, "cost_ns": {c}, "detail": %s, "kind": {k}, "time_ns": %s}}\n'
 
 
 class TraceRecord(NamedTuple):
@@ -55,10 +104,10 @@ _record = partial(tuple.__new__, TraceRecord)  # a TraceRecord from 6 values, in
 
 
 class Trace(Sequence):
-    """The records of one run, read-only, over `flat`: six slots per record
-    in CSV_HEADER order, appended to only by the engine.  Each `TraceRecord`
-    is built on access; a slice is a list; a Trace equals a Trace or a list
-    holding the same records."""
+    """The records of one run, read-only, over `flat`: three slots per record,
+    its time, `head` and detail, appended to only by the engine.  Each
+    `TraceRecord` is built on access; a slice is a list; a Trace equals a
+    Trace or a list holding the same records."""
 
     __slots__ = ("_flat",)
 
@@ -66,21 +115,17 @@ class Trace(Sequence):
         self._flat = flat
 
     def __len__(self) -> int:
-        return len(self._flat) // _WIDTH
+        return len(self._flat) // 3
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        n = len(self)
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError("trace index out of range")
-        k = index * _WIDTH
-        return _record(self._flat[k : k + _WIDTH])
+        k = range(len(self))[index]  # from either end; IndexError past them; a range for a slice
+        if isinstance(k, range):
+            return [self[i] for i in k]
+        time, h, detail = self._flat[3 * k : 3 * k + 3]
+        return _record((time, *_FIELDS[h], detail))
 
     def __iter__(self):
-        return map(_record, _rows(self))
+        return (_record((time, *_FIELDS[h], detail)) for time, h, detail in _rows(self))
 
     def __eq__(self, other):
         if isinstance(other, Trace):
@@ -93,18 +138,19 @@ class Trace(Sequence):
 
 
 def _rows(records: Iterable[TraceRecord]) -> Iterable[tuple]:
-    """The records as 6-tuples; a Trace's come straight off its flat list."""
+    """The records as (time, head, detail); a Trace's come straight off its flat list."""
     if isinstance(records, Trace):
         it = iter(records._flat)
-        return zip(it, it, it, it, it, it)
-    return records
+        return zip(it, it, it)
+    return ((time, head(actor, kind, cost_field, cost), detail)
+            for time, actor, kind, cost_field, cost, detail in records)
 
 
 def _blocks(records: Iterable[TraceRecord]) -> Iterable[list]:
     """The records' flat slots, _CSV_BLOCK records at a time: a writer formats
     each block with one %."""
-    flat = records._flat if isinstance(records, Trace) else [v for r in records for v in r]
-    step = _CSV_BLOCK * _WIDTH
+    flat = records._flat if isinstance(records, Trace) else [v for row in _rows(records) for v in row]
+    step = _CSV_BLOCK * 3
     return (flat[k : k + step] for k in range(0, len(flat), step))
 
 
@@ -112,9 +158,8 @@ def write_csv(records: Iterable[TraceRecord], fh, header: bool = True) -> None:
     """The records as CSV lines, after CSV_HEADER unless header is False."""
     if header:
         fh.write(CSV_HEADER + "\n")
-    line = _CSV_FORMAT + "\n"
     for slots in _blocks(records):
-        fh.write(line * (len(slots) // _WIDTH) % tuple(slots))
+        fh.write(_CSV_LINE * (len(slots) // 3) % tuple(slots))
 
 
 def read_csv(fh) -> list[TraceRecord]:
@@ -130,10 +175,8 @@ def write_json(records: Iterable[TraceRecord], fh) -> None:
     """One json.dumps(record as a dict, sort_keys=True) line per record, byte
     for byte."""
     for slots in _blocks(records):
-        time, actor, kind, cost_field, cost, detail = (slots[i::_WIDTH] for i in range(_WIDTH))
-        rows = zip(map(_json_str, actor), map(_json_str, cost_field), cost,
-                   map(_json_str, detail), map(_json_str, kind), time)
-        fh.write(_JSON_LINE * len(time) % tuple(chain.from_iterable(rows)))
+        line = "".join(map(_json_line, slots[1::3]))
+        fh.write(line % tuple(chain.from_iterable(zip(map(_json_str, slots[2::3]), slots[0::3]))))
 
 
 def write_timeline(spans: list, fh) -> None:
@@ -155,9 +198,9 @@ def compare_traces(a: Sequence[TraceRecord], b: Sequence[TraceRecord]):
     Records compare by their serialized form; a missing record (shorter
     trace) compares as None.
     """
-    for i, (ra, rb) in enumerate(zip_longest(a, b)):
-        ra = None if ra is None else _CSV_FORMAT % ra
-        rb = None if rb is None else _CSV_FORMAT % rb
+    for i, (ra, rb) in enumerate(zip_longest(_rows(a), _rows(b))):
+        ra = None if ra is None else "%s,%s,%s" % ra
+        rb = None if rb is None else "%s,%s,%s" % rb
         if ra != rb:
             return i, ra, rb
     return None
@@ -280,16 +323,23 @@ class Fold:
         self._open_vm: int | None = None
         self._open_at: Time = 0
         self._switch_in: dict[str, int | None] = {}  # memo of _switch_in by detail string
+        self._heads: dict[str, tuple] = {}  # memo by head: (cost_ns, kind, the VM of a vm_start or guest_ack)
         self._cur_s = self._cur_e = 0  # the open interval of the union
         self._closed: list[Time] = []  # closed intervals, flat (start, end)
         self._late: list[Time] = []  # late spans, flat (start, end)
 
     def feed(self, records: Iterable[TraceRecord]) -> None:
-        horizon, per_vm, switch_in = self.horizon, self.per_vm, self._switch_in
+        horizon, per_vm, switch_in, heads = self.horizon, self.per_vm, self._switch_in, self._heads
         add_span, add_closed, add_late = self.spans.extend, self._closed.extend, self._late.extend
         overhead, ivc, open_vm, open_at = self._overhead, self._ivc, self._open_vm, self._open_at
         cur_s, cur_e = self._cur_s, self._cur_e
-        for time, actor, kind, _, cost, detail in _rows(records):
+        for time, h, detail in _rows(records):
+            try:
+                cost, kind, vm = heads[h]
+            except KeyError:
+                actor, kind, _, cost = _FIELDS[h]
+                vm = int(actor) if kind in ("vm_start", "guest_ack") else None
+                heads[h] = cost, kind, vm
             if cost > 0 and time < horizon:  # a cost window, clamped to the horizon
                 e = time + cost
                 if e > horizon:
@@ -305,7 +355,7 @@ class Fold:
             if kind not in _FOLDED:
                 continue
             if kind == "vm_start":
-                open_vm, open_at = int(actor), time
+                open_vm, open_at = vm, time
             elif kind == "vm_pause":  # closes a run span, clamped to the horizon
                 e = time if time < horizon else horizon
                 if open_vm is not None and e > open_at:
@@ -321,15 +371,15 @@ class Fold:
                 open_vm = None
             elif kind == "dispatch":
                 try:
-                    vm = switch_in[detail]
+                    to = switch_in[detail]
                 except KeyError:
-                    vm = switch_in[detail] = _switch_in(detail)
-                if vm is not None:
-                    per_vm[vm].switch_in_count += 1
+                    to = switch_in[detail] = _switch_in(detail)
+                if to is not None:
+                    per_vm[to].switch_in_count += 1
             elif kind == "deadline_miss":
                 per_vm[int(detail_field(detail, "vm"))].deadline_misses += 1
             elif kind == "guest_ack":
-                per_vm[int(actor)].irqs_received += 1
+                per_vm[vm].irqs_received += 1
             elif kind == "ivc_notify":
                 ivc += 1
         self._overhead, self._ivc, self._open_vm, self._open_at = overhead, ivc, open_vm, open_at

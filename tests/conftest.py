@@ -5,7 +5,7 @@ import pytest
 from hvsim import load_manifest, run
 from hvsim.framework import SchedulerTable
 from hvsim.schedulers import SCHEDULERS, FixedPriorityScheduler, register
-from hvsim.trace import run_intervals
+from hvsim.trace import _FIELDS, KINDS, run_intervals
 from manifests import busy_workload, fp_manifest
 
 
@@ -111,12 +111,14 @@ class FakeHost:
     def now(self):
         return self.t
 
-    def trace(self, kind, actor="hv", cost_field="", cost_ns=0, detail=""):
-        self.records.append((kind, str(actor), cost_field, cost_ns, detail))
+    def trace(self, head, detail=""):
+        actor, kind, cost_field, cost_ns = _FIELDS[head]
+        self.records.append((kind, actor, cost_field, cost_ns, detail))
 
-    def charge(self, kind, cost_field, detail="", actor="hv"):
+    def charge(self, kind, detail=""):
+        cost_field = KINDS[kind]
         cost = {"world_switch": 25_840}.get(cost_field, 0)
-        self.records.append((kind, str(actor), cost_field, cost, detail))
+        self.records.append((kind, "hv", cost_field, cost, detail))
         self.t += cost
 
     def register_timer(self, at):

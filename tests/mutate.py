@@ -14,6 +14,8 @@ mutant changes one node of the module's syntax tree:
 - swaps ``and``/``or``, or ``+``/``-`` (also in ``+=``/``-=``)
 - negates the test of an ``if`` statement or expression
 - deletes a call statement (it becomes the no-op statement ``None``)
+- replaces an ``except`` handler's body with a bare ``raise``, so the
+  exception it caught goes on as if no clause had matched
 
 The mutated module is written with ``ast.unparse`` into a copy of the
 checkout, so traces, demos and subprocesses all run it.  The unmutated
@@ -70,7 +72,8 @@ def _functions(tree: ast.Module, names: set[str]):
 def _sites(func: ast.AST):
     """(node, slot, description) of every mutation site in func, in a fixed
     order.  slot is an index into a Compare's ops, "op" for a BoolOp, BinOp
-    or AugAssign, "not" for an if test, or "call" for a call statement."""
+    or AugAssign, "not" for an if test, "call" for a call statement, or
+    "raise" for an except handler."""
     for node in ast.walk(func):
         if isinstance(node, ast.Compare):
             for i, op in enumerate(node.ops):
@@ -81,6 +84,9 @@ def _sites(func: ast.AST):
             yield node, "not", f"negate if {ast.unparse(node.test)[:60]}"
         elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
             yield node, "call", f"delete call {ast.unparse(node.value)[:60]}"
+        elif isinstance(node, ast.ExceptHandler):
+            caught = "" if node.type is None else " " + ast.unparse(node.type)[:60]
+            yield node, "raise", f"except{caught}: body -> raise"
 
 
 def mutants(source: str, names: set[str]):
@@ -97,6 +103,8 @@ def mutants(source: str, names: set[str]):
         node, slot, what = list(_sites(func))[k]
         if slot == "call":
             node.value = ast.Constant(None)  # the statement `None` does nothing
+        elif slot == "raise":
+            node.body = [ast.Raise()]  # re-raises what the handler caught
         elif slot == "not":
             node.test = ast.UnaryOp(ast.Not(), node.test)
         elif slot == "op":

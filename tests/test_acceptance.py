@@ -17,7 +17,7 @@ from hvsim import CostModel, load_manifest, run
 from hvsim.cli import cmd_run, cmd_sweep
 from hvsim.memmap import KIND_PA, MemoryMap
 from hvsim.model import MEASURED_LATENCIES, implied_clock_mhz, validate_cost_model
-from hvsim.trace import _rows, detail_field, run_intervals
+from hvsim.trace import _FIELDS, _rows, detail_field, run_intervals
 from hvsim.vgic import Vgic
 
 from manifests import (
@@ -185,13 +185,14 @@ def _check_callback_trace(records):
 
     Returns (callback_count, switches, flag_sets).  schedule() purity is
     enforced at run time by the dispatcher; reaching the end of the trace
-    means no violation was raised.  Reads the six-slot rows of the records and
-    the detail of cb_* and dispatch records only.
+    means no violation was raised.  Reads the three-slot rows of the records
+    (each head's kind) and the detail of cb_* and dispatch records only.
     """
     allocated, enqueued = set(), set()
     state = {}
     callbacks = switches = flag_sets = 0
-    for _, _, k, _, _, detail in _rows(records):
+    for _, head, detail in _rows(records):
+        k = _FIELDS[head][1]
         if k not in _CONTRACT_KINDS:
             continue
         if k == "flag_set":

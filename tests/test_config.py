@@ -892,6 +892,10 @@ ARGUMENT_REJECTIONS = {
                   "cost_model.world_switch must be a non-negative integer, got True"),
     "region-perms": (lambda: MemRegion(0, 0, PAGE_SIZE, frozenset("rx")), ConfigError, "bad perms ['r', 'x']"),
     "horizon-zero": (lambda: Engine(load_manifest(two_vm_manifest()), 0), ValueError, "horizon must be > 0"),
+    "horizon-float": (lambda: Engine(load_manifest(two_vm_manifest()), 1.5e6), ValueError,
+                      "horizon must be an int, got 1500000.0"),
+    "horizon-bool": (lambda: Engine(load_manifest(two_vm_manifest()), True), ValueError,
+                     "horizon must be an int, got True"),
     "csv-header": (lambda: read_csv(io.StringIO("time,actor\n0,hv\n")), ValueError,
                    "unexpected trace header 'time,actor'"),
 }

@@ -1,0 +1,69 @@
+"""The mutation sweep's operators, on a toy source, without running a sweep."""
+
+import ast
+
+import pytest
+
+from mutate import mutants
+
+TOY = '''
+def parse(text):
+    try:
+        return int(text)
+    except ValueError:
+        return None
+    except (TypeError, OverflowError) as exc:
+        return str(exc)
+
+
+class Box:
+    def get(self, key):
+        try:
+            return self.items[key]
+        except KeyError:
+            pass
+        finally:
+            self.reads += 1
+        try:
+            return 0
+        except:
+            return 1
+'''
+
+
+def _handlers(source):
+    return [h for h in ast.walk(ast.parse(source)) if isinstance(h, ast.ExceptHandler)]
+
+
+def _handler_bodies(source):
+    return [[ast.unparse(stmt) for stmt in h.body] for h in _handlers(source)]
+
+
+def test_each_except_handler_gets_one_raise_mutant():
+    original = _handler_bodies(TOY)
+    lines = [h.lineno for h in _handlers(TOY)]
+    got = [(name, line, what, src) for name, line, what, src in mutants(TOY, set()) if what.endswith("-> raise")]
+    assert [(name, line) for name, line, _, _ in got] == [
+        ("parse", lines[0]), ("parse", lines[1]), ("Box.get", lines[2]), ("Box.get", lines[3])]
+    assert [what for _, _, what, _ in got] == [
+        "except ValueError: body -> raise", "except (TypeError, OverflowError): body -> raise",
+        "except KeyError: body -> raise", "except: body -> raise"]
+    for k, (_, _, _, src) in enumerate(got):  # that handler's body alone is a bare raise
+        assert _handler_bodies(src) == [["raise"] if i == k else body for i, body in enumerate(original)]
+
+
+@pytest.mark.parametrize("names", [{"parse"}, {"Box.get"}])
+def test_raise_mutant_lets_the_exception_through(names):
+    (_, _, _, src), *_ = (m for m in mutants(TOY, names) if m[2].endswith("-> raise"))
+    scope = {}
+    exec(compile(src, "<mutant>", "exec"), scope)
+    if names == {"parse"}:
+        assert scope["parse"]("7") == 7
+        with pytest.raises(ValueError):
+            scope["parse"]("x")
+    else:
+        box = scope["Box"]()
+        box.items, box.reads = {}, 0
+        with pytest.raises(KeyError):
+            box.get("k")
+        assert box.reads == 1

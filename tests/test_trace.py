@@ -2,7 +2,9 @@
 and the flat `Trace` sequence against a plain list of records."""
 
 import io
+import json
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +12,18 @@ from hypothesis import strategies as st
 
 import oracles
 from hvsim import Trace, load_manifest, run
+from hvsim.engine import Engine
 from hvsim.trace import (
     _CSV_BLOCK,
+    _FIELDS,
     CSV_HEADER,
+    HV,
+    KINDS,
+    VM_KINDS,
     Fold,
     TraceRecord,
     compare_traces,
+    head,
     metrics_from_trace,
     read_csv,
     run_intervals,
@@ -220,7 +228,7 @@ def test_hyp_call_payload_with_separators_round_trips():
 
 def trace_of(records):
     """A Trace holding records, built the way the engine builds one."""
-    return Trace([value for r in records for value in r])
+    return Trace([v for t, a, k, c, n, d in records for v in (t, head(a, k, c, n), d)])
 
 
 @pytest.fixture(scope="module")
@@ -272,6 +280,47 @@ def test_trace_writers_equal_list_path(edf_run, n):
         write(trace, from_trace)
         write(records, from_list)
         assert from_trace.getvalue() == from_list.getvalue() == text
+
+
+@pytest.fixture(scope="module")
+def engine_heads():
+    """By kind, every head an Engine builds: its own tables, its framework's and HV."""
+    engine = Engine(load_manifest(_irq_ivc_manifest("hypcall_gated")), MS)
+    made = {h for h, _ in engine._charged.values()} | set(HV.values())
+    made.update(h for heads in [*engine._heads, *engine.fw._heads.values()] for h in heads.values())
+    by_kind = defaultdict(list)
+    for h in sorted(made):
+        by_kind[_FIELDS[h][1]].append(h)
+    return by_kind
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_engine_head_round_trips(engine_heads, kind):
+    """Each head of kind, by hv or by each VM, charged or not, reads back as
+    its record through both writers, and folds as the records of a list do."""
+    heads = engine_heads[kind]
+    shapes = {("vm" if _FIELDS[h][0].isdecimal() else _FIELDS[h][0], _FIELDS[h][2]) for h in heads}
+    charged = {("hv", KINDS[kind])} if KINDS[kind] else set()
+    assert shapes == ({("vm", "")} if kind in VM_KINDS else {("hv", "")}) | charged
+    assert len(heads) == (2 if kind in VM_KINDS else 1) + len(charged)  # the manifest has two VMs
+    trace = Trace([v for i, h in enumerate(heads) for v in (300 * i, h, f'vm=0;to=1;n={i};note=a,b"c\\')])
+    records = list(trace)
+    assert [(r.actor, r.kind, r.cost_field, r.cost_ns) for r in records] == [_FIELDS[h] for h in heads]
+    assert read_back(trace) == records
+    fh = io.StringIO()
+    write_json(trace, fh)
+    assert [TraceRecord(d["time_ns"], d["actor"], d["kind"], d["cost_field"], d["cost_ns"], d["detail"])
+            for d in map(json.loads, fh.getvalue().splitlines())] == records
+    assert metrics_from_trace(trace, 1_000, [0, 1]) == metrics_from_trace(records, 1_000, [0, 1])
+    assert run_intervals(trace, 1_000) == run_intervals(records, 1_000)
+
+
+def test_fields_that_spell_another_head_are_refused():
+    assert head("a,b", "c") == "a,b,c,,0"
+    with pytest.raises(ValueError, match="share the head 'a,b,c,,0'"):
+        head("a", "b,c")
+    with pytest.raises(ValueError, match="share the head"):
+        write_json([TraceRecord(0, "a", "b,c", "", 0, "")], io.StringIO())
 
 
 def test_write_json_escapes_like_to_json():
