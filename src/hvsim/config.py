@@ -67,9 +67,9 @@ _ADDR = re.compile(r"[0-9]+|0[xX][0-9a-fA-F]+")  # the only spellings of an addr
 def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object, got {type(obj).__name__}")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    unknown = [key for key in obj if key not in allowed]
+    if unknown:  # keys of any type sort by their text; equal texts keep manifest order
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown, key=str)}")
     missing = required - set(obj)
     if missing:
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")

@@ -28,9 +28,9 @@ takes the guest's interrupts itself, calling into the vGIC only while the VM's
 list registers hold an entry.  Only a resume ACKs, and it EOIs each interrupt
 at once, so every entry it meets is pending and each `guest_ack` takes one.
 Scripted arrivals are sorted at boot from the spec's `phys_irqs.at` and `.irq`
-columns; the loop pushes each as the one before it pops.  Record heads are
-built once per cost model and once per VM id, details once per irq id and
-once per VM, and every charged record goes through `charge`.
+columns; the loop pushes each as the one before it pops.  A VM's vCPU keeps
+its script cursor, record heads and detail; other heads are built once per
+cost model, details once per irq id; every charged record goes through `charge`.
 Inside `streaming(sink)` the list is a buffer: whenever it holds about
 `_BLOCK` records (a step may run a few past), at the end and before
 `SimulationAborted`, the engine calls `sink(records)` and then empties it,
@@ -67,7 +67,7 @@ from .model import (
     VcpuRecord,
 )
 from .schedulers import get_plugin
-from .trace import HV, MetricsReport, Trace, TraceRecord, charged_heads, metrics_from_trace, vm_heads
+from .trace import HV, MetricsReport, Trace, TraceRecord, charged_heads, metrics_from_trace
 from .vgic import DIST_MMIO_BASE, Vgic
 
 # Heap entries are (at, seq, kind, data), of these kinds (data: irq, timer id):
@@ -112,30 +112,27 @@ def streaming(sink: Callable[[Trace], None]):
         _STREAM_SINK.reset(token)
 
 
-class _GuestCtx:
-    """Script cursor for one VM.  A script's entries are its runs of adjacent
-    compute segments, each one `int`, its duration, and its traps, each its
+def _script_cursor(workload) -> tuple:
+    """A VM's script cursor, (entry, rest), which its vCPU keeps as `_entry`
+    and `_rest`.  A script's entries are its runs of adjacent compute
+    segments, each one `int`, its duration, and its traps, each its
     `Segment`; runs do not merge across the loop wrap.  `entry` is the current
     entry: what is left of a compute run, which `_fold_running` counts down, a
     trap's `Segment`, or None once a non-looping script has ended.  `rest`
     yields the entries after it, round and round for a looping script, and
-    every advance is `ctx.entry = next(ctx.rest, None)`.  A `Segment` is a
+    every advance is `vcpu._entry = next(vcpu._rest, None)`.  A `Segment` is a
     `NamedTuple`, whose field reads cost more than a plain attribute's, so
     only a trap's handler reads its fields."""
-
-    __slots__ = ("entry", "rest")
-
-    def __init__(self, workload):
-        script = []
-        for seg in workload.segments:
-            if seg.kind != "compute":
-                script.append(seg)
-            elif script and type(script[-1]) is int:
-                script[-1] += seg.duration_ns
-            else:
-                script.append(seg.duration_ns)
-        self.rest = cycle(script) if workload.loop else iter(script)
-        self.entry = next(self.rest, None)
+    script = []
+    for seg in workload.segments:
+        if seg.kind != "compute":
+            script.append(seg)
+        elif script and type(script[-1]) is int:
+            script[-1] += seg.duration_ns
+        else:
+            script.append(seg.duration_ns)
+    rest = cycle(script) if workload.loop else iter(script)
+    return next(rest, None), rest
 
 
 class Engine(SchedulerServices):
@@ -157,9 +154,8 @@ class Engine(SchedulerServices):
         self.records = Trace(self._flat)
 
         self.vcpus = [VcpuRecord(id=vm.id, sched_param=vm.sched_param) for vm in spec.vms]
-        self._heads = [vm_heads(v.id) for v in self.vcpus]  # by VM id
-        self._vm_detail = [f"vm={v.id}" for v in self.vcpus]  # a trap's detail by VM id
-        self._guest = {vm.id: _GuestCtx(vm.workload) for vm in spec.vms}
+        for v, vm in zip(self.vcpus, spec.vms):
+            v._entry, v._rest = _script_cursor(vm.workload)
         self.memmap = MemoryMap(spec)
         self.vgic = Vgic(
             irq_targets={irq: vm.id for vm in spec.vms for irq in vm.assigned_irqs},
@@ -176,7 +172,7 @@ class Engine(SchedulerServices):
         self._queue: list[tuple] = []
         self._seq = 0
         self._arrivals = iter(())  # scripted arrivals not yet on the heap
-        # The running guest's next step, (at, until, handler, vcpu, ctx): it
+        # The running guest's next step, (at, until, handler, vcpu): it
         # runs once the heap head is at or after until.  Set exactly while a
         # guest holds the CPU; the handler it runs suspends the guest or sets
         # the next step.
@@ -306,11 +302,11 @@ class Engine(SchedulerServices):
                 self._hand_over()
             step = self._step
             if step is not None and (not q or q[0][0] >= step[1]):
-                at, _, handler, vcpu, ctx = step
+                at, _, handler, vcpu = step
                 if at >= horizon:
                     return
                 self._now = at
-                handler(self, vcpu, ctx)
+                handler(self, vcpu)
                 continue
             if not q:
                 return
@@ -378,30 +374,30 @@ class Engine(SchedulerServices):
         self.fw.dispatch_checkpoint(fw_mod.END_OF_PHYSICAL_INTERRUPT)
         self._resume()
 
-    def _do_hyp_call(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
-        seg = ctx.entry
+    def _do_hyp_call(self, vcpu: VcpuRecord) -> None:
+        seg = vcpu._entry
         self._suspend()
-        detail = self._vm_detail[vcpu.id]
+        detail = vcpu._detail
         if seg.payload:
             detail += f";payload={seg.payload}"
         self.charge("hyp_call", detail)
-        self._end_trap(ctx)
+        self._end_trap(vcpu)
 
-    def _do_wfi(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
+    def _do_wfi(self, vcpu: VcpuRecord) -> None:
         self._suspend()
-        self.charge("wfi_trap", self._vm_detail[vcpu.id])
+        self.charge("wfi_trap", vcpu._detail)
         self.fw.on_vm_sleep(vcpu)
-        self._end_trap(ctx)
+        self._end_trap(vcpu)
 
-    def _do_mmio(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
-        seg = ctx.entry
+    def _do_mmio(self, vcpu: VcpuRecord) -> None:
+        seg = vcpu._entry
         access = PERM_WRITE if seg.op == "write" else PERM_READ
         tr = self.memmap.translate(vcpu.id, seg.ipa, access)
         if tr.kind == KIND_PA:
             # Pass-through: no trap, no cost, the guest keeps running.
-            self.trace(self._heads[vcpu.id]["mmio_pass"], f"ipa={seg.ipa:#x};pa={tr.pa:#x};op={seg.op}")
-            ctx.entry = next(ctx.rest, None)
-            self._continue_guest(vcpu, ctx)
+            self.trace(vcpu._heads["mmio_pass"], f"ipa={seg.ipa:#x};pa={tr.pa:#x};op={seg.op}")
+            vcpu._entry = next(vcpu._rest, None)
+            self._continue_guest(vcpu)
             return
         self._suspend()
         if tr.kind == KIND_MMIO:
@@ -425,10 +421,10 @@ class Engine(SchedulerServices):
                 raise ContractViolation(
                     f"halt on stage-2 fault: vm {vcpu.id} ipa {seg.ipa:#x} ({tr.reason})"
                 )
-        self._end_trap(ctx)
+        self._end_trap(vcpu)
 
-    def _do_ivc(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
-        seg = ctx.entry
+    def _do_ivc(self, vcpu: VcpuRecord) -> None:
+        seg = vcpu._entry
         ch = self.channels[seg.channel]
         op = seg.kind
         if op == "ivc_notify":
@@ -439,14 +435,14 @@ class Engine(SchedulerServices):
             outcome = self.vgic.inject_soft(peer, virq)
             self.charge("virq_inject", f"virq={virq};target={peer};outcome={outcome}")
             self._wake_if_sleeping(peer)
-            self._end_trap(ctx)
+            self._end_trap(vcpu)
             return
 
         if ch.variant != VARIANT_GATED:
             # Free-access channels are always available: nothing to do, no trap.
-            self.trace(self._heads[vcpu.id][op], f"channel={ch.id};variant=free_access;noop=1")
-            ctx.entry = next(ctx.rest, None)
-            self._continue_guest(vcpu, ctx)
+            self.trace(vcpu._heads[op], f"channel={ch.id};variant=free_access;noop=1")
+            vcpu._entry = next(vcpu._rest, None)
+            self._continue_guest(vcpu)
             return
 
         # The gate's holder is the endpoint its pages are mapped into.  Acquire
@@ -466,31 +462,31 @@ class Engine(SchedulerServices):
             for pid in ch.pages:
                 remap(vcpu.id, pid)
             self.charge("stage2_map" if acquire else "stage2_unmap", f"{where};pages={len(ch.pages)}")
-        self._end_trap(ctx)
+        self._end_trap(vcpu)
 
-    def _end_trap(self, ctx: _GuestCtx) -> None:
+    def _end_trap(self, vcpu: VcpuRecord) -> None:
         """Leave hyp mode after a guest trap: next entry, checkpoint, resume."""
-        ctx.entry = next(ctx.rest, None)
+        vcpu._entry = next(vcpu._rest, None)
         self.fw.dispatch_checkpoint(fw_mod.END_OF_HYP_CALL)
         self._resume()
 
     # -- guest execution ------------------------------------------------------
 
-    def _end_compute(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
+    def _end_compute(self, vcpu: VcpuRecord) -> None:
         self._fold_running()  # compute-run boundary: re-base the running span
-        ctx.entry = entry = next(ctx.rest, None)
+        vcpu._entry = entry = next(vcpu._rest, None)
         if entry is None or type(entry) is int:  # script end or loop wrap
-            self._continue_guest(vcpu, ctx)
+            self._continue_guest(vcpu)
         else:
-            _TRAPS[entry.kind](self, vcpu, ctx)  # it would win the loop's next pass
+            _TRAPS[entry.kind](self, vcpu)  # it would win the loop's next pass
 
-    def _continue_guest(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
+    def _continue_guest(self, vcpu: VcpuRecord) -> None:
         """After a zero-cost step: keep running, or park if the script ended."""
-        if ctx.entry is None:
+        if vcpu._entry is None:
             self._suspend()
             self._resume()
         else:
-            self._set_step(vcpu, ctx)
+            self._set_step(vcpu)
 
     def _fold_running(self) -> None:
         """Credit the running guest with CPU time up to now; re-base run_start.
@@ -500,9 +496,8 @@ class Engine(SchedulerServices):
         if d:
             cur = self.fw.current
             cur.total_consumed += d
-            ctx = self._guest[cur.id]
-            ctx.entry -= d
-            if ctx.entry < 0:
+            cur._entry -= d
+            if cur._entry < 0:
                 raise ContractViolation(f"vm {cur.id} ran past the end of its compute run")
             self._run_start = self._now
 
@@ -512,7 +507,7 @@ class Engine(SchedulerServices):
             return
         self._fold_running()
         self._step = None
-        self.trace(self._heads[self.fw.current.id]["vm_pause"])
+        self.trace(self.fw.current._heads["vm_pause"])
 
     def _resume(self) -> None:
         """Hand the CPU to whoever is Running now; park ended scripts."""
@@ -520,8 +515,7 @@ class Engine(SchedulerServices):
             cur = self.fw.current
             if cur is None:
                 return
-            vm, vgic = cur.id, self.vgic
-            heads = self._heads[vm]
+            vm, vgic, heads = cur.id, self.vgic, cur._heads
             lrs = vgic.lrs[vm]
             # The guest takes its pending interrupts, ACK then EOI, at zero
             # cost; an EOI may refill a freed list register.
@@ -531,25 +525,24 @@ class Engine(SchedulerServices):
                 self.trace(heads["guest_ack"], detail)
                 vgic.guest_eoi(vm, virq)
                 self.trace(heads["guest_eoi"], detail)
-            ctx = self._guest[vm]
-            if ctx.entry is None:
+            if cur._entry is None:
                 self.trace(heads["vm_park"], "script done")
                 self.fw.on_vm_sleep(cur)
                 self.fw.dispatch_checkpoint(fw_mod.END_OF_HYP_CALL)
                 continue
             self._run_start = self._now
             self.trace(heads["vm_start"])
-            self._set_step(cur, ctx)
+            self._set_step(cur)
             return
 
-    def _set_step(self, vcpu: VcpuRecord, ctx: _GuestCtx) -> None:
-        entry = ctx.entry
+    def _set_step(self, vcpu: VcpuRecord) -> None:
+        entry = vcpu._entry
         now = self._now
         if type(entry) is int:
             at = now + entry
-            self._step = (at, at + 1, Engine._end_compute, vcpu, ctx)  # loses a tie at at
+            self._step = (at, at + 1, Engine._end_compute, vcpu)  # loses a tie at at
         else:
-            self._step = (now, now, _TRAPS[entry.kind], vcpu, ctx)  # wins a tie at now
+            self._step = (now, now, _TRAPS[entry.kind], vcpu)  # wins a tie at now
 
     def _wake_if_sleeping(self, vm_id: int) -> None:
         vcpu = self.vcpus[vm_id]

@@ -16,9 +16,9 @@ guard cell the vCPUs share set to the operation's name by assignment just
 before and to "" just after (or in the entry point's finally): a run-state
 write in an operation raises ContractViolation (see model.VcpuRecord).  Each
 schedule() result is checked to be None or an awake vCPU of this run.
-The trace details the dispatcher writes (vm=<id>, kind=...;flag=...,
-from=...;to=...) are built once per vCPU, checkpoint kind and (old, new)
-dispatch pair, not per call, and each record's head once per vCPU or kind.
+The trace text the dispatcher writes is built once, not per call: each
+vCPU keeps its own heads and vm=<id> detail, and the kind=...;flag=... and
+from=...;to=... details are kept per checkpoint kind and (old, new) pair.
 """
 
 from __future__ import annotations
@@ -107,13 +107,11 @@ class Framework:
         self._initialized = False
         # The running table operation's name, "" between operations: a cell the
         # vCPUs share, so none points back at the framework (no cycle to collect).
+        # Each vCPU also keeps its records' heads and its cb_* detail.
         self._guard = [""]
         for v in self.vcpus:
-            v._guard = self._guard
-        # Trace text by vCPU (None: no vCPU): heads, cb_* detail, dispatch detail.
-        self._heads = {v: vm_heads(v.id) for v in self.vcpus}
-        ids = {None: "-", **{v: str(v.id) for v in self.vcpus}}
-        self._vm_detail = {v: f"vm={i}" for v, i in ids.items()}
+            v._guard, v._heads, v._detail = self._guard, vm_heads(v.id), f"vm={v.id}"
+        ids = {None: "-", **{v: str(v.id) for v in self.vcpus}}  # dispatch detail by (old, new)
         self._dispatch_detail = {(o, n): f"from={ids[o]};to={ids[n]}" for o in ids for n in ids}
 
     # -- boot ------------------------------------------------------------
@@ -122,19 +120,19 @@ class Framework:
         if self._initialized:
             raise ContractViolation("framework initialized twice")
         self._initialized = True
-        trace, table, guard, vm_detail = self.host.trace, self.table, self._guard, self._vm_detail
+        trace, table, guard = self.host.trace, self.table, self._guard
         trace(HV["cb_init"])
         try:
             guard[0] = "init"
             table.init()
             for v in self.vcpus:
                 guard[0] = ""
-                trace(HV["cb_allocate"], vm_detail[v])
+                trace(HV["cb_allocate"], v._detail)
                 guard[0] = "allocate"
                 v.sched_state = table.allocate(v)
             for v in self.vcpus:
                 guard[0] = ""
-                trace(HV["cb_enque"], vm_detail[v])
+                trace(HV["cb_enque"], v._detail)
                 guard[0] = "enque"
                 table.enque(v)
         finally:
@@ -163,7 +161,7 @@ class Framework:
             raise ContractViolation(f"unknown checkpoint kind {kind!r}") from None
         self.host.trace(HV["checkpoint"], detail)
         if self.flag:
-            host, table, guard, vm_detail, rounds = self.host, self.table, self._guard, self._vm_detail, 0
+            host, table, guard, rounds = self.host, self.table, self._guard, 0
             try:
                 while self.flag:
                     rounds += 1
@@ -179,13 +177,13 @@ class Framework:
                             raise ContractViolation(f"schedule() returned {chosen!r}: not a vCPU of this run")
                         if chosen._run_state is _SLEEPING:
                             raise ContractViolation(f"schedule() returned vm {chosen.id} in state sleeping")
-                    host.trace(HV["cb_schedule"], vm_detail[chosen])
+                    host.trace(HV["cb_schedule"], "vm=-" if chosen is None else chosen._detail)
                     old = self.current
                     if chosen is old:
                         continue
                     if old is not None and old._run_state is _RUNNING:
                         old._run_state = _READY
-                        host.trace(HV["cb_block"], vm_detail[old])
+                        host.trace(HV["cb_block"], old._detail)
                         guard[0] = "block"
                         table.block(old)
                         guard[0] = ""
@@ -210,8 +208,8 @@ class Framework:
         if vcpu._run_state is not _RUNNING:
             raise ContractViolation(f"sleep of vm {vcpu.id} which is {vcpu._run_state.value}")
         vcpu._run_state = _SLEEPING
-        self.host.trace(self._heads[vcpu]["vm_sleep"])
-        self.host.trace(HV["cb_yield"], self._vm_detail[vcpu])
+        self.host.trace(vcpu._heads["vm_sleep"])
+        self.host.trace(HV["cb_yield"], vcpu._detail)
         self._guard[0] = "yield_"
         try:
             self.table.yield_()
@@ -224,8 +222,8 @@ class Framework:
         if vcpu._run_state is not _SLEEPING:
             raise ContractViolation(f"wakeup of vm {vcpu.id} which is {vcpu._run_state.value}")
         vcpu._run_state = _READY
-        self.host.trace(self._heads[vcpu]["vm_wake"])
-        self.host.trace(HV["cb_unblock"], self._vm_detail[vcpu])
+        self.host.trace(vcpu._heads["vm_wake"])
+        self.host.trace(HV["cb_unblock"], vcpu._detail)
         self._guard[0] = "unblock"
         try:
             self.table.unblock(vcpu)

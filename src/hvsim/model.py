@@ -184,7 +184,7 @@ class MemRegion:
             if v % PAGE_SIZE != 0:
                 raise ConfigError(f"region {name}={v:#x} not 4KB aligned")
         if not self.perms <= {PERM_READ, PERM_WRITE}:
-            raise ConfigError(f"bad perms {sorted(self.perms)}")
+            raise ConfigError(f"bad perms {sorted(self.perms, key=str)}")
 
     @property
     def ipa_end(self) -> int:
@@ -322,9 +322,12 @@ class VcpuRecord:
     operations).  Outside a table operation, code such as a test may still set
     run_state.  sched_param is fixed at construction; rebinding it raises.
     sched_state belongs to the table; total_consumed is CPU time since boot.
+    The framework sets `_heads` and `_detail` (the VM's record heads and
+    vm=<id> detail), the engine `_entry` and `_rest` (its script cursor).
     """
 
-    __slots__ = ("id", "_sched_param", "_run_state", "sched_state", "total_consumed", "_guard")
+    __slots__ = ("id", "_sched_param", "_run_state", "sched_state", "total_consumed", "_guard",
+                 "_heads", "_detail", "_entry", "_rest")
 
     def __init__(self, id: VmId, sched_param: Any, run_state: RunState = RunState.READY,
                  sched_state: Any = None, total_consumed: Time = 0):

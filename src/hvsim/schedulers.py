@@ -274,7 +274,7 @@ class RoundRobinScheduler(SchedulerTable):
         opts = dict(spec.scheduler_options or {})
         quantum = opts.pop("quantum_ns", DEFAULT_RR_QUANTUM_NS)
         if opts:
-            raise ConfigError(f"unknown rr options {sorted(opts)}")
+            raise ConfigError(f"unknown rr options {sorted(opts, key=str)}")
         if not _is_int(quantum) or quantum <= 0:
             raise ConfigError(f"quantum_ns must be a positive integer, got {quantum!r}")
         for vm in spec.vms:
@@ -331,4 +331,4 @@ def get_plugin(name: str) -> type[SchedulerTable]:
     try:
         return SCHEDULERS[name]
     except KeyError:
-        raise ConfigError(f"unknown scheduler {name!r}; have {sorted(SCHEDULERS)}") from None
+        raise ConfigError(f"unknown scheduler {name!r}; have {sorted(SCHEDULERS, key=str)}") from None

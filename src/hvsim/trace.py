@@ -8,8 +8,8 @@ A run's records are a `Trace`: a read-only sequence of `TraceRecord`s stored
 as one flat list, three slots per record: its time, its `head` (the constant
 CSV text `actor,kind,cost_field,cost_ns`, one string per record shape) and
 its detail, so a run keeps no object per record and a writer formats three
-slots per record.  Each `TraceRecord` is built when it is read.  Every reader
-also takes a plain list of records, such as `read_csv` returns.
+slots per record.  Each `TraceRecord` is built when it is read.  `read_csv`
+returns a `Trace` too; every reader also takes a plain list of records.
 
 `Fold` is the one metrics fold: it takes the records in blocks, in order,
 and keeps only counters, the run spans (which a streaming caller drains as
@@ -162,13 +162,14 @@ def write_csv(records: Iterable[TraceRecord], fh, header: bool = True) -> None:
         fh.write(_CSV_LINE * (len(slots) // 3) % tuple(slots))
 
 
-def read_csv(fh) -> list[TraceRecord]:
+def read_csv(fh) -> Trace:
+    """The records of a trace CSV as a `Trace`, one `head` per record shape."""
     header = fh.readline().rstrip("\n")
     if header != CSV_HEADER:
         raise ValueError(f"unexpected trace header {header!r}")
     rows = (line.rstrip("\n").split(",", 5) for line in fh if line.strip())
-    return [TraceRecord(int(time_s), actor, kind, cost_field, int(cost_s), detail)
-            for time_s, actor, kind, cost_field, cost_s, detail in rows]
+    return Trace([v for time_s, actor, kind, cost_field, cost_s, detail in rows
+                  for v in (int(time_s), head(actor, kind, cost_field, int(cost_s)), detail)])
 
 
 def write_json(records: Iterable[TraceRecord], fh) -> None:

@@ -12,7 +12,8 @@ mutant changes one node of the module's syntax tree:
 - swaps a comparison: ``<``/``<=``, ``>``/``>=``, ``==``/``!=``,
   ``is``/``is not``, ``in``/``not in``
 - swaps ``and``/``or``, or ``+``/``-`` (also in ``+=``/``-=``)
-- negates the test of an ``if`` statement or expression
+- negates the test of an ``if`` statement or expression, or one ``if``
+  filter of a comprehension
 - deletes a call statement (it becomes the no-op statement ``None``)
 - replaces an ``except`` handler's body with a bare ``raise``, so the
   exception it caught goes on as if no clause had matched
@@ -24,7 +25,9 @@ selection passes; one that runs five times as long as the unmutated module
 (at least 30 s) counts as killed.
 Each survivor is printed with its line as it is found, each function's
 tally (``# <qualname>: N mutants, K survived, S s``) once its last mutant
-ran, and the exit code is 1 if any survive.
+ran, and the exit code is 1 if any survive.  Only code inside functions is
+mutated: module-level code, such as the comprehension filter that builds
+``trace.HV``, is not swept.
 """
 
 from __future__ import annotations
@@ -71,9 +74,9 @@ def _functions(tree: ast.Module, names: set[str]):
 
 def _sites(func: ast.AST):
     """(node, slot, description) of every mutation site in func, in a fixed
-    order.  slot is an index into a Compare's ops, "op" for a BoolOp, BinOp
-    or AugAssign, "not" for an if test, "call" for a call statement, or
-    "raise" for an except handler."""
+    order.  slot is an index into a Compare's ops or a comprehension's ifs,
+    "op" for a BoolOp, BinOp or AugAssign, "not" for an if test, "call" for
+    a call statement, or "raise" for an except handler."""
     for node in ast.walk(func):
         if isinstance(node, ast.Compare):
             for i, op in enumerate(node.ops):
@@ -82,6 +85,9 @@ def _sites(func: ast.AST):
             yield node, "op", f"{_SYMBOLS[type(node.op)]} -> {_SYMBOLS[_SWAPS[type(node.op)]]}"
         elif isinstance(node, (ast.If, ast.IfExp)):
             yield node, "not", f"negate if {ast.unparse(node.test)[:60]}"
+        elif isinstance(node, ast.comprehension):
+            for i, test in enumerate(node.ifs):
+                yield node, i, f"negate filter if {ast.unparse(test)[:60]}"
         elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
             yield node, "call", f"delete call {ast.unparse(node.value)[:60]}"
         elif isinstance(node, ast.ExceptHandler):
@@ -101,7 +107,10 @@ def mutants(source: str, names: set[str]):
         tree = ast.parse(source)
         func = dict(_functions(tree, {qualname}))[qualname]
         node, slot, what = list(_sites(func))[k]
-        if slot == "call":
+        line = node.ifs[slot].lineno if isinstance(node, ast.comprehension) else node.lineno
+        if isinstance(node, ast.comprehension):
+            node.ifs[slot] = ast.UnaryOp(ast.Not(), node.ifs[slot])
+        elif slot == "call":
             node.value = ast.Constant(None)  # the statement `None` does nothing
         elif slot == "raise":
             node.body = [ast.Raise()]  # re-raises what the handler caught
@@ -111,7 +120,7 @@ def mutants(source: str, names: set[str]):
             node.op = _SWAPS[type(node.op)]()
         else:
             node.ops[slot] = _SWAPS[type(node.ops[slot])]()
-        yield qualname, node.lineno, what, ast.unparse(tree)
+        yield qualname, line, what, ast.unparse(tree)
 
 
 def _run_tests(workdir: Path, tests: list[str], timeout: float) -> tuple[bool, float]:

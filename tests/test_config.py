@@ -4,6 +4,7 @@ import io
 import json
 import re
 from enum import IntEnum
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +24,7 @@ from hvsim import (
 from hvsim.cli import main
 from hvsim.engine import Engine
 from hvsim.model import PAGE_SIZE, IrqEvents, MemRegion, SystemSpec
+from hvsim.schedulers import SCHEDULERS, RoundRobinScheduler, get_plugin
 from hvsim.trace import read_csv
 
 from manifests import ZERO_COST, busy_workload, edf_manifest, fp_manifest, make_manifest, make_vm, rr_manifest
@@ -885,7 +887,14 @@ def test_custom_latency_has_no_reference_deviation():
     assert row.reference_cycles is None and row.deviation is None
 
 
-# Library calls outside the loader that check their own arguments.
+def _rr_manifest_plus(keys: dict, scheduler_keys: dict) -> dict:
+    """A one-VM RR manifest with keys added at the top and to its scheduler object."""
+    manifest = rr_manifest(1, quantum_ns=100_000, horizon=1_000_000)
+    manifest["scheduler"].update(scheduler_keys)
+    return {**manifest, **keys}
+
+
+# Library calls that check their own arguments, and python-built manifests no JSON text can spell.
 ARGUMENT_REJECTIONS = {
     "clock-zero": (lambda: validate_cost_model(CostModel(), 0), ConfigError, "clock_mhz must be > 0, got 0"),
     "cost-bool": (lambda: CostModel(world_switch=True), ConfigError,
@@ -898,6 +907,15 @@ ARGUMENT_REJECTIONS = {
                      "horizon must be an int, got True"),
     "csv-header": (lambda: read_csv(io.StringIO("time,actor\n0,hv\n")), ValueError,
                    "unexpected trace header 'time,actor'"),
+    # Keys and names of mixed types sort by their text, not with a TypeError.
+    "manifest-mixed-keys": (lambda: load_manifest(_rr_manifest_plus({5: 1, "x": 2}, {})), ConfigError,
+                            "manifest: unknown keys [5, 'x']"),
+    "rr-mixed-options": (lambda: load_manifest(_rr_manifest_plus({}, {7: 1, "y": 2})), ConfigError,
+                         "unknown rr options [7, 'y']"),
+    "region-mixed-perms": (lambda: MemRegion(0, 0, PAGE_SIZE, frozenset({"r", 1})), ConfigError,
+                           "bad perms [1, 'r']"),
+    "plugin-mixed-names": (patch.dict(SCHEDULERS, {5: RoundRobinScheduler})(lambda: get_plugin("nope")),
+                           ConfigError, "unknown scheduler 'nope'; have [5, 'edf', 'fp', 'rr']"),
 }
 
 

@@ -451,13 +451,13 @@ def test_one_engine_step_per_compute_run(monkeypatch):
     events = []
     end_compute, set_step = Engine._end_compute, Engine._set_step
 
-    def counted_end(self, vcpu, ctx):
+    def counted_end(self, vcpu):
         events.append("end")
-        end_compute(self, vcpu, ctx)
+        end_compute(self, vcpu)
 
-    def counted_set(self, vcpu, ctx):
+    def counted_set(self, vcpu):
         events.append("set")
-        set_step(self, vcpu, ctx)
+        set_step(self, vcpu)
 
     monkeypatch.setattr(Engine, "_end_compute", counted_end)
     monkeypatch.setattr(Engine, "_set_step", counted_set)

@@ -67,3 +67,24 @@ def test_raise_mutant_lets_the_exception_through(names):
         with pytest.raises(KeyError):
             box.get("k")
         assert box.reads == 1
+
+
+FILTERS = '''
+def kept(pairs):
+    return [key for key, value in pairs
+            if value
+            if key != "skip"]
+'''
+
+
+def test_each_comprehension_filter_gets_one_negation():
+    got = [(line, what, src) for _, line, what, src in mutants(FILTERS, {"kept"}) if what.startswith("negate filter")]
+    assert [(line, what) for line, what, _ in got] == [
+        (4, "negate filter if value"), (5, "negate filter if key != 'skip'")]
+    pairs = [("a", 1), ("b", 0), ("skip", 1), ("c", 2)]
+    results = []
+    for _, _, src in got:
+        scope = {}
+        exec(compile(src, "<mutant>", "exec"), scope)
+        results.append(scope["kept"](pairs))
+    assert results == [["b"], ["skip"]]  # one filter negated, the other kept

@@ -264,6 +264,14 @@ def test_trace_equality(edf_run):
     assert trace != tuple(records) and trace_of([]) == []
 
 
+def test_read_csv_returns_a_trace_of_the_run_slots(edf_run):
+    """A trace read back is a `Trace` whose slots equal the run's, so every
+    reader takes its `Trace` path on it."""
+    trace = edf_run.records
+    back = read_back(trace)
+    assert type(back) is Trace and back._flat == trace._flat and back == list(trace)
+
+
 @pytest.mark.parametrize(
     "n", [0, 1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 2 * _CSV_BLOCK + 1]
 )
@@ -284,10 +292,10 @@ def test_trace_writers_equal_list_path(edf_run, n):
 
 @pytest.fixture(scope="module")
 def engine_heads():
-    """By kind, every head an Engine builds: its own tables, its framework's and HV."""
+    """By kind, every head an Engine builds: its charged table, its vCPUs' and HV."""
     engine = Engine(load_manifest(_irq_ivc_manifest("hypcall_gated")), MS)
     made = {h for h, _ in engine._charged.values()} | set(HV.values())
-    made.update(h for heads in [*engine._heads, *engine.fw._heads.values()] for h in heads.values())
+    made.update(h for v in engine.vcpus for h in v._heads.values())
     by_kind = defaultdict(list)
     for h in sorted(made):
         by_kind[_FIELDS[h][1]].append(h)
