@@ -38,7 +38,9 @@ so memory does not grow with the horizon.
 
 A run whose virtual time stops advancing is a scheduler contract violation:
 more than `_MAX_TIMER_IRQS_PER_INSTANT` timer interrupts at one instant end
-it, as `framework._MAX_CHECKPOINT_ROUNDS` ends a flag that never settles.
+it, as `framework._MAX_CHECKPOINT_ROUNDS` ends a flag that never settles.  No
+guard ends a crawl: a table that arms a timer at `now() + 1` on every `schedule()`,
+under a 0 `interrupt_entry_exit`, moves 1 ns per timer interrupt, each a new instant.
 
 Runs are pure functions of (SystemSpec, horizon).
 """

@@ -52,18 +52,22 @@ KINDS = {
 # The kinds a VM writes as its own actor, uncharged; "hv" writes the others, and gated channel ops.
 VM_KINDS = ("vm_start", "vm_pause", "vm_sleep", "vm_wake", "vm_park", "guest_ack", "guest_eoi",
             "mmio_pass", "ivc_acquire", "ivc_release")
-_FIELDS: dict[str, tuple] = {}  # each head made -> its (actor, kind, cost_field, cost_ns)
 
 
-@lru_cache(maxsize=None, typed=True)
 def head(actor: str, kind: str, cost_field: str = "", cost_ns: Time = 0) -> str:
-    """A record's CSV text `actor,kind,cost_field,cost_ns`, made once per
-    distinct fields, so records of one shape share one string.  Fields whose
-    commas spell another record's head raise ValueError."""
-    text, fields = "%s,%s,%s,%s" % (actor, kind, cost_field, cost_ns), (actor, kind, cost_field, cost_ns)
-    if _FIELDS.setdefault(text, fields) != fields:
-        raise ValueError(f"records {_FIELDS[text]!r} and {fields!r} share the head {text!r}")
+    """A record's CSV text `actor,kind,cost_field,cost_ns`; ValueError for a comma or line
+    break in a field or a cost_ns not an int, which would write CSV read_csv cannot read."""
+    text = "%s,%s,%s,%s" % (actor, kind, cost_field, cost_ns)
+    if type(cost_ns) is not int or text.count(",") != 3 or "\n" in text or "\r" in text:
+        raise ValueError(f"no CSV head reads back as {(actor, kind, cost_field, cost_ns)!r}")
     return text
+
+
+@lru_cache(maxsize=1024)
+def head_fields(h: str) -> tuple:
+    """The (actor, kind, cost_field, cost_ns) that head h spells: its text is their one record."""
+    actor, kind, cost_field, cost = h.split(",")
+    return actor, kind, cost_field, int(cost)
 
 
 HV = {kind: head("hv", kind) for kind in KINDS if kind not in VM_KINDS}  # the hypervisor's uncharged heads
@@ -83,11 +87,11 @@ def charged_heads(cost_model) -> dict[str, tuple[str, Time]]:
     return {kind: (head("hv", kind, f, cost[f]), cost[f]) for kind, f in KINDS.items() if f}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _json_line(h: str) -> str:
     """Head h's JSON line as json.dumps(record as a dict, sort_keys=True) writes
     it, with %s for the detail, escaped by json's own escaper, and the time."""
-    a, k, f, c = (_json_str(v).replace("%", "%%") if type(v) is str else v for v in _FIELDS[h])
+    a, k, f, c = (_json_str(v).replace("%", "%%") if type(v) is str else v for v in head_fields(h))
     return f'{{"actor": {a}, "cost_field": {f}, "cost_ns": {c}, "detail": %s, "kind": {k}, "time_ns": %s}}\n'
 
 
@@ -122,10 +126,10 @@ class Trace(Sequence):
         if isinstance(k, range):
             return [self[i] for i in k]
         time, h, detail = self._flat[3 * k : 3 * k + 3]
-        return _record((time, *_FIELDS[h], detail))
+        return _record((time, *head_fields(h), detail))
 
     def __iter__(self):
-        return (_record((time, *_FIELDS[h], detail)) for time, h, detail in _rows(self))
+        return (_record((time, *head_fields(h), detail)) for time, h, detail in _rows(self))
 
     def __eq__(self, other):
         if isinstance(other, Trace):
@@ -163,13 +167,14 @@ def write_csv(records: Iterable[TraceRecord], fh, header: bool = True) -> None:
 
 
 def read_csv(fh) -> Trace:
-    """The records of a trace CSV as a `Trace`, one `head` per record shape."""
+    """The records of a trace CSV as a `Trace`, one `head` string per record shape."""
     header = fh.readline().rstrip("\n")
     if header != CSV_HEADER:
         raise ValueError(f"unexpected trace header {header!r}")
     rows = (line.rstrip("\n").split(",", 5) for line in fh if line.strip())
-    return Trace([v for time_s, actor, kind, cost_field, cost_s, detail in rows
-                  for v in (int(time_s), head(actor, kind, cost_field, int(cost_s)), detail)])
+    heads = {}  # the four CSV fields of each head read -> its one string
+    return Trace([v for t, a, k, f, c, detail in rows for key in [(a, k, f, c)]
+                  for v in (int(t), heads.get(key) or heads.setdefault(key, head(a, k, f, int(c))), detail)])
 
 
 def write_json(records: Iterable[TraceRecord], fh) -> None:
@@ -338,7 +343,7 @@ class Fold:
             try:
                 cost, kind, vm = heads[h]
             except KeyError:
-                actor, kind, _, cost = _FIELDS[h]
+                actor, kind, _, cost = head_fields(h)
                 vm = int(actor) if kind in ("vm_start", "guest_ack") else None
                 heads[h] = cost, kind, vm
             if cost > 0 and time < horizon:  # a cost window, clamped to the horizon

@@ -203,11 +203,10 @@ class Vgic:
         return best[1]
 
     def guest_eoi(self, vm: VmId, virq: int) -> tuple[bool, list[VmId]]:
-        """Complete virq; returns (ok, follow-up injections enabled by the
-        freed LR).  EOI of an interrupt that is not active is a no-op (the
-        caller records the warning).  Freeing an assigned irq's LR is its
-        physical EOI: it can arrive again.  Only a latched visible interrupt
-        can follow up, so the drain runs only when one is."""
+        """Complete virq; returns (ok, follow-ups): ok is False, and nothing changes,
+        for an entry that is not active; the follow-ups hold vm once per injection
+        the freed LR let the drain make.  Freeing an assigned irq's LR is its physical
+        EOI: it can arrive again.  The drain runs only if a latched visible irq waits."""
         lrs = self.lrs[vm]
         entry = lrs.get(virq)
         if entry is None or entry[1] is not _ACTIVE:

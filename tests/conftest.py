@@ -5,7 +5,7 @@ import pytest
 from hvsim import load_manifest, run
 from hvsim.framework import SchedulerTable
 from hvsim.schedulers import SCHEDULERS, FixedPriorityScheduler, register
-from hvsim.trace import _FIELDS, KINDS, run_intervals
+from hvsim.trace import KINDS, head_fields, run_intervals
 from manifests import busy_workload, fp_manifest
 
 
@@ -112,7 +112,7 @@ class FakeHost:
         return self.t
 
     def trace(self, head, detail=""):
-        actor, kind, cost_field, cost_ns = _FIELDS[head]
+        actor, kind, cost_field, cost_ns = head_fields(head)
         self.records.append((kind, actor, cost_field, cost_ns, detail))
 
     def charge(self, kind, detail=""):

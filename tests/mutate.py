@@ -15,6 +15,8 @@ mutant changes one node of the module's syntax tree:
 - negates the test of an ``if`` statement or expression, or one ``if``
   filter of a comprehension
 - deletes a call statement (it becomes the no-op statement ``None``)
+- deletes a ``raise`` statement (it too becomes ``None``), so an
+  ``if bad: raise`` path counts as swept only if some test expects the error
 - replaces an ``except`` handler's body with a bare ``raise``, so the
   exception it caught goes on as if no clause had matched
 
@@ -76,7 +78,8 @@ def _sites(func: ast.AST):
     """(node, slot, description) of every mutation site in func, in a fixed
     order.  slot is an index into a Compare's ops or a comprehension's ifs,
     "op" for a BoolOp, BinOp or AugAssign, "not" for an if test, "call" for
-    a call statement, or "raise" for an except handler."""
+    a call statement, "raise" for an except handler, or "delete" for a raise
+    statement."""
     for node in ast.walk(func):
         if isinstance(node, ast.Compare):
             for i, op in enumerate(node.ops):
@@ -93,6 +96,8 @@ def _sites(func: ast.AST):
         elif isinstance(node, ast.ExceptHandler):
             caught = "" if node.type is None else " " + ast.unparse(node.type)[:60]
             yield node, "raise", f"except{caught}: body -> raise"
+        elif isinstance(node, ast.Raise):
+            yield node, "delete", f"delete {ast.unparse(node)[:60]}"
 
 
 def mutants(source: str, names: set[str]):
@@ -114,6 +119,11 @@ def mutants(source: str, names: set[str]):
             node.value = ast.Constant(None)  # the statement `None` does nothing
         elif slot == "raise":
             node.body = [ast.Raise()]  # re-raises what the handler caught
+        elif slot == "delete":  # the statement `None` takes the raise's place
+            for parent in ast.walk(func):
+                for _, body in ast.iter_fields(parent):
+                    if isinstance(body, list) and node in body:
+                        body[body.index(node)] = ast.Expr(ast.Constant(None))
         elif slot == "not":
             node.test = ast.UnaryOp(ast.Not(), node.test)
         elif slot == "op":

@@ -17,7 +17,7 @@ from hvsim import CostModel, load_manifest, run
 from hvsim.cli import cmd_run, cmd_sweep
 from hvsim.memmap import KIND_PA, MemoryMap
 from hvsim.model import MEASURED_LATENCIES, implied_clock_mhz, validate_cost_model
-from hvsim.trace import _FIELDS, _rows, detail_field, run_intervals
+from hvsim.trace import _rows, detail_field, head_fields, run_intervals
 from hvsim.vgic import Vgic
 
 from manifests import (
@@ -192,7 +192,7 @@ def _check_callback_trace(records):
     state = {}
     callbacks = switches = flag_sets = 0
     for _, head, detail in _rows(records):
-        k = _FIELDS[head][1]
+        k = head_fields(head)[1]
         if k not in _CONTRACT_KINDS:
             continue
         if k == "flag_set":

@@ -20,6 +20,7 @@ from hvsim.workloadgen import expand_generated
 
 from conftest import BAD_SERVICE_CALLS, bad_service_call_manifest, bad_service_call_table, run_manifest
 from manifests import ZERO_COST, busy_workload, edf_manifest, fp_manifest, make_manifest, make_vm, rr_manifest
+from test_acceptance import _contract_manifest
 from test_trace import RUNS as TRACE_RUNS
 
 MS = 1_000_000
@@ -84,19 +85,40 @@ def test_hyp_call_follows_a_draw_strictly_below_its_probability():
             "loop": True, "segments": script}
 
 
-def run_python_process(*argv, interpreter_flags=()):
-    """`python [interpreter_flags] [argv]` in a fresh process, on this checkout's src."""
+def run_python_process(*argv, interpreter_flags=(), env=None):
+    """`python [interpreter_flags] [argv]` in a fresh process, on this checkout's src,
+    with env's variables added to this process's."""
     src = str(Path(hvsim.cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, **(env or {}),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, *interpreter_flags, *map(str, argv)],
         env=env, capture_output=True, text=True, timeout=120,
     )
 
 
-def run_hvsim_process(*args, interpreter_flags=()):
+def run_hvsim_process(*args, interpreter_flags=(), env=None):
     """`python [interpreter_flags] -m hvsim [args]` in a fresh process."""
-    return run_python_process("-m", "hvsim", *args, interpreter_flags=interpreter_flags)
+    return run_python_process("-m", "hvsim", *args, interpreter_flags=interpreter_flags, env=env)
+
+
+def test_reruns_are_byte_identical_across_hash_seeds(tmp_path):
+    """A rerun in another process, whose str hashes differ, writes the same
+    bytes: the CLI's three files for an EDF contract-shaped manifest with
+    scripted interrupts, under PYTHONHASHSEED 0 and 1."""
+    horizon = 10 * MS
+    manifest = _contract_manifest("edf", random.Random(7919), horizon)
+    assert manifest["phys_irqs"] and manifest["scheduler"]["name"] == "edf"
+    config = write_manifest(tmp_path, manifest)
+    outputs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"hash-seed-{seed}"
+        proc = run_hvsim_process("--config", config, "--horizon-ns", horizon, "--out", out,
+                                 env={"PYTHONHASHSEED": seed})
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({name: (out / name).read_bytes() for name in ("trace.csv", "metrics.json", "timeline.dat")})
+    assert outputs[0] == outputs[1]
+    assert outputs[0]["trace.csv"].count(b",phys_irq,") > 10
 
 
 # The hvsim CLI with one more registered table: RR whose block() writes the

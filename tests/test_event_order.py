@@ -21,7 +21,7 @@ from hvsim import load_manifest
 from hvsim.engine import Engine
 from hvsim.model import VcpuRecord
 from hvsim.schedulers import SCHEDULERS, FixedPriorityScheduler, register
-from hvsim.trace import _FIELDS, run_intervals, write_csv
+from hvsim.trace import head_fields, run_intervals, write_csv
 
 from conftest import assert_conserved, records_of, run_manifest
 from manifests import ZERO_COST, busy_workload, fp_manifest, make_manifest, make_vm, rr_manifest
@@ -468,7 +468,7 @@ def test_one_engine_step_per_compute_run(monkeypatch):
     plain = engine.trace
 
     def trace(head, *args, **kwargs):
-        events.append(_FIELDS[head][1])
+        events.append(head_fields(head)[1])
         plain(head, *args, **kwargs)
 
     engine.trace = trace

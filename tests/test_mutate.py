@@ -88,3 +88,39 @@ def test_each_comprehension_filter_gets_one_negation():
         exec(compile(src, "<mutant>", "exec"), scope)
         results.append(scope["kept"](pairs))
     assert results == [["b"], ["skip"]]  # one filter negated, the other kept
+
+
+RAISES = '''
+def check(value, limit):
+    if value is None:
+        raise ValueError("no value")
+    try:
+        return limit // value
+    except ZeroDivisionError:
+        raise
+    finally:
+        if limit < 0:
+            raise OverflowError(limit)
+'''
+
+
+def _simple_statements(source):
+    """Each statement of source that holds no other, in walk order, as text."""
+    return [ast.unparse(stmt) for stmt in ast.walk(ast.parse(source))
+            if isinstance(stmt, ast.stmt) and not hasattr(stmt, "body")]
+
+
+def test_each_raise_statement_gets_one_deletion():
+    """One mutant per raise statement, that statement alone replaced by `None`."""
+    got = [(line, what, src) for _, line, what, src in mutants(RAISES, {"check"}) if what.startswith("delete raise")]
+    assert [(line, what) for line, what, _ in got] == [
+        (4, "delete raise ValueError('no value')"), (8, "delete raise"), (11, "delete raise OverflowError(limit)")]
+    original = _simple_statements(RAISES)
+    raises = [k for k, stmt in enumerate(original) if stmt.startswith("raise")]
+    assert len(raises) == len(got) == 3
+    for k, (_, _, src) in zip(raises, got):
+        assert _simple_statements(src) == [("None" if i == k else stmt) for i, stmt in enumerate(original)]
+    scope = {}
+    exec(compile(got[0][2], "<mutant>", "exec"), scope)
+    with pytest.raises(TypeError):  # past the deleted raise, limit // None
+        scope["check"](None, 3)

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hvsim.trace as trace_module
 import oracles
 from hvsim import Trace, load_manifest, run
 from hvsim.engine import Engine
 from hvsim.trace import (
     _CSV_BLOCK,
-    _FIELDS,
     CSV_HEADER,
     HV,
     KINDS,
@@ -24,6 +24,7 @@ from hvsim.trace import (
     TraceRecord,
     compare_traces,
     head,
+    head_fields,
     metrics_from_trace,
     read_csv,
     run_intervals,
@@ -298,7 +299,7 @@ def engine_heads():
     made.update(h for v in engine.vcpus for h in v._heads.values())
     by_kind = defaultdict(list)
     for h in sorted(made):
-        by_kind[_FIELDS[h][1]].append(h)
+        by_kind[head_fields(h)[1]].append(h)
     return by_kind
 
 
@@ -307,13 +308,13 @@ def test_every_engine_head_round_trips(engine_heads, kind):
     """Each head of kind, by hv or by each VM, charged or not, reads back as
     its record through both writers, and folds as the records of a list do."""
     heads = engine_heads[kind]
-    shapes = {("vm" if _FIELDS[h][0].isdecimal() else _FIELDS[h][0], _FIELDS[h][2]) for h in heads}
+    shapes = {("vm" if a.isdecimal() else a, f) for a, _, f, _ in map(head_fields, heads)}
     charged = {("hv", KINDS[kind])} if KINDS[kind] else set()
     assert shapes == ({("vm", "")} if kind in VM_KINDS else {("hv", "")}) | charged
     assert len(heads) == (2 if kind in VM_KINDS else 1) + len(charged)  # the manifest has two VMs
     trace = Trace([v for i, h in enumerate(heads) for v in (300 * i, h, f'vm=0;to=1;n={i};note=a,b"c\\')])
     records = list(trace)
-    assert [(r.actor, r.kind, r.cost_field, r.cost_ns) for r in records] == [_FIELDS[h] for h in heads]
+    assert [(r.actor, r.kind, r.cost_field, r.cost_ns) for r in records] == list(map(head_fields, heads))
     assert read_back(trace) == records
     fh = io.StringIO()
     write_json(trace, fh)
@@ -323,12 +324,102 @@ def test_every_engine_head_round_trips(engine_heads, kind):
     assert run_intervals(trace, 1_000) == run_intervals(records, 1_000)
 
 
+# Fields whose CSV head read_csv could not read back: a comma or line break in
+# actor, kind or cost_field, or a cost_ns that is not an int.
+UNREADABLE_HEADS = [("a,b", "c"), ("a", "b,c"), ("hv", "x", "f,g"), ("hv\n", "x"), ("hv", "x\r"),
+                    ("hv", "x", "f\r\n"), ("hv", "x", "f", True), ("hv", "x", "f", 1.5), ("hv", "x", "f", "7")]
+
+
+def _unreadable(actor, kind, cost_field, cost_ns):
+    """Whether a record with these fields has no CSV head, by the rule itself."""
+    return type(cost_ns) is not int or any(c in f for f in (actor, kind, cost_field) for c in ",\n\r")
+
+
 def test_fields_that_spell_another_head_are_refused():
-    assert head("a,b", "c") == "a,b,c,,0"
-    with pytest.raises(ValueError, match="share the head 'a,b,c,,0'"):
-        head("a", "b,c")
-    with pytest.raises(ValueError, match="share the head"):
-        write_json([TraceRecord(0, "a", "b,c", "", 0, "")], io.StringIO())
+    """head() and both writers, given a list record, refuse every field set whose
+    CSV could not be read back, in either order, whatever the process met before."""
+    assert head("hv", "x", "f", 1) == "hv,x,f,1" and head("hv", "x", "f", 7) == "hv,x,f,7"  # met first
+    for fields in UNREADABLE_HEADS + UNREADABLE_HEADS[::-1]:
+        actor, kind, cost_field, cost_ns = (*fields, *("", 0)[len(fields) - 2 :])
+        assert _unreadable(actor, kind, cost_field, cost_ns)
+        with pytest.raises(ValueError, match="no CSV head reads back as"):
+            head(*fields)
+        for write in (write_csv, write_json):
+            with pytest.raises(ValueError, match="no CSV head reads back as"):
+                write([TraceRecord(0, actor, kind, cost_field, cost_ns, "")], io.StringIO())
+    assert head("hv", "x", "f", -3) == "hv,x,f,-3" and head_fields("hv,x,f,-3") == ("hv", "x", "f", -3)
+
+
+_FIELD_TEXT = st.text(st.sampled_from("0hv,;=\n\r \"\\é"), max_size=4)
+_listed_records = st.lists(
+    st.builds(
+        TraceRecord,
+        st.integers(0, 200),
+        st.sampled_from(["hv", "0", "1"]) | _FIELD_TEXT,
+        st.sampled_from(list(KINDS)) | _FIELD_TEXT,
+        st.sampled_from(sorted(set(KINDS.values()))) | _FIELD_TEXT,
+        st.integers(-5, 300) | st.sampled_from([True, 2.0, "5"]),
+        st.sampled_from(["vm=0", "from=0;to=1", "vm=1;deadline=9", "payload=a,b;c=d"])
+        | st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"), max_size=6),
+    ),
+    max_size=8,
+)
+
+
+def _fold_outcome(records):
+    """The metrics of records, or the type of what the fold raised on them."""
+    try:
+        return metrics_from_trace(records, 150, [0, 1])
+    except (ValueError, TypeError, KeyError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=_listed_records)
+def test_every_record_write_csv_accepts_reads_back_equal(records):
+    """write_csv refuses a list that holds an unreadable head; every other list,
+    its details free of line breaks, reads back equal and folds to equal metrics."""
+    if any(_unreadable(*r[1:5]) for r in records):
+        with pytest.raises(ValueError, match="no CSV head reads back as"):
+            write_csv(records, io.StringIO())
+        return
+    back = read_back(records)
+    assert back == records and list(back) == records
+    assert _fold_outcome(back) == _fold_outcome(records)
+
+
+def _module_stores():
+    """Each module-level dict, list and set of hvsim.trace by name, with its
+    size, and each lru_cache with its cache_info()."""
+    return {name: value.cache_info() if hasattr(value, "cache_info") else len(value)
+            for name, value in vars(trace_module).items() if not name.startswith("__")
+            and (isinstance(value, (dict, list, set)) or hasattr(value, "cache_info"))}
+
+
+def test_reading_heads_grows_no_module_store():
+    """A CSV with more distinct heads than any module-level cache of hvsim.trace
+    holds reads back, iterates, folds and writes as JSON record for record, and
+    then every module-level dict, list and set is as large as before, every
+    unbounded lru_cache too, and every bounded one within its bound."""
+    before = _module_stores()
+    bound = max(info.maxsize for info in before.values() if getattr(info, "maxsize", None))
+    records = [TraceRecord(t, str(t % 3), "hyp_call", "hyp_call", 1000 + t, f"vm={t % 3}")
+               for t in range(bound + 100)]
+    trace = read_back(records)
+    assert len(set(trace._flat[1::3])) == len(records) and list(trace) == records
+    assert [trace[k] for k in range(len(records))] == records
+    assert metrics_from_trace(trace, 10**6, [0, 1, 2]) == oracles.metrics_from_trace(records, 10**6, [0, 1, 2])
+    fh = io.StringIO()
+    write_json(trace, fh)
+    assert fh.getvalue() == "".join(oracles.record_json(r) + "\n" for r in records)
+    del trace
+    after = _module_stores()
+    assert after.keys() == before.keys()
+    for name, was in before.items():
+        if getattr(was, "maxsize", None):
+            assert after[name].currsize <= was.maxsize, name
+        else:
+            assert getattr(after[name], "currsize", after[name]) == getattr(was, "currsize", was), name
 
 
 def test_write_json_escapes_like_to_json():
