@@ -4,7 +4,8 @@ Each class's parse() is the only check of its options and sched_params.
 All three queue vCPUs, keep each VM's own data in the sched_state that
 allocate() returns, and track which vCPU they last handed to the
 dispatcher, so schedule() can keep returning the running vCPU while it
-remains the best choice.
+remains the best choice.  EDF walks its vCPUs in VM-id order, and FP ranks by
+(priority, VM id), so neither set order nor a tie clause decides a tie.
 """
 
 from __future__ import annotations
@@ -49,28 +50,26 @@ class EdfScheduler(SchedulerTable):
     """Earliest-deadline-first over periodic budgets.
 
     Each vCPU's sched_state is its EdfVmState.  One set, _ready, holds the
-    vCPUs that are awake and not dispatched.  schedule() first replenishes
-    every VM whose period has arrived.  One pass over _ready then picks the
-    earliest deadline (lowest VM id on ties) among the VMs with budget left,
-    the dispatched one included, and arms a timer for its budget expiry.  The
-    same pass finds the next release of an exhausted VM; a second timer wakes
-    the system then, or a release while a longer-deadline VM runs would be
-    handled arbitrarily late.
-
-    The sweep is skipped while now is before _bound, a lower bound on the
-    deadlines of the ready and dispatched VMs that the sweep recomputes and
-    _make_ready lowers.  schedule() still cancels and re-arms its timers on
-    every call: timer_set/timer_cancel records, their count and their order
-    are part of the trace contract.
+    vCPUs that are awake and not dispatched.  schedule() walks the table's
+    vCPUs once, in VM-id order, over those and the dispatched one: each has
+    every arrived period replenished, with a deadline miss reported for
+    budget left unconsumed, then wins if it has budget and a strictly earlier
+    deadline than the winner so far, so VM order breaks ties.  An exhausted
+    one other than the dispatched one is a candidate for the next release.
+    One timer is armed for the winner's budget expiry; a second wakes the
+    system at the next release, or a release while a longer-deadline VM runs
+    would be handled arbitrarily late.  Every call cancels and re-arms the
+    timers: timer_set/timer_cancel records, their count and their order are
+    part of the trace contract.
     """
 
     def __init__(self, services: SchedulerServices, params: dict[int, EdfParam]):
         self.services = services
         self._params = params
+        self._vcpus: list[VcpuRecord | None] = [None] * len(params)  # by VM id, filled in allocate
         self._ready: set[VcpuRecord] = set()
         self._dispatched: VcpuRecord | None = None
         self._timers: list[int] = []
-        self._bound: Time | float = float("inf")
 
     @staticmethod
     def parse(spec: SystemSpec) -> dict[int, EdfParam]:
@@ -93,10 +92,11 @@ class EdfScheduler(SchedulerTable):
 
     def allocate(self, vcpu: VcpuRecord) -> EdfVmState:
         param = self._params[vcpu.id]
+        self._vcpus[vcpu.id] = vcpu
         return EdfVmState(param, self.services.now() + param.period, param.budget, vcpu.total_consumed)
 
     def enque(self, vcpu: VcpuRecord) -> None:
-        self._make_ready(vcpu)
+        self._ready.add(vcpu)
 
     def schedule(self) -> VcpuRecord | None:
         services, timers = self.services, self._timers
@@ -104,26 +104,25 @@ class EdfScheduler(SchedulerTable):
         for timer_id in timers:
             services.cancel_timer(timer_id)
         timers.clear()
-        dispatched = self._dispatched
+        ready, dispatched = self._ready, self._dispatched
         if dispatched is not None:
             self._sync(dispatched)
-        if now >= self._bound:
-            self._sweep(now)
-
-        # Earliest (deadline, id) of the VMs with budget; earliest deadline of the rest.
         winner = release = None
-        if dispatched is not None and dispatched.sched_state.remaining > 0:
-            winner, best = dispatched, dispatched.sched_state.deadline
-        for vcpu in self._ready:
+        for vcpu in self._vcpus:
+            if vcpu is not dispatched and vcpu not in ready:
+                continue
             st = vcpu.sched_state
-            deadline = st.deadline
-            if st.remaining <= 0:
-                if release is None or deadline < release:
-                    release = deadline
-            elif winner is None or deadline < best or (deadline == best and vcpu.id < winner.id):
-                winner, best = vcpu, deadline
+            while st.deadline <= now:
+                if st.remaining > 0:
+                    services.report_deadline_miss(vcpu.id, st.deadline)
+                self._replenish(vcpu)
+            if st.remaining > 0:
+                if winner is None or st.deadline < best:
+                    winner, best = vcpu, st.deadline
+            elif vcpu is not dispatched and (release is None or st.deadline < release):
+                release = st.deadline
         if winner is not dispatched:
-            self._ready.discard(winner)
+            ready.discard(winner)
         self._dispatched = winner
 
         if winner is not None:
@@ -142,7 +141,7 @@ class EdfScheduler(SchedulerTable):
 
     def block(self, vcpu: VcpuRecord) -> None:
         self._sync(vcpu)
-        self._make_ready(vcpu)
+        self._ready.add(vcpu)
         self.services.set_flag()
 
     def unblock(self, vcpu: VcpuRecord) -> None:
@@ -152,7 +151,7 @@ class EdfScheduler(SchedulerTable):
         # Periods that elapsed while asleep are forgiven, not counted as misses.
         while st.deadline <= now:
             self._replenish(vcpu)
-        self._make_ready(vcpu)
+        self._ready.add(vcpu)
         self.services.set_flag()
 
     # -- internals --------------------------------------------------------
@@ -168,26 +167,6 @@ class EdfScheduler(SchedulerTable):
         st.deadline += st.param.period
         st.remaining = st.param.budget
         st.mark = vcpu.total_consumed
-
-    def _sweep(self, now: Time) -> None:
-        """Replenish every crossed period, in VM order; unconsumed budget at
-        a crossed deadline is a deadline miss.  Resets the bound."""
-        tracked = set(self._ready)
-        if self._dispatched is not None:
-            tracked.add(self._dispatched)
-        bound = float("inf")
-        for vcpu in sorted(tracked, key=attrgetter("id")):
-            st = vcpu.sched_state
-            while st.deadline <= now:
-                if st.remaining > 0:
-                    self.services.report_deadline_miss(vcpu.id, st.deadline)
-                self._replenish(vcpu)
-            bound = min(bound, st.deadline)
-        self._bound = bound
-
-    def _make_ready(self, vcpu: VcpuRecord) -> None:
-        self._ready.add(vcpu)
-        self._bound = min(self._bound, vcpu.sched_state.deadline)
 
 
 # ---------------------------------------------------------------------------

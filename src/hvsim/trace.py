@@ -24,7 +24,7 @@ from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import chain, zip_longest
+from itertools import chain, starmap, zip_longest
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import eq
 from typing import Iterable, NamedTuple
@@ -146,8 +146,14 @@ def _rows(records: Iterable[TraceRecord]) -> Iterable[tuple]:
     if isinstance(records, Trace):
         it = iter(records._flat)
         return zip(it, it, it)
-    return ((time, head(actor, kind, cost_field, cost), detail)
-            for time, actor, kind, cost_field, cost, detail in records)
+    return starmap(_row, records)
+
+
+def _row(time: Time, actor: str, kind: str, cost_field: str, cost: Time, detail: str) -> tuple:
+    """A listed record as (time, head, detail); ValueError, as from head(), if its CSV won't read back."""
+    if type(time) is not int or "\n" in detail or "\r" in detail:
+        raise ValueError(f"no CSV line reads back as {(time, actor, kind, cost_field, cost, detail)!r}")
+    return time, head(actor, kind, cost_field, cost), detail
 
 
 def _blocks(records: Iterable[TraceRecord]) -> Iterable[list]:

@@ -17,6 +17,8 @@ mutant changes one node of the module's syntax tree:
 - deletes a call statement (it becomes the no-op statement ``None``)
 - deletes a ``raise`` statement (it too becomes ``None``), so an
   ``if bad: raise`` path counts as swept only if some test expects the error
+- deletes a ``continue`` or ``break`` statement (``None`` too), so a loop's
+  skip or early exit counts as swept only if some test needs it
 - replaces an ``except`` handler's body with a bare ``raise``, so the
   exception it caught goes on as if no clause had matched
 
@@ -78,8 +80,8 @@ def _sites(func: ast.AST):
     """(node, slot, description) of every mutation site in func, in a fixed
     order.  slot is an index into a Compare's ops or a comprehension's ifs,
     "op" for a BoolOp, BinOp or AugAssign, "not" for an if test, "call" for
-    a call statement, "raise" for an except handler, or "delete" for a raise
-    statement."""
+    a call statement, "raise" for an except handler, or "delete" for a raise,
+    continue or break statement."""
     for node in ast.walk(func):
         if isinstance(node, ast.Compare):
             for i, op in enumerate(node.ops):
@@ -96,7 +98,7 @@ def _sites(func: ast.AST):
         elif isinstance(node, ast.ExceptHandler):
             caught = "" if node.type is None else " " + ast.unparse(node.type)[:60]
             yield node, "raise", f"except{caught}: body -> raise"
-        elif isinstance(node, ast.Raise):
+        elif isinstance(node, (ast.Raise, ast.Continue, ast.Break)):
             yield node, "delete", f"delete {ast.unparse(node)[:60]}"
 
 
@@ -119,7 +121,7 @@ def mutants(source: str, names: set[str]):
             node.value = ast.Constant(None)  # the statement `None` does nothing
         elif slot == "raise":
             node.body = [ast.Raise()]  # re-raises what the handler caught
-        elif slot == "delete":  # the statement `None` takes the raise's place
+        elif slot == "delete":  # the statement `None` takes the raise's, continue's or break's place
             for parent in ast.walk(func):
                 for _, body in ast.iter_fields(parent):
                     if isinstance(body, list) and node in body:

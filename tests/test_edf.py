@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hvsim import load_manifest
 from hvsim.engine import Engine
@@ -19,8 +21,10 @@ from manifests import (
     random_edf_params,
 )
 from oracles import edf_tick_timeline
+from test_acceptance import _contract_manifest
 
 MS = 1_000_000
+US = 1_000
 
 
 def run_edf(params, horizon, **kw):
@@ -182,3 +186,71 @@ def test_budget_overrun_raises_contract_violation(fake_host):
     vcpu.total_consumed = 3 * MS + 1
     with pytest.raises(ContractViolation, match="vm 0 ran past its budget"):
         sched.block(vcpu)
+
+
+def test_each_schedule_cancels_exactly_what_the_previous_one_armed():
+    """schedule() cancels the timers of the call before it, in arming order, and
+    no older ones: cancelling a spent id writes nothing, but still costs a call."""
+    eng = Engine(load_manifest(_contract_manifest("edf", random.Random(7919), 10 * MS)), 10 * MS)
+    table, calls = eng.fw.table, []  # per schedule(): ([ids cancelled], [ids armed])
+    register, cancel, schedule = eng.register_timer, eng.cancel_timer, table.schedule
+
+    def register_timer(at):
+        timer_id = register(at)
+        calls[-1][1].append(timer_id)
+        return timer_id
+
+    def cancel_timer(timer_id):
+        calls[-1][0].append(timer_id)
+        cancel(timer_id)
+
+    def traced_schedule():
+        calls.append(([], []))
+        return schedule()
+
+    eng.register_timer, eng.cancel_timer, table.schedule = register_timer, cancel_timer, traced_schedule
+    eng.run()
+    armed = [ids for _, ids in calls]
+    assert len(calls) > 100 and sum(map(len, armed)) > len(calls)
+    assert [cancelled for cancelled, _ in calls] == [[]] + armed[:-1]
+
+
+_TRAPS = [{"compute": 80 * US}, {"compute": 300 * US}, {"wfi": True}, {"hyp_call": None}]
+_edf_vms = st.lists(
+    st.tuples(
+        st.sampled_from([500 * US, MS, 2 * MS, 3 * MS]),  # period
+        st.integers(1, 10),  # budget, in tenths of the period
+        st.lists(st.sampled_from(_TRAPS), max_size=4),  # looped after a first compute
+        st.sampled_from([200 * US, 700 * US, 3 * MS]),  # period of its irq, which ends a wfi
+    ),
+    min_size=2,
+    max_size=4,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(vms=_edf_vms, zero_cost=st.booleans())
+def test_miss_rule_on_random_systems(vms, zero_cost):
+    """On systems with overload and wfi sleep, misses at one instant come in VM
+    order, each names a deadline at or before its instant, and none names a VM
+    between its vm_sleep and its vm_wake."""
+    horizon = 10 * MS
+    workloads = [{"loop": True, "segments": [{"compute": 50 * US}, *segs]} for _, _, segs, _ in vms]
+    params = {str(i): {"period_ns": p, "budget_ns": p * b // 10} for i, (p, b, _, _) in enumerate(vms)}
+    irqs = [{"at_ns": t, "irq": 32 + i} for i, (*_, every) in enumerate(vms) for t in range(every // 2, horizon, every)]
+    m = make_manifest(
+        [make_vm(i, w) for i, w in enumerate(workloads)],
+        {"name": "edf", "sched_param": params},
+        cost_model=ZERO_COST if zero_cost else None,
+        phys_irqs=sorted(irqs, key=lambda e: e["at_ns"]),
+    )
+    asleep, last = set(), (-1, -1)
+    for r in run_manifest(m, horizon).records:
+        if r.kind == "vm_sleep":
+            asleep.add(int(r.actor))
+        elif r.kind == "vm_wake":
+            asleep.discard(int(r.actor))
+        elif r.kind == "deadline_miss":
+            vm, deadline = int(detail_field(r.detail, "vm")), int(detail_field(r.detail, "deadline"))
+            assert (r.time, vm) >= last and deadline <= r.time and vm not in asleep
+            last = (r.time, vm)

@@ -124,3 +124,33 @@ def test_each_raise_statement_gets_one_deletion():
     exec(compile(got[0][2], "<mutant>", "exec"), scope)
     with pytest.raises(TypeError):  # past the deleted raise, limit // None
         scope["check"](None, 3)
+
+
+LOOPS = '''
+def first_big(values, limit):
+    for value in values:
+        if value is None:
+            continue
+        while value > limit:
+            value //= 2
+            break
+        if value == limit:
+            break
+    return value
+'''
+
+
+def test_each_continue_and_break_gets_one_deletion():
+    """One mutant per continue or break, that statement alone replaced by `None`."""
+    got = [(line, what, src) for _, line, what, src in mutants(LOOPS, {"first_big"})
+           if what in ("delete continue", "delete break")]
+    assert [(line, what) for line, what, _ in got] == [(5, "delete continue"), (8, "delete break"), (10, "delete break")]
+    original = _simple_statements(LOOPS)
+    jumps = [k for k, stmt in enumerate(original) if stmt in ("continue", "break")]
+    assert len(jumps) == len(got) == 3
+    for k, (_, _, src) in zip(jumps, got):
+        assert _simple_statements(src) == [("None" if i == k else stmt) for i, stmt in enumerate(original)]
+    scope = {}
+    exec(compile(got[0][2], "<mutant>", "exec"), scope)
+    with pytest.raises(TypeError):  # past the deleted continue, None > limit
+        scope["first_big"]([None], 3)

@@ -350,6 +350,29 @@ def test_fields_that_spell_another_head_are_refused():
     assert head("hv", "x", "f", -3) == "hv,x,f,-3" and head_fields("hv,x,f,-3") == ("hv", "x", "f", -3)
 
 
+# Listed records whose head reads back but whose CSV line does not: a time that
+# is not an int, or a line break in the detail.
+UNREADABLE_LINES = {"time-float": (1.5, "vm=0"), "time-bool": (True, "vm=0"),
+                    "detail-lf": (0, "vm=0\nx"), "detail-cr": (0, "vm=0\rx")}
+
+
+@pytest.mark.parametrize("time, detail", UNREADABLE_LINES.values(), ids=UNREADABLE_LINES)
+def test_listed_record_whose_csv_line_cannot_read_back_is_refused(tmp_path, time, detail):
+    """The CSV line such a record would write fails read_csv through a real file,
+    where a \\r splits the line too; every consumer of a list refuses the record."""
+    path = tmp_path / "trace.csv"
+    path.write_text(f"{CSV_HEADER}\n{time},hv,boot,,0,{detail}\n")
+    with path.open() as fh, pytest.raises(ValueError):
+        read_csv(fh)
+    records = [TraceRecord(time, "hv", "boot", "", 0, detail)]
+    uses = [lambda: write_csv(records, io.StringIO()), lambda: write_json(records, io.StringIO()),
+            lambda: metrics_from_trace(records, MS, [0]), lambda: run_intervals(records, MS),
+            lambda: compare_traces(records, records), lambda: Fold(MS, [0]).feed(records)]
+    for use in uses:
+        with pytest.raises(ValueError, match="no CSV line reads back as"):
+            use()
+
+
 _FIELD_TEXT = st.text(st.sampled_from("0hv,;=\n\r \"\\é"), max_size=4)
 _listed_records = st.lists(
     st.builds(
@@ -430,12 +453,15 @@ def test_write_json_escapes_like_to_json():
     m = make_manifest([make_vm(0, workload)], {"name": "rr", "quantum_ns": 500 * US})
     records = list(run(load_manifest(m), 2 * MS).records)
     assert sum(r.kind == "hyp_call" for r in records) == len(odd)
-    more = odd + ["\r\n"]  # no payload holds a line break; a record read from elsewhere may
+    more = odd + ["\r\n"]  # no payload holds a line break; a Trace built elsewhere may
     records += [TraceRecord(7, a, k, c, 11, d) for a, k, c, d in zip(more, more[1:], more[2:], more[3:])]
-    for written in (records, trace_of(records)):
+    listed = [r for r in records if "\r" not in r.detail]  # a list's line break is refused
+    for written, expected in ((listed, listed), (trace_of(records), records)):
         fh = io.StringIO()
         write_json(written, fh)
-        assert fh.getvalue() == "".join(oracles.record_json(r) + "\n" for r in records)
+        assert fh.getvalue() == "".join(oracles.record_json(r) + "\n" for r in expected)
+    with pytest.raises(ValueError, match="no CSV line reads back as"):
+        write_json(records, io.StringIO())
 
 
 def test_trace_fold_equals_oracle_and_list_path(edf_run):
