@@ -34,7 +34,7 @@ from .model import Time
 CSV_HEADER = "time_ns,actor,kind,cost_field,cost_ns,detail"
 TIMELINE_HEADER = "# time_ns vm_id state"  # timeline.dat's first line
 _CSV_LINE = "%s,%s,%s\n"  # a record's time, head and detail
-_CSV_BLOCK = 512  # records (or timeline spans) formatted by one % in a writer
+_CSV_BLOCK = 2048  # records (or timeline spans) formatted by one % in a writer, as many as a streamed block
 _TIMELINE_SPAN = "%s %s 1\n%s %s 0\n"  # a run span's two timeline.dat lines: start, vm, end, vm
 
 # Every record kind, with the cost-model field it is charged ("" if never).  README's
@@ -200,8 +200,10 @@ def write_timeline(spans: list, fh) -> None:
     step = 3 * _CSV_BLOCK
     for k in range(0, len(spans), step):
         block = spans[k : k + step]
-        start, end, vm = block[0::3], block[1::3], block[2::3]
-        fh.write(_TIMELINE_SPAN * len(vm) % tuple(chain.from_iterable(zip(start, vm, end, vm))))
+        vm = block[2::3]
+        args = [0] * (4 * len(vm))
+        args[0::4], args[1::4], args[2::4], args[3::4] = block[0::3], vm, block[1::3], vm
+        fh.write(_TIMELINE_SPAN * len(vm) % tuple(args))
 
 
 def compare_traces(a: Sequence[TraceRecord], b: Sequence[TraceRecord]):
@@ -335,7 +337,9 @@ class Fold:
         self._open_vm: int | None = None
         self._open_at: Time = 0
         self._switch_in: dict[str, int | None] = {}  # memo of _switch_in by detail string
-        self._heads: dict[str, tuple] = {}  # memo by head: (cost_ns, kind, the VM of a vm_start or guest_ack)
+        # memo by head: (cost_ns, kind, the VM of a vm_start or guest_ack), or None for a head
+        # neither charged nor folded, whose records feed skips after this one lookup
+        self._heads: dict[str, tuple | None] = {}
         self._cur_s = self._cur_e = 0  # the open interval of the union
         self._closed: list[Time] = []  # closed intervals, flat (start, end)
         self._late: list[Time] = []  # late spans, flat (start, end)
@@ -347,11 +351,14 @@ class Fold:
         cur_s, cur_e = self._cur_s, self._cur_e
         for time, h, detail in _rows(records):
             try:
-                cost, kind, vm = heads[h]
+                entry = heads[h]
             except KeyError:
                 actor, kind, _, cost = head_fields(h)
                 vm = int(actor) if kind in ("vm_start", "guest_ack") else None
-                heads[h] = cost, kind, vm
+                entry = heads[h] = None if cost <= 0 and kind not in _FOLDED else (cost, kind, vm)
+            if entry is None:
+                continue
+            cost, kind, vm = entry
             if cost > 0 and time < horizon:  # a cost window, clamped to the horizon
                 e = time + cost
                 if e > horizon:

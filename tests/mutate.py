@@ -21,6 +21,10 @@ mutant changes one node of the module's syntax tree:
   skip or early exit counts as swept only if some test needs it
 - replaces an ``except`` handler's body with a bare ``raise``, so the
   exception it caught goes on as if no clause had matched
+- shifts a constant slice start by one, modulo a constant step n > 1:
+  ``x[k::n]`` becomes ``x[(k + 1) % n::n]`` (an omitted start is 0), so a
+  strided read of interleaved slots counts as swept only if some test
+  notices the wrong column
 
 The mutated module is written with ``ast.unparse`` into a copy of the
 checkout, so traces, demos and subprocesses all run it.  The unmutated
@@ -80,8 +84,9 @@ def _sites(func: ast.AST):
     """(node, slot, description) of every mutation site in func, in a fixed
     order.  slot is an index into a Compare's ops or a comprehension's ifs,
     "op" for a BoolOp, BinOp or AugAssign, "not" for an if test, "call" for
-    a call statement, "raise" for an except handler, or "delete" for a raise,
-    continue or break statement."""
+    a call statement, "raise" for an except handler, "delete" for a raise,
+    continue or break statement, or "slice" for a constant-start slice with
+    a constant step above 1."""
     for node in ast.walk(func):
         if isinstance(node, ast.Compare):
             for i, op in enumerate(node.ops):
@@ -100,6 +105,21 @@ def _sites(func: ast.AST):
             yield node, "raise", f"except{caught}: body -> raise"
         elif isinstance(node, (ast.Raise, ast.Continue, ast.Break)):
             yield node, "delete", f"delete {ast.unparse(node)[:60]}"
+        elif isinstance(node, ast.Slice) and (phase := _phase(node)):
+            k, n = phase
+            yield node, "slice", f"slice {ast.unparse(node)[:60]}: start {k} -> {(k + 1) % n}"
+
+
+def _phase(node: ast.Slice) -> tuple[int, int] | None:
+    """(k, n) of a slice k::n whose start k (0 if omitted) and step n > 1 are int constants, else None."""
+    lower, step = node.lower, node.step
+    if not (isinstance(step, ast.Constant) and type(step.value) is int and step.value > 1):
+        return None
+    if lower is None:
+        return 0, step.value
+    if isinstance(lower, ast.Constant) and type(lower.value) is int:
+        return lower.value, step.value
+    return None
 
 
 def mutants(source: str, names: set[str]):
@@ -126,6 +146,9 @@ def mutants(source: str, names: set[str]):
                 for _, body in ast.iter_fields(parent):
                     if isinstance(body, list) and node in body:
                         body[body.index(node)] = ast.Expr(ast.Constant(None))
+        elif slot == "slice":
+            k, n = _phase(node)
+            node.lower = ast.Constant((k + 1) % n)
         elif slot == "not":
             node.test = ast.UnaryOp(ast.Not(), node.test)
         elif slot == "op":

@@ -13,6 +13,7 @@ import pytest
 
 import hvsim.cli
 import hvsim.engine
+import hvsim.trace
 from hvsim.cli import cmd_run, cmd_sweep, main
 from hvsim.schedulers import SCHEDULERS, FixedPriorityScheduler, register
 from hvsim.trace import CSV_HEADER, TraceRecord, metrics_from_trace, read_csv, run_intervals, write_csv, write_json
@@ -322,8 +323,10 @@ class TestCmdRun:
     def test_benchmark_layer_hooks_a_streamed_run_reaches(self, tmp_path, monkeypatch):
         """perfbench's layer hooks patch these module globals.  A streamed run
         reaches engine.run and load_manifest once and write_csv once per
-        block of about 512 records, and neither post-run fold: metrics.json
-        and timeline.dat come from the Fold the blocks were fed to."""
+        block of about `_BLOCK` records, and neither post-run fold:
+        metrics.json and timeline.dat come from the Fold the blocks were fed
+        to.  The 80 ms run writes 7,204 records: three full blocks and a
+        remainder."""
         calls = Counter()
         blocks = []
 
@@ -351,12 +354,13 @@ class TestCmdRun:
 
         monkeypatch.setattr(hvsim.engine, "run", run)
         monkeypatch.setattr(hvsim.cli, "write_csv", write_csv)
-        cfg = write_manifest(tmp_path, rr_manifest(2, quantum_ns=100_000, horizon=20 * MS))
-        assert main(["--config", cfg, "--horizon-ns", str(20 * MS), "--out", str(tmp_path / "o")]) == 0
+        cfg = write_manifest(tmp_path, rr_manifest(2, quantum_ns=100_000, horizon=80 * MS))
+        assert main(["--config", cfg, "--horizon-ns", str(80 * MS), "--out", str(tmp_path / "o")]) == 0
         assert calls == {"run": 1, "load_manifest": 1}
         with open(tmp_path / "o" / "trace.csv") as fh:
             assert sum(blocks) == len(read_csv(fh))
-        assert len(blocks) > 2 and all(512 <= n < 520 for n in blocks[:-1]) and 0 < blocks[-1] < 520
+        block = hvsim.engine._BLOCK
+        assert len(blocks) > 3 and all(block <= n < block + 8 for n in blocks[:-1]) and 0 < blocks[-1] < block + 8
 
     def test_metrics_recomputable_from_trace(self, tmp_path):
         cfg = write_manifest(tmp_path, small_edf_manifest())
@@ -450,6 +454,24 @@ class TestStreamedOutput:
             assert cmd_run(cfg, horizon, str(out), fmt) == 0
             assert cli_outputs(out) == library_outputs(res.records, res.metrics, horizon, fmt)
 
+    @pytest.mark.parametrize("name", ["edf", "fp", "rr"])
+    def test_files_do_not_depend_on_the_block_size(self, tmp_path, monkeypatch, name):
+        """Blocks of 1 and 7 records cut the stream where the default never
+        does, and every file comes out byte-identical."""
+        make, horizon = TRACE_RUNS[name]
+        cfg = write_manifest(tmp_path, make())
+        files = {}
+        for block in (1, 7, hvsim.engine._BLOCK):
+            monkeypatch.setattr(hvsim.engine, "_BLOCK", block)
+            monkeypatch.setattr(hvsim.trace, "_CSV_BLOCK", block)
+            for fmt in ("csv", "json"):
+                out = tmp_path / f"{fmt}{block}"
+                assert cmd_run(cfg, horizon, str(out), fmt) == 0
+                files.setdefault(fmt, []).append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        for fmt, outputs in files.items():
+            assert sorted(outputs[0]) == ["metrics.json", "timeline.dat", f"trace.{fmt}"]
+            assert outputs[0] == outputs[1] == outputs[2]
+
     @pytest.mark.parametrize("case", sorted(BAD_SERVICE_CALLS))
     def test_aborted_streamed_trace_equals_aborted_records(self, tmp_path, case):
         register("bad_call", bad_service_call_table(case))
@@ -484,16 +506,18 @@ class TestStreamedOutput:
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 class TestWriteFailure:
     """A write that fails while the run streams its trace ends the CLI with
-    exit 4 and one io error line."""
+    exit 4 and one io error line.  The 80 ms run writes 7,204 records, three
+    full blocks and a remainder, so the failing write comes mid-run, not at
+    the final hand-over."""
 
     def manifest(self, tmp_path):
-        return write_manifest(tmp_path, rr_manifest(2, quantum_ns=100_000, horizon=20 * MS))
+        return write_manifest(tmp_path, rr_manifest(2, quantum_ns=100_000, horizon=80 * MS))
 
     def test_run_exits_4(self, tmp_path):
         out = tmp_path / "o"
         out.mkdir()
         (out / "trace.csv").symlink_to("/dev/full")
-        proc = run_hvsim_process("--config", self.manifest(tmp_path), "--horizon-ns", 20 * MS, "--out", out)
+        proc = run_hvsim_process("--config", self.manifest(tmp_path), "--horizon-ns", 80 * MS, "--out", out)
         assert proc.returncode == 4
         assert proc.stderr.startswith("io error: ") and proc.stderr.count("\n") == 1, proc.stderr
         assert sorted(p.name for p in out.iterdir()) == ["trace.csv"]
@@ -504,7 +528,7 @@ class TestWriteFailure:
         out = tmp_path / "o"
         out.mkdir()
         (out / "timeline.dat.tmp").symlink_to("/dev/full")
-        proc = run_hvsim_process("--config", self.manifest(tmp_path), "--horizon-ns", 20 * MS, "--out", out)
+        proc = run_hvsim_process("--config", self.manifest(tmp_path), "--horizon-ns", 80 * MS, "--out", out)
         assert proc.returncode == 4
         assert proc.stderr.startswith("io error: ") and proc.stderr.count("\n") == 1, proc.stderr
         assert sorted(p.name for p in out.iterdir()) == ["trace.csv"]
@@ -513,7 +537,7 @@ class TestWriteFailure:
         out = tmp_path / "o"
         (out / "run_001").mkdir(parents=True)
         (out / "run_001" / "trace.csv").symlink_to("/dev/full")
-        proc = run_hvsim_process("--config", self.manifest(tmp_path), "--horizon-ns", 20 * MS, "--out", out,
+        proc = run_hvsim_process("--config", self.manifest(tmp_path), "--horizon-ns", 80 * MS, "--out", out,
                                  "--sweep", "cost_model.world_switch", "--values", "0,1000")
         assert proc.returncode == 4
         assert proc.stderr.startswith("io error: ") and proc.stderr.count("\n") == 1, proc.stderr

@@ -558,6 +558,18 @@ LOOSE_MESSAGES = {
 }
 
 
+def test_unknown_stage2_fault_policy_rejected(tmp_path, capsys):
+    """The one check on faults.stage2: any other value would load and run as inject."""
+    m = two_vm_manifest(faults={"stage2": "bogus"})
+    with pytest.raises(ConfigError) as err:
+        load_manifest(m)
+    assert str(err.value) == "faults.stage2: must be inject or halt, got 'bogus'"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(m))
+    assert main(["--config", str(cfg), "--horizon-ns", "1000000", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"configuration error: {err.value}\n"
+
+
 # A region field's parser names the field's full path; only MemRegion's own
 # checks, which know no path, get the region's path in front.
 REGION_MESSAGES = {

@@ -154,3 +154,28 @@ def test_each_continue_and_break_gets_one_deletion():
     exec(compile(got[0][2], "<mutant>", "exec"), scope)
     with pytest.raises(TypeError):  # past the deleted continue, None > limit
         scope["first_big"]([None], 3)
+
+
+STRIDES = '''
+def columns(flat, n):
+    return flat[0::3], flat[2::3], flat[::2], flat[1:n:4], flat[n::3], flat[1::1], flat[1:n]
+'''
+
+
+def test_each_constant_slice_start_with_a_step_gets_one_shift():
+    """x[k::n] with constant k (0 if omitted) and constant n > 1 becomes x[(k + 1) % n::n];
+    a start that is not a constant, a step of 1 and a slice without a step give no mutant."""
+    got = [(line, what, src) for _, line, what, src in mutants(STRIDES, {"columns"}) if what.startswith("slice")]
+    assert [(line, what) for line, what, _ in got] == [
+        (3, "slice 0::3: start 0 -> 1"), (3, "slice 2::3: start 2 -> 0"),
+        (3, "slice ::2: start 0 -> 1"), (3, "slice 1:n:4: start 1 -> 2")]
+    flat = list(range(12))
+    results = []
+    for _, _, src in got:
+        scope = {}
+        exec(compile(src, "<mutant>", "exec"), scope)
+        results.append(scope["columns"](flat, 9))
+    base = ([0, 3, 6, 9], [2, 5, 8, 11], [0, 2, 4, 6, 8, 10], [1, 5], [9], list(range(1, 12)), list(range(1, 9)))
+    shifted = [[1, 4, 7, 10], [0, 3, 6, 9], [1, 3, 5, 7, 9, 11], [2, 6]]
+    for k, result in enumerate(results):  # that slice alone reads the next column
+        assert result == tuple(shifted[k] if i == k else column for i, column in enumerate(base))
