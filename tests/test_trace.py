@@ -274,7 +274,9 @@ def test_read_csv_returns_a_trace_of_the_run_slots(edf_run):
 
 
 @pytest.mark.parametrize(
-    "n", [0, 1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 2 * _CSV_BLOCK + 1]
+    "n",
+    # the old 512-record block's edges, and the current block's
+    [0, 1, 511, 512, 513, 1025, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 2 * _CSV_BLOCK + 1],
 )
 def test_trace_writers_equal_list_path(edf_run, n):
     records = edf_run.records[:n]
